@@ -8,6 +8,7 @@ ceil(n - log n).  Natural logarithm throughout.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -21,10 +22,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-
-# raw values of n - log n this close to an integer get flagged instead of
-# silently rounded
-CEILING_GUARD = 1e-9
 
 
 def feasible_pressure(p: float) -> float:
@@ -42,14 +39,16 @@ def max_p(k: int, tol: float = DEFAULT_TOL) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if k == 1:
         return 1.0
     target = 1.0 / k
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # lo and hi are adjacent floats: no finer bracket exists
         if feasible_pressure(mid) < target:
             lo = mid
         else:
@@ -59,32 +58,52 @@ def max_p(k: int, tol: float = DEFAULT_TOL) -> float:
 
 @dataclass(frozen=True)
 class WalkerBound:
-    """ceil(n - ln n) plus the intermediate quantity n^2 / (n + ln n).
-
-    ``ambiguous`` flags a raw value within CEILING_GUARD of an integer, where
-    float evaluation cannot certify which side of the ceiling it falls on.
-    """
+    """ceil(n - ln n), exact, plus the float quantities n - ln n and
+    n^2 / (n + ln n)."""
 
     n: int
     value: int
     raw: float
     intermediate: float
-    ambiguous: bool
+
+
+def _exp_exceeds(m: int, n: int) -> bool:
+    """Whether e^m > n, for integers m >= 0 and n >= 2, decided exactly.
+
+    Decimal's exp is correctly rounded, and at a precision that holds n's
+    every digit, n is representable, so the rounded e^m lands on n's side of
+    n unless it equals n.  e^m is never the integer n (it is 1 or
+    irrational), so raising the precision settles a tie.
+    """
+    prec = n.bit_length() // 3 + 2  # more digits than n has
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            rounded = ctx.exp(m)
+        if rounded != n:
+            return rounded > n
+        prec *= 2
 
 
 def max_walkers(n: int) -> WalkerBound:
-    """Upper bound on the walker count of an avoidance coupling on n vertices."""
+    """Upper bound on the walker count of an avoidance coupling on n vertices.
+
+    For an integer n >= 2, ln n is irrational, so ceil(n - ln n) is exactly
+    n - floor(ln n); floor(ln n) is the m with e^m < n < e^(m+1).
+    """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     log_n = math.log(n)
-    raw = n - log_n
-    return WalkerBound(
-        n=n,
-        value=math.ceil(raw),
-        raw=raw,
-        intermediate=n * n / (n + log_n),
-        ambiguous=abs(raw - round(raw)) < CEILING_GUARD,
-    )
+    try:
+        raw, intermediate = n - log_n, n * n / (n + log_n)
+    except OverflowError:
+        raise ValueError("n is too large for the float fields raw and intermediate") from None
+    m = int(log_n)  # a float estimate, corrected by the exact comparisons
+    while _exp_exceeds(m, n):
+        m -= 1
+    while not _exp_exceeds(m + 1, n):
+        m += 1
+    return WalkerBound(n=n, value=n - m, raw=raw, intermediate=intermediate)
 
 
 def taylor_partial(p: float, terms: int) -> float:

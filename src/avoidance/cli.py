@@ -106,6 +106,14 @@ def _meta(ns: argparse.Namespace) -> dict:
     }
 
 
+def _rational(text: str) -> Fraction:
+    """Parse a rational such as 0.3 or 1/8; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -212,7 +220,6 @@ def cmd_bound(ns) -> int:
         "value": wb.value,
         "raw": wb.raw,
         "intermediate": wb.intermediate,
-        "ambiguous": wb.ambiguous,
     }
     _emit(ns, body, [str(wb.value)])
     return 0
@@ -361,7 +368,7 @@ def cmd_stats(ns) -> int:
 
 
 def cmd_lp_build(ns) -> int:
-    inst = lp.build_window_lp(ns.k, ns.p, ns.m)
+    inst = lp.build_window_lp(ns.k, _rational(ns.p), ns.m)
     mps = lp.write_mps(inst)
     if ns.format == "json":
         body = {
@@ -380,7 +387,7 @@ def cmd_lp_build(ns) -> int:
 
 
 def cmd_lp_scan(ns) -> int:
-    grid = [Fraction(tok) for tok in ns.grid.split(",") if tok.strip()]
+    grid = [_rational(tok) for tok in ns.grid.split(",") if tok.strip()]
     if not grid:
         raise ValueError("empty grid")
     report = lp.scan_p(ns.k, ns.m, grid, tol=ns.tol)

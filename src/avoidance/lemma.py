@@ -16,8 +16,11 @@ replays with exact arithmetic.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .sequences import (
     BLANK,
@@ -25,9 +28,8 @@ from .sequences import (
     Seq,
     blank_count,
     is_permissible,
-    neighbor_pairs,
+    pair_scan,
     parse_seq,
-    total_weight,
 )
 
 __all__ = [
@@ -66,7 +68,18 @@ RULES = (
     DELETE_VICTIM_SYMBOL,
 )
 
+# (weight delta, blank delta) of the rules whose deltas are constant
+RULE_DELTAS = {
+    COLLAPSE_BLANKS: (Fraction(0), -1),
+    DELETE_ZERO_WEIGHT_PAIR: (Fraction(0), 0),
+    COLLAPSE_WEIGHT_ONE_PAIR: (Fraction(-1), -1),
+}
+
 ENUMERATION_BUDGET = 10_000_000
+
+# a parallel sweep cuts at least this many shards per process, so uneven
+# subtrees even out across the pool
+SHARDS_PER_JOB = 8
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,12 @@ class CheckResult:
         return self.ok
 
 
+@lru_cache(maxsize=None)
+def _donation_denominator(k: int) -> int:
+    """lcm of b(b-1) over b = 2..k: every sum of donations is an integer over it."""
+    return math.lcm(*(b * (b - 1) for b in range(2, k + 1)))
+
+
 def redistribution(s: Seq) -> RedistributionReport:
     """Donate each pair's weight to the distinct walker symbols between it.
 
@@ -144,29 +163,29 @@ def redistribution(s: Seq) -> RedistributionReport:
     """
     if not is_permissible(s):
         raise ValueError("sequence is not permissible")
-    inp: dict[int, Fraction] = {}
-    out: dict[int, Fraction] = {}
+    k = s.k
+    scan = pair_scan(s)
+    den = _donation_denominator(k)
+    scaled_inp = [0] * (k + 1)
     donations = []
-    for pair in neighbor_pairs(s):
-        if pair.b <= 1:
+    for pair, (_, _, _, between) in zip(scan.neighbor_pairs(), scan.pairs):
+        b = pair.b
+        if b <= 1:
             raise ValueError(
                 f"pair ({pair.t1},{pair.t2}) of symbol {pair.symbol} has "
-                f"b={pair.b}; rules 1..3 are not exhausted"
+                f"b={b}; rules 1..3 are not exhausted"
             )
-        between = s.symbols[pair.t1 : pair.t2 - 1]
-        recipients = sorted(set(between) - {BLANK})
-        if len(recipients) != pair.b - 1:
+        if not between & (1 << BLANK):
             raise ValueError(
                 f"pair ({pair.t1},{pair.t2}) has no blank between its endpoints"
             )
-        amount = Fraction(1, pair.b * (pair.b - 1))
-        for r in recipients:
-            donations.append(Donation(pair, r, amount))
-            inp[r] = inp.get(r, Fraction(0)) + amount
-        out[pair.symbol] = out.get(pair.symbol, Fraction(0)) + pair.weight
-    return RedistributionReport(
-        dict(sorted(inp.items())), dict(sorted(out.items())), tuple(donations)
-    )
+        amount = Fraction(1, b * (b - 1))
+        for r in range(1, k + 1):
+            if between >> r & 1:
+                donations.append(Donation(pair, r, amount))
+                scaled_inp[r] += den // (b * (b - 1))
+    inp = {r: Fraction(x, den) for r, x in enumerate(scaled_inp) if x}
+    return RedistributionReport(inp, scan.outputs(), tuple(donations))
 
 
 def apply_edit(s: Seq, rule: str, arg: int) -> Seq:
@@ -232,8 +251,16 @@ def _make_step(
     after: Seq,
     red: RedistributionReport | None = None,
 ) -> ReductionStep:
-    wd = total_weight(after).total - total_weight(before).total
-    bd = blank_count(after) - blank_count(before)
+    """Record a step with the deltas its rule's contract fixes.
+
+    Rules 1..3 have constant deltas; rule 4's weight delta is the victim's
+    input minus its output.  ``check_certificate`` recomputes both from the
+    words, so a rule that broke its contract would fail the replay.
+    """
+    if rule == DELETE_VICTIM_SYMBOL:
+        wd, bd = red.input_of(symbol) - red.output_of(symbol), 0
+    else:
+        wd, bd = RULE_DELTAS[rule]
     return ReductionStep(rule, pos, symbol, before, after, wd, bd, red)
 
 
@@ -290,12 +317,8 @@ def reduce_step(s: Seq) -> ReductionStep:
 
 
 def is_terminal(s: Seq) -> bool:
-    syms = s.symbols
-    if any(x != BLANK for x in syms):
-        return False
-    return not any(
-        syms[t] == BLANK and syms[t + 1] == BLANK for t in range(len(syms) - 1)
-    )
+    """No walker symbol and no adjacent blanks: the empty word or a lone blank."""
+    return s.symbols in ((), (BLANK,))
 
 
 def reduce_certificate(s: Seq) -> ReductionCertificate:
@@ -321,10 +344,16 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
     contracts, redistribution tables and victim admissibility, checks the
     chain links up from the initial word to a pair-free final word, and
     confirms the unwound inequality total_weight(initial) <= blank_count(initial).
+    Each word of the chain is weighed once: a step's ``after`` is the next
+    step's ``before``.
     """
     if not is_permissible(cert.initial):
         return CheckResult(False, "initial sequence is not permissible")
     prev = cert.initial
+    scan = pair_scan(prev)
+    # weights as integers over den = lcm(1..k)
+    den = scan.denominator
+    initial_w = prev_w = scan.scaled_total
     for idx, step in enumerate(cert.steps):
         where = f"step {idx}"
         if step.before != prev:
@@ -334,28 +363,32 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
         mismatch = _edit_matches(step)
         if mismatch is not None:
             return CheckResult(False, f"{where}: {mismatch}")
-        wd = total_weight(step.after).total - total_weight(step.before).total
+        scan = pair_scan(step.after)
+        after_w = scan.scaled_total
+        dw = after_w - prev_w
         bd = blank_count(step.after) - blank_count(step.before)
-        if wd != step.weight_delta:
+        stored = step.weight_delta
+        if dw * stored.denominator != stored.numerator * den:
             return CheckResult(
-                False, f"{where}: stored weight delta {step.weight_delta} != recomputed {wd}"
+                False,
+                f"{where}: stored weight delta {stored} != recomputed {Fraction(dw, den)}",
             )
         if bd != step.blank_delta:
             return CheckResult(
                 False, f"{where}: stored blank delta {step.blank_delta} != recomputed {bd}"
             )
-        if step.rule == COLLAPSE_BLANKS and not (wd == 0 and bd == -1):
+        if step.rule == COLLAPSE_BLANKS and not (dw == 0 and bd == -1):
             return CheckResult(False, f"{where}: blank collapse must have deltas (0, -1)")
-        if step.rule == DELETE_ZERO_WEIGHT_PAIR and not (wd == 0 and bd == 0):
+        if step.rule == DELETE_ZERO_WEIGHT_PAIR and not (dw == 0 and bd == 0):
             return CheckResult(False, f"{where}: zero-weight deletion must have deltas (0, 0)")
-        if step.rule == COLLAPSE_WEIGHT_ONE_PAIR and not (wd == -1 and bd == -1):
+        if step.rule == COLLAPSE_WEIGHT_ONE_PAIR and not (dw == -den and bd == -1):
             return CheckResult(False, f"{where}: weight-one collapse must have deltas (-1, -1)")
         if step.rule == DELETE_VICTIM_SYMBOL:
             try:
                 red = redistribution(step.before)
             except ValueError as exc:
                 return CheckResult(False, f"{where}: redistribution precondition: {exc}")
-            total = total_weight(step.before).total
+            total = Fraction(prev_w, den)
             if sum(red.input.values(), Fraction(0)) != total:
                 return CheckResult(False, f"{where}: redistributed inputs do not sum to the total")
             if sum(red.output.values(), Fraction(0)) != total:
@@ -371,19 +404,18 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
                 return CheckResult(
                     False, f"{where}: victim {j} has input < output, not admissible"
                 )
-            if wd != red.input_of(j) - red.output_of(j):
+            if Fraction(dw, den) != red.input_of(j) - red.output_of(j):
                 return CheckResult(
                     False, f"{where}: weight delta != input - output of the victim"
                 )
             if bd != 0:
                 return CheckResult(False, f"{where}: victim deletion must preserve blanks")
-        prev = step.after
+        prev, prev_w = step.after, after_w
     if cert.final != prev:
         return CheckResult(False, "final sequence does not match the last step")
-    if neighbor_pairs(cert.final):
+    if scan.pairs:
         return CheckResult(False, "final sequence still contains neighbor pairs")
-    initial = total_weight(cert.initial)
-    if initial.total > blank_count(cert.initial):
+    if initial_w > blank_count(cert.initial) * den:
         return CheckResult(False, "unwound inequality fails: total weight > blanks")
     return CheckResult(True)
 
@@ -449,24 +481,24 @@ def certificate_from_text(text: str) -> ReductionCertificate:
     return ReductionCertificate(initial, tuple(steps), final)
 
 
-def permissible_words(k: int, max_len: int):
-    """Yield all permissible symbol tuples of length 1..max_len.
+def permissible_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
+    """Yield all permissible symbol tuples of length 1..max_len that start with
+    ``prefix`` (a permissible tuple), the prefix itself first when nonempty.
 
     Depth-first, extending by symbols in the order B < 1 < ... < k, so a word
-    precedes its extensions and siblings appear lexicographically.
+    precedes its extensions and siblings appear lexicographically: the words
+    come out in increasing tuple order.
     """
-
-    def extend(prefix: tuple[int, ...]):
-        last = prefix[-1] if prefix else BLANK
-        for sym in range(k + 1):
-            if last != BLANK and sym != BLANK and sym < last:
-                continue
-            word = prefix + (sym,)
+    stack = [prefix]
+    while stack:
+        word = stack.pop()
+        if word:
             yield word
-            if len(word) < max_len:
-                yield from extend(word)
-
-    yield from extend(())
+        if len(word) < max_len:
+            last = word[-1] if word else BLANK
+            # walker j may follow a blank or a walker <= j; push so B pops first
+            stack.extend(word + (sym,) for sym in range(k, max(last, 1) - 1, -1))
+            stack.append(word + (BLANK,))
 
 
 @dataclass(frozen=True)
@@ -482,37 +514,36 @@ class ExhaustiveReport:
         return not self.counterexamples
 
 
-def _verify_words(k: int, words) -> tuple[int, dict[int, int], list[str]]:
+def _verify_words(k: int, words) -> tuple[int, dict[int, int], list[tuple[int, ...]]]:
+    """Reduce and check each word; counterexamples are the words that fail."""
     checked = 0
     by_length: dict[int, int] = {}
-    bad: list[str] = []
+    bad: list[tuple[int, ...]] = []
     for word in words:
         checked += 1
         by_length[len(word)] = by_length.get(len(word), 0) + 1
-        s = Seq(k, word)
-        rep = total_weight(s)
-        if rep.total > rep.blanks:
-            bad.append(s.text())
-            continue
-        cert = reduce_certificate(s)
-        if not check_certificate(cert):
-            bad.append(s.text())
+        if not check_certificate(reduce_certificate(Seq(k, word))):
+            bad.append(word)
     return checked, by_length, bad
 
 
-def _verify_prefix(args: tuple[int, int, tuple[int, ...]]):
+def _verify_shard(args: tuple[int, int, tuple[int, ...]]):
     k, max_len, prefix = args
+    return _verify_words(k, permissible_words(k, max_len, prefix))
 
-    def walk(word):
-        yield word
-        if len(word) < max_len:
-            last = word[-1]
-            for sym in range(k + 1):
-                if last != BLANK and sym != BLANK and sym < last:
-                    continue
-                yield from walk(word + (sym,))
 
-    return _verify_words(k, walk(prefix))
+def _shards(k: int, max_len: int, jobs: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Partition the words into shards: one per permissible prefix of length
+    d, each covering that prefix's subtree, plus one for the words shorter
+    than d.  d is the least depth giving SHARDS_PER_JOB shards per job."""
+    for depth in range(1, max_len + 1):
+        prefixes = [w for w in permissible_words(k, depth) if len(w) == depth]
+        if len(prefixes) >= SHARDS_PER_JOB * jobs:
+            break
+    shards = [(k, max_len, p) for p in prefixes]
+    if depth > 1:
+        shards.insert(0, (k, depth - 1, ()))
+    return shards
 
 
 def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveReport:
@@ -520,7 +551,9 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveRe
 
     Words of length 1..max_len over {B, 1..k}.  Raises when the raw word
     count (k+1)^max_len exceeds the enumeration budget.  ``jobs`` > 1
-    partitions the search by first symbol across processes.
+    spreads prefix shards (see ``_shards``) over that many processes, at
+    most one per CPU.  The report is the same at every ``jobs``;
+    counterexamples are listed in enumeration order.
     """
     if k < 1 or max_len < 1:
         raise ValueError("need k >= 1 and max_len >= 1")
@@ -528,20 +561,21 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveRe
         raise ValueError(
             f"(k+1)^max_len = {(k + 1) ** max_len} exceeds budget {ENUMERATION_BUDGET}"
         )
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [(k, max_len, (first,)) for first in range(k + 1)]
+        shards = _shards(k, max_len, workers)
         checked = 0
         by_length: dict[int, int] = {}
-        bad: list[str] = []
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for c, bl, cx in pool.map(_verify_prefix, tasks):
+        bad: list[tuple[int, ...]] = []
+        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
+            for c, bl, cx in pool.map(_verify_shard, shards):
                 checked += c
                 for length, cnt in bl.items():
                     by_length[length] = by_length.get(length, 0) + cnt
                 bad.extend(cx)
-        bad.sort()
     else:
         checked, by_length, bad = _verify_words(k, permissible_words(k, max_len))
-    return ExhaustiveReport(k, max_len, checked, dict(sorted(by_length.items())), tuple(bad))
+    counterexamples = tuple(Seq(k, w).text() for w in sorted(bad))
+    return ExhaustiveReport(k, max_len, checked, dict(sorted(by_length.items())), counterexamples)

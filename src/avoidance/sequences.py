@@ -6,21 +6,30 @@ successive occurrences of the same walker form a neighbor pair whose weight
 is 1/b, where b counts the distinct symbols strictly between them (0 for an
 adjacent pair).  All weights are exact rationals: the central inequality
 (total weight <= blank count) can be tight, so float tolerances are unusable.
+
+Every weight comes from one kernel, ``pair_scan``, which counts pairs per
+(walker, b) in integers.  Since b <= k, a sum of weights is an integer over
+lcm(1..k); rationals are built only where a result leaves the kernel.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "BLANK",
     "Seq",
     "NeighborPair",
     "WeightReport",
+    "PairScan",
     "symbol_text",
     "parse_seq",
     "is_permissible",
+    "pair_scan",
     "neighbor_pairs",
     "total_weight",
     "blank_count",
@@ -122,34 +131,118 @@ def is_permissible(s: Seq) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _unit_weight(b: int) -> Fraction:
+    """The weight 1/b of a pair with b distinct symbols between, 0 when b = 0."""
+    return Fraction(1, b) if b else Fraction(0)
+
+
+@lru_cache(maxsize=None)
+def _weight_denominator(k: int) -> int:
+    return math.lcm(*range(1, k + 1))
+
+
+@lru_cache(maxsize=None)
+def _scales(k: int) -> tuple[int, ...]:
+    """lcm(1..k) / b for b = 0..k, with 0 for b = 0: the integer weights."""
+    den = _weight_denominator(k)
+    return (0,) + tuple(den // b for b in range(1, k + 1))
+
+
+@dataclass(frozen=True)
+class PairScan:
+    """The weight kernel's result for one word.
+
+    ``pairs`` holds ``(symbol, t1, t2, between)`` for every neighbor pair,
+    ordered by (symbol, t1); ``between`` is the bit set of the distinct
+    symbols strictly between t1 and t2 (bit 0 the blank), so the pair's b is
+    ``between.bit_count()``.  ``counts[i][b]`` is the number of pairs of
+    walker i with that b; row 0 is unused and b <= k always.  Weights are
+    integers over ``denominator``; ``outputs`` and ``total`` are their
+    exact rational values.
+    """
+
+    k: int
+    pairs: list[tuple[int, int, int, int]]
+    counts: list[list[int]]
+
+    @property
+    def denominator(self) -> int:
+        """lcm(1..k): every sum of pair weights is an integer over it."""
+        return _weight_denominator(self.k)
+
+    def scaled_output(self, i: int) -> int:
+        """Walker i's summed pair weight times ``denominator``."""
+        return sum(map(operator.mul, self.counts[i], _scales(self.k)))
+
+    @property
+    def scaled_total(self) -> int:
+        """The word's total weight times ``denominator``."""
+        per_b = map(sum, zip(*self.counts))  # pairs per b over all walkers
+        return sum(map(operator.mul, per_b, _scales(self.k)))
+
+    def outputs(self) -> dict[int, Fraction]:
+        """Per-walker summed weights, for every walker with at least one pair."""
+        den = self.denominator
+        return {
+            i: Fraction(self.scaled_output(i), den)
+            for i in range(1, self.k + 1)
+            if any(self.counts[i])
+        }
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(self.scaled_total, self.denominator)
+
+    def neighbor_pairs(self) -> list[NeighborPair]:
+        """The pairs as ``NeighborPair`` records with their exact weights."""
+        pairs = []
+        for sym, t1, t2, between in self.pairs:
+            b = between.bit_count()
+            pairs.append(NeighborPair(sym, t1, t2, b, _unit_weight(b)))
+        return pairs
+
+
+def pair_scan(s: Seq) -> PairScan:
+    """Find every neighbor pair and its b in one pass, O(T*k).
+
+    The pass keeps the last position of each symbol.  When walker i recurs at
+    t2 after t1, the symbols strictly between are exactly those last seen
+    after t1; i itself was last seen at t1, so it is never among them.
+    """
+    k = s.k
+    last = [0] * (k + 1)  # 1-based last position of each symbol, 0 if unseen
+    counts = [[0] * (k + 1) for _ in range(k + 1)]
+    pairs = []
+    for t2, sym in enumerate(s.symbols, start=1):
+        if sym != BLANK:
+            t1 = last[sym]
+            if t1:
+                between = 0
+                for x, tx in enumerate(last):
+                    if tx > t1:
+                        between |= 1 << x
+                counts[sym][between.bit_count()] += 1
+                pairs.append((sym, t1, t2, between))
+        last[sym] = t2
+    pairs.sort()
+    return PairScan(k, pairs, counts)
+
+
 def neighbor_pairs(s: Seq) -> list[NeighborPair]:
     """All neighbor pairs, ordered by (symbol, t1).
 
     Each walker symbol occurring m >= 1 times contributes exactly m - 1 pairs.
     """
-    occ: dict[int, list[int]] = {}
-    for t, sym in enumerate(s.symbols, start=1):
-        if sym != BLANK:
-            occ.setdefault(sym, []).append(t)
-    pairs = []
-    for sym in sorted(occ):
-        ts = occ[sym]
-        for t1, t2 in zip(ts, ts[1:]):
-            b = len(set(s.symbols[t1 : t2 - 1]))
-            weight = Fraction(1, b) if b else Fraction(0)
-            pairs.append(NeighborPair(sym, t1, t2, b, weight))
-    return pairs
+    return pair_scan(s).neighbor_pairs()
 
 
 def total_weight(s: Seq) -> WeightReport:
     """Sum all pair weights, exactly, with per-symbol subtotals ("outputs")."""
-    pairs = neighbor_pairs(s)
-    per: dict[int, Fraction] = {}
-    total = Fraction(0)
-    for p in pairs:
-        per[p.symbol] = per.get(p.symbol, Fraction(0)) + p.weight
-        total += p.weight
-    return WeightReport(tuple(pairs), per, total, blank_count(s))
+    scan = pair_scan(s)
+    return WeightReport(
+        tuple(scan.neighbor_pairs()), scan.outputs(), scan.total, blank_count(s)
+    )
 
 
 def blank_count(s: Seq) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats as sps
 
-from .sequences import BLANK, Seq, neighbor_pairs
+from .sequences import BLANK, Seq, pair_scan
 from .traces import CouplingTrace
 
 __all__ = [
@@ -62,15 +62,12 @@ def empirical_stats(s: Seq, p: float, k: int | None = None) -> EmpiricalStats:
     if T < 1:
         raise ValueError("sequence must be nonempty")
     blanks = s.symbols.count(BLANK)
+    scan = pair_scan(s)
     gap_hist: dict[int, dict[int, int]] = {i: {} for i in range(1, k + 1)}
-    weight: dict[int, Fraction] = {i: Fraction(0) for i in range(1, k + 1)}
-    total = Fraction(0)
-    for pair in neighbor_pairs(s):
-        gap = pair.t2 - pair.t1
-        hist = gap_hist[pair.symbol]
-        hist[gap] = hist.get(gap, 0) + 1
-        weight[pair.symbol] += pair.weight
-        total += pair.weight
+    for sym, t1, t2, _ in scan.pairs:
+        hist = gap_hist[sym]
+        hist[t2 - t1] = hist.get(t2 - t1, 0) + 1
+    outputs = scan.outputs()
     return EmpiricalStats(
         T=T,
         k=k,
@@ -78,8 +75,8 @@ def empirical_stats(s: Seq, p: float, k: int | None = None) -> EmpiricalStats:
         blank_rate=Fraction(blanks, T),
         occupancy_rate=Fraction(T - blanks, T),
         gap_histogram={i: dict(sorted(h.items())) for i, h in gap_hist.items()},
-        weight_rate={i: w / T for i, w in weight.items()},
-        weight_rate_total=total / T,
+        weight_rate={i: outputs.get(i, Fraction(0)) / T for i in range(1, k + 1)},
+        weight_rate_total=scan.total / T,
     )
 
 

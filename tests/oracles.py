@@ -7,6 +7,16 @@ independent of the library's code paths.
 from fractions import Fraction
 
 
+def brute_pairs(symbols, k):
+    """(symbol, t1, t2, b) per neighbor pair, ordered by (symbol, t1)."""
+    pairs = []
+    for i in range(1, k + 1):
+        occ = [t for t, s in enumerate(symbols, 1) if s == i]
+        for t1, t2 in zip(occ, occ[1:]):
+            pairs.append((i, t1, t2, len(set(symbols[t1 : t2 - 1]))))
+    return pairs
+
+
 def brute_total_weight(symbols, k):
     """(total, blanks, per-symbol outputs) by direct definition scans."""
     total = Fraction(0)

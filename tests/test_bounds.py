@@ -72,8 +72,9 @@ def test_max_p_residual_within_default_tol(k):
 def test_max_p_rejects_bad_args():
     with pytest.raises(ValueError):
         max_p(0)
-    with pytest.raises(ValueError):
-        max_p(2, tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            max_p(2, tol=tol)
 
 
 @pytest.mark.parametrize("n, value", [(3, 2), (20, 18), (21, 18)])
@@ -109,8 +110,33 @@ def test_intermediate_bound_identity_and_slack():
     assert wb.intermediate == pytest.approx(21**2 / (21 + math.log(21)), rel=1e-15)
 
 
-def test_max_walkers_never_ambiguous_in_range():
-    assert not any(max_walkers(n).ambiguous for n in range(3, 3000))
+def test_max_walkers_exact_beyond_float_precision():
+    # float n - ln n rounds to n itself here; ln(10^20) = 46.05...
+    n = 10**20
+    assert float(n) - math.log(n) == float(n)
+    assert max_walkers(n).value == 10**20 - 46
+
+
+def test_max_walkers_either_side_of_e_cubed():
+    # 20 < e^3 = 20.0855... < 21, so floor(ln n) steps from 2 to 3 between them
+    assert 20 < math.exp(3) < 21
+    assert max_walkers(20).value == 20 - 2
+    assert max_walkers(21).value == 21 - 3
+
+
+def test_max_walkers_matches_float_ceiling_where_floats_suffice():
+    for n in range(3, 3000):
+        assert max_walkers(n).value == math.ceil(n - math.log(n))
+
+
+def test_max_walkers_too_large_for_float_fields():
+    with pytest.raises(ValueError):
+        max_walkers(10**400)
+
+
+def test_max_p_stops_at_adjacent_floats():
+    # a tolerance below the float spacing near the root must still terminate
+    assert max_p(3, tol=1e-300) == pytest.approx(max_p(3), abs=1e-12)
 
 
 def test_taylor_limit_k_half():

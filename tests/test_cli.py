@@ -218,3 +218,37 @@ def test_module_entry_point(seq_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == "18\n"
+
+
+def test_bound_exact_beyond_float_precision():
+    code, out = run_cli(["bound", "--n", str(10**20)])
+    assert code == 0
+    assert out == f"{10**20 - 46}\n"
+
+
+def test_bound_json_has_no_ambiguity_flag():
+    _, out = run_cli(["bound", "--n", "21", "--format", "json"])
+    assert "ambiguous" not in json.loads(out)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_maxp_rejects_bad_tolerance_exit_2(tol, capsys):
+    assert main(["maxp", "--k", "3", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lp-scan", "--k", "2", "--m", "2", "--grid", "1/0"],
+        ["lp-scan", "--k", "2", "--m", "2", "--grid", "0.1,3/0"],
+        ["lp-build", "--k", "2", "--m", "2", "--p", "1/0"],
+    ],
+)
+def test_zero_denominator_exit_2(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: zero denominator" in captured.err

@@ -1,0 +1,137 @@
+"""Differential tests of the weight kernel and the lemma layer built on it,
+against the brute-force definitions in oracles.py."""
+
+import multiprocessing
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avoidance import lemma
+from avoidance.lemma import (
+    DELETE_VICTIM_SYMBOL,
+    check_certificate,
+    permissible_words,
+    reduce_certificate,
+    verify_lemma_exhaustive,
+)
+from avoidance.sequences import Seq, neighbor_pairs, pair_scan, total_weight
+
+from oracles import brute_pairs, brute_permissible, brute_redistribution, brute_total_weight
+
+
+def any_words(max_k=4, max_len=14):
+    return st.integers(1, max_k).flatmap(
+        lambda k: st.lists(st.integers(0, k), max_size=max_len).map(
+            lambda xs: Seq(k, tuple(xs))
+        )
+    )
+
+
+def _make_permissible(k, xs):
+    # a walker below the previous walker becomes a blank
+    word = []
+    for x in xs:
+        prev = word[-1] if word else 0
+        word.append(0 if x and prev and x < prev else x)
+    return Seq(k, tuple(word))
+
+
+def permissible_words_st(max_k=4, max_len=14):
+    return st.integers(1, max_k).flatmap(
+        lambda k: st.lists(st.integers(0, k), max_size=max_len).map(
+            lambda xs: _make_permissible(k, xs)
+        )
+    )
+
+
+def words_st():
+    return st.one_of(any_words(), permissible_words_st())
+
+
+@given(words_st())
+def test_kernel_pairs_match_definition(s):
+    scan = pair_scan(s)
+    assert [(i, t1, t2, between.bit_count()) for i, t1, t2, between in scan.pairs] == (
+        brute_pairs(list(s.symbols), s.k)
+    )
+    for _, t1, t2, between in scan.pairs:
+        window = set(s.symbols[t1 : t2 - 1])
+        assert between == sum(1 << x for x in window)
+    pairs = neighbor_pairs(s)
+    for p, (i, t1, t2, b) in zip(pairs, brute_pairs(list(s.symbols), s.k)):
+        assert (p.symbol, p.t1, p.t2, p.b) == (i, t1, t2, b)
+        assert p.weight == (Fraction(1, b) if b else 0)
+
+
+@given(words_st())
+def test_kernel_counts_outputs_and_totals_match_definition(s):
+    scan = pair_scan(s)
+    expected_counts = [[0] * (s.k + 1) for _ in range(s.k + 1)]
+    for i, _, _, b in brute_pairs(list(s.symbols), s.k):
+        expected_counts[i][b] += 1
+    assert scan.counts == expected_counts
+
+    total, blanks, per = brute_total_weight(list(s.symbols), s.k)
+    assert scan.total == total
+    assert Fraction(scan.scaled_total, scan.denominator) == total
+    assert {i: w for i, w in scan.outputs().items() if w} == {
+        i: w for i, w in per.items() if w
+    }
+    rep = total_weight(s)
+    assert rep.total == total
+    assert rep.blanks == blanks
+    assert rep.per_symbol_output == per
+
+
+@given(permissible_words_st())
+@settings(max_examples=60, deadline=None)
+def test_redistribution_inputs_match_definition(s):
+    for step in reduce_certificate(s).steps:
+        if step.rule != DELETE_VICTIM_SYMBOL:
+            continue
+        symbols = list(step.before.symbols)
+        assert step.redistribution.input == brute_redistribution(symbols, s.k)
+        _, _, per = brute_total_weight(symbols, s.k)
+        assert step.redistribution.output == per
+
+
+@given(permissible_words_st())
+@settings(max_examples=60, deadline=None)
+def test_step_deltas_match_definition(s):
+    assert brute_permissible(list(s.symbols))
+    for step in reduce_certificate(s).steps:
+        w_before, b_before, _ = brute_total_weight(list(step.before.symbols), s.k)
+        w_after, b_after, _ = brute_total_weight(list(step.after.symbols), s.k)
+        assert step.weight_delta == w_after - w_before
+        assert step.blank_delta == b_after - b_before
+
+
+@pytest.mark.parametrize("k, max_len, jobs", [(1, 7, 2), (2, 6, 2), (3, 5, 3), (2, 3, 2)])
+def test_shards_partition_the_words(k, max_len, jobs):
+    sharded = [w for shard in lemma._shards(k, max_len, jobs) for w in permissible_words(*shard)]
+    assert sorted(sharded) == list(permissible_words(k, max_len))
+
+
+@given(st.integers(1, 3), st.integers(1, 5))
+@settings(max_examples=8, deadline=None)
+def test_exhaustive_report_same_at_one_and_two_jobs(k, max_len):
+    assert verify_lemma_exhaustive(k, max_len, jobs=1) == verify_lemma_exhaustive(
+        k, max_len, jobs=2
+    )
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="pool workers see the patched checker only when forked",
+)
+def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch):
+    # fail every word that ends in a blank, so there are counterexamples to order
+    def fake_check(cert):
+        return lemma.CheckResult(cert.initial.symbols[-1] != 0)
+
+    monkeypatch.setattr(lemma, "check_certificate", fake_check)
+    expected = tuple(Seq(2, w).text() for w in permissible_words(2, 5) if w[-1] == 0)
+    for jobs in (1, 2):
+        assert verify_lemma_exhaustive(2, 5, jobs=jobs).counterexamples == expected
+
