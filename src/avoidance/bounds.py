@@ -35,7 +35,9 @@ def max_p(k: int, tol: float = DEFAULT_TOL) -> float:
     """Largest p consistent with k walkers: the root of feasible_pressure(p) = 1/k.
 
     Bisection on the monotone pressure function; the bracket (0, 1] is valid
-    for every k >= 2 and k = 1 returns the boundary value 1.
+    for every k >= 2 and k = 1 returns the boundary value 1.  ``tol`` is
+    relative: the bracket stops once its width is at most ``tol`` times its
+    upper end, since the root falls like 1/k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -45,7 +47,7 @@ def max_p(k: int, tol: float = DEFAULT_TOL) -> float:
         return 1.0
     target = 1.0 / k
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break  # lo and hi are adjacent floats: no finer bracket exists

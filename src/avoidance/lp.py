@@ -13,14 +13,17 @@ be verified in exact arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
-from .sequences import BLANK, symbol_text
+from .sequences import symbol_text
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "WindowLP",
@@ -90,68 +93,69 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
     p = _as_fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if (k + 1) ** m > WINDOW_BUDGET:
-        raise ValueError(
-            f"(k+1)^m = {(k + 1) ** m} windows exceed the budget {WINDOW_BUDGET}"
-        )
-    windows = tuple(itertools.product(range(k + 1), repeat=m))
-    index = {w: i for i, w in enumerate(windows)}
+    # 2^m alone exceeds the budget once m reaches its bit length, so a huge m
+    # is refused without computing the power
+    if m >= WINDOW_BUDGET.bit_length() or (k + 1) ** m > WINDOW_BUDGET:
+        raise ValueError(f"(k+1)^m = {k + 1}^{m} windows exceed the budget {WINDOW_BUDGET}")
+    from scipy import sparse
 
-    rows_i: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    b_exact: list[Fraction] = []
-    labels: list[str] = []
+    base, n = k + 1, (k + 1) ** m
+    n_shift = n // base  # one shift row per length m-1 word
+    codes = np.arange(n)
+    digits = [codes // base ** (m - 1 - j) % base for j in range(m)]
+    # walker i's faithfulness row for a window is the window's indicator code
+    indicator = np.zeros((k, n), dtype=np.int64)
+    for j, d in enumerate(digits):
+        occupied = np.flatnonzero(d)
+        indicator[d[occupied] - 1, occupied] += 1 << (m - 1 - j)
 
-    def add_row(label: str, coeffs: dict[int, int], rhs: Fraction) -> None:
-        r = len(labels)
-        labels.append(label)
-        b_exact.append(rhs)
-        for c, v in sorted(coeffs.items()):
-            if v:
-                rows_i.append(r)
-                cols.append(c)
-                data.append(float(v))
-
-    add_row("normalization", {i: 1 for i in range(len(windows))}, Fraction(1))
-
-    for v in itertools.product(range(k + 1), repeat=m - 1):
-        coeffs: dict[int, int] = {}
-        for x in range(k + 1):
-            coeffs[index[(x,) + v]] = coeffs.get(index[(x,) + v], 0) + 1
-        for y in range(k + 1):
-            coeffs[index[v + (y,)]] = coeffs.get(index[v + (y,)], 0) - 1
-        add_row(f"shift_{window_text(v)}", coeffs, Fraction(0))
-
-    for i in range(1, k + 1):
-        for pattern in itertools.product((0, 1), repeat=m):
-            ones = sum(pattern)
-            rhs = p**ones * (1 - p) ** (m - ones)
-            coeffs = {
-                index[w]: 1
-                for w in windows
-                if tuple(1 if s == i else 0 for s in w) == pattern
-            }
-            add_row(f"faith_{i}_{''.join(map(str, pattern))}", coeffs, rhs)
-
-    zero_vars = tuple(
-        index[w]
-        for w in windows
-        if any(a != BLANK and b != BLANK and a > b for a, b in zip(w, w[1:]))
+    # every window enters the normalization row, +1 the shift row of its
+    # last m-1 symbols, -1 the shift row of its first m-1 symbols, and one
+    # faithfulness row per walker
+    rows = np.concatenate(
+        [
+            np.zeros(n, dtype=np.int64),
+            1 + codes % n_shift,
+            1 + codes // base,
+            1 + n_shift + ((np.arange(k)[:, None] << m) + indicator).ravel(),
+        ]
     )
-    A = sparse.csr_matrix(
-        (data, (rows_i, cols)), shape=(len(labels), len(windows)), dtype=np.float64
+    data = np.ones((3 + k) * n)
+    data[2 * n : 3 * n] = -1.0
+    shape = (1 + n_shift + (k << m), n)
+    A = sparse.coo_matrix((data, (rows, np.tile(codes, 3 + k))), shape=shape).tocsr()
+    A.eliminate_zeros()  # a constant window's two shift entries cancel
+    A.sort_indices()
+
+    # right-hand sides, one per popcount of the faithfulness pattern
+    rhs = [p**ones * (1 - p) ** (m - ones) for ones in range(m + 1)]
+    popcount = [bin(c).count("1") for c in range(1 << m)]
+    b_exact = (Fraction(1),) + (Fraction(0),) * n_shift + tuple(rhs[c] for c in popcount) * k
+    rhs_float = [float(x) for x in rhs]
+    b = np.array([1.0] + [0.0] * n_shift + [rhs_float[c] for c in popcount] * k)
+
+    symbols = [symbol_text(s) for s in range(base)]
+    patterns = ["".join(t) for t in itertools.product("01", repeat=m)]
+    labels = (
+        ("normalization",)
+        + tuple(f"shift_{''.join(v) or '-'}" for v in itertools.product(symbols, repeat=m - 1))
+        + tuple(f"faith_{i}_{pat}" for i in range(1, k + 1) for pat in patterns)
     )
+
+    # support zeros: some adjacent pair of walkers in decreasing order
+    decreasing = np.zeros(n, dtype=bool)
+    for left, right in zip(digits, digits[1:]):
+        decreasing |= (right > 0) & (left > right)
     return WindowLP(
         k=k,
         p=p,
         m=m,
-        windows=windows,
+        windows=tuple(itertools.product(range(base), repeat=m)),
         A=A,
-        b=np.array([float(x) for x in b_exact]),
-        b_exact=tuple(b_exact),
-        row_labels=tuple(labels),
-        zero_vars=zero_vars,
+        b=b,
+        b_exact=b_exact,
+        row_labels=labels,
+        zero_vars=tuple(np.flatnonzero(decreasing).tolist()),
     )
 
 
@@ -221,6 +225,19 @@ def product_witness(p: Fraction | str | float, m: int) -> list[Fraction]:
     return values
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first solve rather than with
+    the package, so commands that never solve do not load scipy."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1e-6) -> FeasibilityResult:
     """Decide feasibility with an LP solver, then re-check independently.
 
@@ -229,7 +246,10 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1
     quantified by a phase-one solve minimizing the L1 equality violation;
     gaps below ``unknown_margin`` are reported as unknown.
     """
-    bounds = [(0.0, 0.0) if i in set(lp.zero_vars) else (0.0, None) for i in range(lp.num_vars)]
+    _check_tol(tol)
+    bounds = np.zeros((lp.num_vars, 2))
+    bounds[:, 1] = np.inf
+    bounds[list(lp.zero_vars), 1] = 0.0
     res = linprog(
         c=np.zeros(lp.num_vars),
         A_eq=lp.A,
@@ -244,24 +264,32 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1
             return FeasibilityResult("feasible", witness, residual, None, tol)
         return FeasibilityResult("unknown", witness, residual, None, tol)
     if res.status == 2:
-        gap = _phase_one_gap(lp)
+        gap = _phase_one_gap(lp, bounds)
         if gap > unknown_margin:
             return FeasibilityResult("infeasible", None, None, gap, tol)
         return FeasibilityResult("unknown", None, None, gap, tol)
     return FeasibilityResult("unknown", None, None, None, tol)
 
 
-def _phase_one_gap(lp: WindowLP) -> float:
-    """Minimal sum of artificial slacks: 0 iff the system is feasible."""
+def _phase_one_gap(lp: WindowLP, bounds: np.ndarray) -> float:
+    """Minimal sum of artificial slacks: 0 iff the system is feasible.
+
+    ``bounds`` are the window variables' (lower, upper) bounds; the slacks
+    are nonnegative.
+    """
+    from scipy import sparse
+
     nv, nr = lp.num_vars, lp.num_rows
     A = sparse.hstack(
         [lp.A, sparse.identity(nr, format="csr"), -sparse.identity(nr, format="csr")],
         format="csr",
     )
     c = np.concatenate([np.zeros(nv), np.ones(2 * nr)])
-    bounds = [(0.0, 0.0) if i in set(lp.zero_vars) else (0.0, None) for i in range(nv)]
-    bounds += [(0.0, None)] * (2 * nr)
-    res = linprog(c=c, A_eq=A, b_eq=lp.b, bounds=bounds, method="highs")
+    slack_bounds = np.zeros((2 * nr, 2))
+    slack_bounds[:, 1] = np.inf
+    res = linprog(
+        c=c, A_eq=A, b_eq=lp.b, bounds=np.vstack([bounds, slack_bounds]), method="highs"
+    )
     if res.status != 0:
         raise RuntimeError(f"phase-one solve failed with status {res.status}")
     return float(res.fun)
@@ -314,6 +342,7 @@ def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
     """
     from .bounds import max_p
 
+    _check_tol(tol)
     p_star = max_p(k)
     entries = []
     for p_raw in p_grid:

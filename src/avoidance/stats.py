@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as sps
 
 from .sequences import BLANK, Seq, pair_scan
 from .traces import CouplingTrace
@@ -101,6 +100,8 @@ def gap_law_chisquare(hist: dict[int, int], p: float, min_expected: float = 5.0)
     observed.append(n - sum(observed))
     expected = [n * p * (1.0 - p) ** (g - 1) for g in range(1, cut)]
     expected.append(n * (1.0 - p) ** (cut - 1))
+    from scipy import stats as sps
+
     stat, pvalue = sps.chisquare(observed, expected)
     return float(stat), float(pvalue), len(observed) - 1
 
@@ -197,4 +198,7 @@ def _window_chisquare(x: np.ndarray, p: float, w: int) -> float:
     popcount = np.array([bin(c).count("1") for c in range(1 << w)])
     expected = nwin * p**popcount * (1.0 - p) ** (w - popcount)
     chisq = float(((observed - expected) ** 2 / expected).sum())
-    return float(sps.chi2.sf(chisq, (1 << w) - 1))
+    # the chi-square survival function, the routine scipy.stats.chi2.sf calls
+    from scipy.special import chdtrc
+
+    return float(chdtrc((1 << w) - 1, chisq))

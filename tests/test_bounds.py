@@ -134,6 +134,15 @@ def test_max_walkers_too_large_for_float_fields():
         max_walkers(10**400)
 
 
+@pytest.mark.parametrize("k", [10**6, 10**12, 10**23, 10**100])
+def test_max_p_tolerance_is_relative(k):
+    # fixed point of p = (1/k) / (1 - p ln p), which converges fast for p ~ 1/k
+    root = 1.0 / k
+    for _ in range(5):
+        root = (1.0 / k) / (1.0 - root * math.log(root))
+    assert max_p(k) == pytest.approx(root, rel=1e-9)
+
+
 def test_max_p_stops_at_adjacent_floats():
     # a tolerance below the float spacing near the root must still terminate
     assert max_p(3, tol=1e-300) == pytest.approx(max_p(3), abs=1e-12)

@@ -2,9 +2,11 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avoidance.cli import main
 
@@ -252,3 +254,71 @@ def test_zero_denominator_exit_2(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: zero denominator" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
+def test_lp_scan_rejects_bad_tolerance_exit_2(tol, capsys):
+    assert main(["lp-scan", "--k", "2", "--m", "1", "--grid", "0.3", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tolerance must be finite and positive" in captured.err
+
+
+def test_maxp_huge_k_is_relative():
+    code, out = run_cli(["maxp", "--k", str(10**23)])
+    assert code == 0
+    assert float(out) == pytest.approx(1e-23, rel=1e-9)
+
+
+def test_lp_build_huge_m_exit_2(capsys):
+    assert main(["lp-build", "--k", "1", "--p", "1/3", "--m", str(10**10)]) == 2
+    assert "exceed the budget" in capsys.readouterr().err
+
+
+JUNK = ["nan", "-nan", "inf", "-inf", "1/0", "-3/0", "", "1e999", "0x10", "abc"]
+HUGE = [10**15, 10**23, 2**64 + 1, 10**40]
+NUMERIC = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(HUGE).map(str),
+    st.sampled_from(HUGE).map(lambda n: str(-n)),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.fractions(min_value=-3, max_value=3, max_denominator=50).map(str),
+    st.sampled_from(JUNK),
+)
+# options draw valid values often enough that the success paths run too
+PROB = st.floats(0, 1, exclude_min=True, exclude_max=True).map(repr)
+RATIONAL = st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100).map(str)
+TOL = st.floats(1e-12, 1e-3).map(repr)
+# the LP commands keep k <= 4 and m <= 4, so a valid instance has at most 625 windows
+SMALL = st.one_of(st.integers(1, 4).map(str), st.sampled_from(["0", "-1", "nan", "inf", "1/0", "2.5"]))
+# taylor sums --T terms one by one, so --T stays where that is quick
+TERMS = st.one_of(st.integers(-2, 10**4).map(str), st.sampled_from(JUNK))
+
+
+def command_args():
+    """(subcommand, {option: value}) with numeric options for five subcommands."""
+    grid = st.lists(st.one_of(RATIONAL, PROB, NUMERIC), min_size=1, max_size=2).map(",".join)
+    options = {
+        "bound": {"--n": NUMERIC},
+        "maxp": {"--k": NUMERIC, "--tol": st.one_of(TOL, NUMERIC)},
+        "taylor": {"--p": st.one_of(PROB, NUMERIC), "--T": TERMS},
+        "lp-build": {"--k": SMALL, "--p": st.one_of(RATIONAL, PROB, NUMERIC), "--m": SMALL},
+        "lp-scan": {"--k": SMALL, "--m": SMALL, "--grid": grid, "--tol": st.one_of(TOL, TOL, NUMERIC)},
+    }
+    return st.one_of(
+        st.tuples(st.just(name), st.fixed_dictionaries(opts)) for name, opts in options.items()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=command_args(), fmt=st.sampled_from(["text", "json", "csv"]))
+def test_numeric_options_keep_the_exit_code_contract(command, fmt):
+    name, opts = command
+    # option=value, so a value that starts with "-" is not read as a flag
+    argv = [name, f"--format={fmt}"] + [f"{flag}={value}" for flag, value in opts.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

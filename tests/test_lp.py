@@ -1,8 +1,15 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avoidance.bounds import max_p
 from avoidance.lp import (
@@ -16,6 +23,10 @@ from avoidance.lp import (
     witness_residual,
     write_mps,
 )
+
+from oracles import brute_window_lp
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_instance_shape_k1_m2():
@@ -168,3 +179,77 @@ def test_mps_export_structure():
 def test_window_enumeration_is_lexicographic():
     lp = build_window_lp(2, "0.3", 2)
     assert lp.windows == tuple(itertools.product(range(3), repeat=2))
+
+
+# every instance with k <= 4 walkers and at most 3125 windows
+SMALL_INSTANCES = [(k, m) for k in range(1, 5) for m in range(1, 12) if (k + 1) ** m <= 3125]
+
+
+@pytest.mark.parametrize("k, m", SMALL_INSTANCES)
+@settings(max_examples=4, deadline=None)
+@given(p=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000), max_denominator=1000))
+def test_build_matches_dict_builder(k, m, p):
+    lp, ref = build_window_lp(k, p, m), brute_window_lp(k, p, m)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(lp.A, name), getattr(ref.A, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert lp.A.shape == ref.A.shape
+    assert lp.b.dtype == ref.b.dtype and np.array_equal(lp.b, ref.b)
+    assert lp.b_exact == ref.b_exact
+    assert lp.row_labels == ref.row_labels
+    assert lp.zero_vars == ref.zero_vars
+    assert lp.windows == ref.windows
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, -math.inf])
+def test_solve_and_scan_reject_bad_tolerance(tol):
+    lp = build_window_lp(2, Fraction(3, 10), 1)
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_feasibility(lp, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        scan_p(2, 1, [Fraction(3, 10)], tol=tol)
+
+
+def run_python(code):
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_scipy():
+    out = run_python(
+        """
+        import sys
+        import avoidance
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    assert out == "[]\n"
+
+
+def test_solves_go_through_module_linprog():
+    # the feasible solve is one HiGHS call; an infeasible one adds phase one
+    out = run_python(
+        """
+        from fractions import Fraction
+        from avoidance import lp
+
+        calls = []
+        real = lp.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        lp.linprog = counting
+        for p in (Fraction(3, 10), Fraction(51, 100)):
+            calls.clear()
+            res = lp.solve_feasibility(lp.build_window_lp(2, p, 1))
+            print(res.status, len(calls))
+        """
+    )
+    assert out == "feasible 1\ninfeasible 2\n"
