@@ -112,7 +112,8 @@ def taylor_partial(p: float, terms: int) -> float:
     """Partial sum of p^2 (1-p)^b / b for b = 1..terms.
 
     Increases to the limit -p^2 ln p; the tail after N terms is at most
-    p (1-p)^(N+1) / (N+1).
+    p (1-p)^(N+1) / (N+1).  The sum stops at the first term that no longer
+    changes it: later terms are no larger, so they cannot change it either.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
@@ -123,5 +124,8 @@ def taylor_partial(p: float, terms: int) -> float:
     acc = 0.0
     for b in range(1, terms + 1):
         power *= g
-        acc += power / b
+        term = power / b
+        if acc + term == acc:
+            break
+        acc += term
     return p * p * acc

@@ -121,6 +121,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _read_trace(path: str):
+    return traces.read_trace(sys.stdin if path == "-" else path)
+
+
 def _write(ns: argparse.Namespace, text: str) -> None:
     if ns.out is None:
         sys.stdout.write(text)
@@ -271,10 +275,7 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_check_trace(ns) -> int:
-    if ns.infile == "-":
-        trace = traces.read_trace(sys.stdin)
-    else:
-        trace = traces.read_trace(ns.infile)
+    trace = _read_trace(ns.infile)
     if isinstance(trace, traces.WalkerTrace):
         report = traces.check_walker_avoidance(trace)
         kind = "walker"
@@ -308,10 +309,7 @@ def cmd_check_trace(ns) -> int:
 
 
 def cmd_stats(ns) -> int:
-    if ns.infile == "-":
-        trace = traces.read_trace(sys.stdin)
-    else:
-        trace = traces.read_trace(ns.infile)
+    trace = _read_trace(ns.infile)
     if not isinstance(trace, traces.CouplingTrace):
         raise ValueError("stats expects a binary occupancy trace")
     report = stats.faithfulness_tests(trace, ns.p)

@@ -11,6 +11,7 @@ walkers keep the no-collision discipline but make no claim about marginals.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -132,17 +133,29 @@ class AvoidingWalkers:
             steps = rng.integers(1, n, size=T, dtype=np.int64)
             pos = (self.start[0] - 1 + np.cumsum(steps)) % n + 1
             return pos[:, None]
-        pos = np.empty((T, k), dtype=np.int64)
+        # Positions stay pairwise distinct, so every move has n - k legal
+        # vertices (n - k + 1 looped): one batch of ranks is the same stream
+        # as a uniform draw per move.  Rank r picks the (r+1)-th unblocked
+        # vertex: start at r + 1 and step past each blocked vertex up to it.
+        ranks = rng.integers(n - k + int(self.looped), size=(T, k)).tolist()
         cur = list(self.start)
-        for t in range(T):
-            for i in range(k):
-                blocked = set(cur[:i]) | set(cur[i + 1 :])
+        seats = sorted(cur)  # every walker's vertex
+        out: list[int] = []
+        for row in ranks:
+            for i, r in enumerate(row):
+                if self.looped:
+                    seats.remove(cur[i])
+                v = r + 1
+                for b in seats:
+                    if b > v:
+                        break
+                    v += 1
                 if not self.looped:
-                    blocked.add(cur[i])
-                choices = [v for v in range(1, n + 1) if v not in blocked]
-                cur[i] = choices[rng.integers(len(choices))]
-                pos[t, i] = cur[i]
-        return pos
+                    seats.remove(cur[i])
+                insort(seats, v)
+                cur[i] = v
+            out += cur
+        return np.array(out, dtype=np.int64).reshape(T, k)
 
 
 @dataclass(frozen=True)

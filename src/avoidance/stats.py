@@ -153,15 +153,13 @@ def faithfulness_tests(
     outcomes: list[TestOutcome] = []
     se = math.sqrt(p * (1.0 - p) / T)
     for i in range(tr.k):
-        x = tr.rows[:, i].astype(np.float64)
-        z = (float(x.mean()) - p) / se
+        x = np.ascontiguousarray(tr.rows[:, i])
+        ones = int(np.count_nonzero(x))
+        z = (ones / T - p) / se
         outcomes.append(TestOutcome("frequency", i + 1, z, sigma, abs(z) <= sigma))
-        xc = x - x.mean()
-        denom = float(xc @ xc)
-        if denom > 0.0:
+        if 0 < ones < T:
             for lag in range(1, lags + 1):
-                r = float(xc[:-lag] @ xc[lag:]) / denom
-                z = r * math.sqrt(T)
+                z = float(_autocorrelation(x, ones, lag)) * math.sqrt(T)
                 outcomes.append(
                     TestOutcome(f"autocorr_lag_{lag}", i + 1, z, sigma, abs(z) <= sigma)
                 )
@@ -180,6 +178,22 @@ def faithfulness_tests(
         "min_T": min_T,
     }
     return TestReport(p, T, tuple(outcomes), passed, params)
+
+
+def _autocorrelation(x: np.ndarray, ones: int, lag: int) -> Fraction:
+    """Exact sample autocorrelation at ``lag`` of a 0/1 stream holding ``ones`` ones.
+
+    With mean m = ones/T, the numerator sum (x_t - m)(x_{t+lag} - m) over the
+    T - lag products is S - (A + B) m + (T - lag) m^2, where S counts the
+    products equal to 1 and A, B the ones of the two factors; the denominator
+    sum (x_t - m)^2 is ones - ones^2 / T.  Both are scaled by T^2.
+    """
+    T = x.size
+    head, tail = x[:-lag], x[lag:]
+    products = int(np.count_nonzero(head & tail))
+    sides = int(np.count_nonzero(head)) + int(np.count_nonzero(tail))
+    num = products * T * T - sides * ones * T + tail.size * ones * ones
+    return Fraction(num, T * (ones * T - ones * ones))
 
 
 def _effective_window(T: int, p: float, window: int) -> int:

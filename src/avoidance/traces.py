@@ -9,7 +9,6 @@ in index order within a round.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +159,7 @@ def encode(tr: CouplingTrace) -> Seq:
         t = int(np.argmax(sums > 1)) + 1
         raise ValueError(f"row {t} has {int(sums[t - 1])} ones; cannot encode")
     symbols = tr.rows @ np.arange(1, tr.k + 1, dtype=np.int64)
-    return Seq(tr.k, tuple(int(x) for x in symbols))
+    return Seq(tr.k, tuple(symbols.tolist()))
 
 
 def project(tr: WalkerTrace, v: int) -> CouplingTrace:
@@ -176,28 +175,82 @@ def write_trace(tr: CouplingTrace | WalkerTrace, path=None) -> str:
         header = f"{tr.T} {tr.k} {tr.n} {int(tr.looped)}"
     else:
         header = f"{tr.T} {tr.k}"
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for row in tr.rows:
-        buf.write(" ".join(str(int(x)) for x in row) + "\n")
-    text = buf.getvalue()
+    text = header + "\n" + _format_rows(tr.rows)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
 
 
+def _format_rows(rows: np.ndarray) -> str:
+    """Nonnegative integer rows as text: values in decimal, separated by one
+    space, each row ended by a newline."""
+    T, k = rows.shape
+    if not rows.size:
+        return "\n" * T
+    values = rows.ravel()
+    width = np.ones(values.size, dtype=np.uint8)  # decimal digits per value
+    top, bound = int(values.max()), 10
+    while bound <= top:
+        width += values >= bound
+        bound *= 10
+    # value i's separator follows the digits and separators of values 0..i
+    sep = np.cumsum(width, dtype=np.int64)
+    sep += np.arange(values.size)
+    buf = np.full(int(sep[-1]) + 1, ord(" "), dtype=np.uint8)
+    buf[sep[k - 1 :: k]] = ord("\n")
+    for d in range(len(str(top))):
+        # digit d, counted from the right, of every value that has one
+        idx = np.flatnonzero(width > d) if d else slice(None)
+        buf[sep[idx] - (d + 1)] = values[idx] // 10**d % 10 + ord("0")
+    return buf.tobytes().decode("ascii")
+
+
+# Code-point classes of the text format: _SPACE marks what str.split() splits
+# on (str.isspace), _BREAK what str.splitlines() ends a line at.  Every code
+# point past the table is neither.
+_SPACE, _BREAK = 1, 2
+_CLASS = np.zeros(0x3002, dtype=np.uint8)
+_CLASS[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
+        8232, 8233, 8239, 8287, 12288]] = _SPACE
+_CLASS[[10, 11, 12, 13, 28, 29, 30, 133, 8232, 8233]] |= _BREAK
+
+
+def _char_classes(text: str) -> np.ndarray:
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        # a lone surrogate is not whitespace, so it lands in a token int() rejects
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        codes = np.minimum(codes, len(_CLASS) - 1)
+    return _CLASS[codes]
+
+
 def read_trace(source) -> CouplingTrace | WalkerTrace:
-    """Parse the text format; the header length says which trace kind it is."""
+    """Parse the text format; the header length says which trace kind it is.
+
+    Blank lines are skipped; every other line after the header is one row
+    and must hold k values.  Any malformed input raises ValueError.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source) as fh:
             text = fh.read()
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ValueError("empty trace file")
-    header = lines[0].split()
+    cls = _char_classes(text)
+    breaks = cls & _BREAK != 0
+    word = cls & _SPACE == 0
+    starts = word.copy()  # first character of each token
+    starts[1:] &= ~word[:-1]
+    # line boundaries and token starts in text order: the number of
+    # boundaries before a token is its line ("\r\n" adds only a blank line)
+    events = np.flatnonzero(breaks | starts)
+    at_break = breaks[events]
+    line = np.cumsum(at_break)[~at_break]
+    head_end = int(events[at_break][0]) if at_break.any() else len(text)
+    header = text[:head_end].split()
     if len(header) == 2:
         T, k = map(int, header)
         n = looped = None
@@ -205,11 +258,23 @@ def read_trace(source) -> CouplingTrace | WalkerTrace:
         T, k, n, looped_i = map(int, header)
         looped = bool(looped_i)
     else:
-        raise ValueError(f"malformed header {lines[0]!r}")
-    data = [line.split() for line in lines[1:] if line.strip()]
-    if len(data) != T:
-        raise ValueError(f"header says {T} rows, found {len(data)}")
-    rows = np.array(data, dtype=np.int64).reshape(T, k) if T else np.empty((0, k), np.int64)
+        raise ValueError(f"malformed header {text[:head_end]!r}")
+    sizes = np.bincount(line, minlength=1)[1:]
+    sizes = sizes[sizes > 0]  # tokens per nonblank line after the header
+    if sizes.size != T:
+        raise ValueError(f"header says {T} rows, found {sizes.size}")
+    ragged = np.flatnonzero(sizes != k)
+    if ragged.size:
+        r = int(ragged[0])
+        raise ValueError(f"row {r + 1} has {sizes[r]} values, header says {k}")
+    if T:
+        try:
+            values = np.array(text[head_end:].split(), dtype=np.int64)
+        except OverflowError:
+            raise ValueError("trace value outside the 64-bit integer range") from None
+        rows = values.reshape(T, k)
+    else:
+        rows = np.empty((0, k), np.int64)
     if len(header) == 2:
         return CouplingTrace(k, rows)
     return WalkerTrace(n, k, looped, rows)

@@ -123,3 +123,60 @@ def brute_window_lp(k, p, m):
         row_labels=tuple(labels),
         zero_vars=zero_vars,
     )
+
+
+def rowwise_write_trace(tr):
+    """The trace text format, one row at a time."""
+    from avoidance.traces import WalkerTrace
+
+    if isinstance(tr, WalkerTrace):
+        header = f"{tr.T} {tr.k} {tr.n} {int(tr.looped)}"
+    else:
+        header = f"{tr.T} {tr.k}"
+    out = [header + "\n"]
+    for row in tr.rows:
+        out.append(" ".join(str(int(x)) for x in row) + "\n")
+    return "".join(out)
+
+
+def rowwise_read_trace(text):
+    """Parse the trace text format line by line; a ragged body fails in numpy
+    and a value past int64 raises OverflowError."""
+    from avoidance.traces import CouplingTrace, WalkerTrace
+
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("empty trace file")
+    header = lines[0].split()
+    if len(header) == 2:
+        T, k = map(int, header)
+        n = looped = None
+    elif len(header) == 4:
+        T, k, n, looped_i = map(int, header)
+        looped = bool(looped_i)
+    else:
+        raise ValueError(f"malformed header {lines[0]!r}")
+    data = [line.split() for line in lines[1:] if line.strip()]
+    if len(data) != T:
+        raise ValueError(f"header says {T} rows, found {len(data)}")
+    rows = np.array(data, dtype=np.int64).reshape(T, k) if T else np.empty((0, k), np.int64)
+    if len(header) == 2:
+        return CouplingTrace(k, rows)
+    return WalkerTrace(n, k, looped, rows)
+
+
+def choices_walkers(policy, T, rng):
+    """Greedy avoiding walkers, k >= 2: each move lists the unblocked
+    vertices and draws one of them uniformly."""
+    n, k = policy.n, policy.k
+    pos = np.empty((T, k), dtype=np.int64)
+    cur = list(policy.start)
+    for t in range(T):
+        for i in range(k):
+            blocked = set(cur[:i]) | set(cur[i + 1 :])
+            if not policy.looped:
+                blocked.add(cur[i])
+            choices = [v for v in range(1, n + 1) if v not in blocked]
+            cur[i] = choices[rng.integers(len(choices))]
+            pos[t, i] = cur[i]
+    return pos

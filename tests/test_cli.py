@@ -1,16 +1,21 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidance.cli import main
+from strategies import trace_texts
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args):
@@ -322,3 +327,53 @@ def test_numeric_options_keep_the_exit_code_contract(command, fmt):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert out.getvalue() == "", argv
+
+
+@pytest.mark.parametrize("command", [["stats", "--p", "0.3"], ["check-trace"]])
+def test_trace_value_past_int64_exit_2(command, capsys):
+    with mock.patch("sys.stdin", io.StringIO("1 1\n99999999999999999999\n")):
+        assert main(command + ["--in", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "64-bit" in captured.err
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=trace_texts(), fmt=st.sampled_from(["text", "json", "csv"]))
+def test_trace_commands_keep_the_exit_code_contract(text, fmt):
+    for command in (["check-trace"], ["stats", "--p", "0.3"]):
+        argv = command + ["--in", "-", f"--format={fmt}"]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out.getvalue() == "", argv
+
+
+def test_taylor_huge_T_returns_quickly():
+    # in a subprocess, so a sum that runs for hours fails at the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "avoidance", "taylor", "--p", "0.5", "--T", "1000000000000"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(["taylor", "--p", "0.5", "--T", "2000"])[1]
+
+
+def test_stats_output_is_independent_of_blas_threads(tmp_path):
+    trace = tmp_path / "trace.txt"
+    run_cli(["simulate", "trivial-k1", "--p", "0.3", "--T", "100000", "--seed", "3",
+             "--out", str(trace)])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "avoidance", "stats", "--in", str(trace), "--p", "0.3"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "autocorr_lag_16" in outputs[0]

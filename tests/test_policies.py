@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avoidance.policies import (
+    AvoidingWalkers,
+    StayingInWaves,
     avoiding_walkers,
     independent,
     round_robin,
@@ -17,6 +20,7 @@ from avoidance.traces import (
     check_1avoidance,
     check_walker_avoidance,
 )
+from oracles import choices_walkers
 
 
 def test_simulate_is_deterministic():
@@ -118,3 +122,38 @@ def test_simulate_rejects_bad_T():
 def test_binary_policies_emit_coupling_traces():
     assert isinstance(simulate(trivial_k1(0.2), 5, 0), CouplingTrace)
     assert isinstance(simulate(independent(3, 0.2), 5, 0), CouplingTrace)
+
+
+class ChoicesWalkers(AvoidingWalkers):
+    """AvoidingWalkers drawing each move from the listed unblocked vertices."""
+
+    def generate(self, T, rng):
+        return choices_walkers(self, T, rng)
+
+
+@st.composite
+def walker_setups(draw):
+    k = draw(st.integers(2, 5))
+    looped = draw(st.booleans())
+    n = draw(st.integers(k + (not looped), 120))
+    start = draw(st.permutations(range(1, n + 1)).map(lambda p: tuple(p[:k])))
+    return n, k, looped, start
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    setup=walker_setups(),
+    waves=st.booleans(),
+    T=st.one_of(st.sampled_from([0, 1]), st.integers(0, 80)),
+    seed=st.integers(0, 2**63),
+)
+def test_rank_draw_matches_choices_loop(setup, waves, T, seed):
+    n, k, looped, start = setup
+    fast, slow = AvoidingWalkers(n, k, looped, start), ChoicesWalkers(n, k, looped, start)
+    if waves and not looped:  # waves wrap loopless walkers only
+        fast, slow = StayingInWaves(fast, n), StayingInWaves(slow, n)
+    rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = fast.generate(T, rng_fast), slow.generate(T, rng_slow)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the batched draw leaves the generator where the per-move draws do
+    assert rng_fast.random() == rng_slow.random()

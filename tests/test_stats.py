@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from avoidance.policies import independent, round_robin, simulate, trivial_k1
 from avoidance.sequences import parse_seq, total_weight
-from avoidance.stats import empirical_stats, faithfulness_tests, gap_law_chisquare
+from avoidance.stats import (
+    _autocorrelation,
+    empirical_stats,
+    faithfulness_tests,
+    gap_law_chisquare,
+)
 from avoidance.traces import CouplingTrace, encode
 
 FAITHFUL = simulate(trivial_k1(0.3), 10**6, seed=2024)
@@ -128,3 +134,14 @@ def test_report_records_parameters():
     assert "frequency" in names
     assert any(n.startswith("window_chi2") for n in names)
     assert sum(1 for n in names if n.startswith("autocorr")) == 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), min_size=2, max_size=60), lag=st.integers(1, 70))
+def test_autocorrelation_is_exact(bits, lag):
+    T, ones = len(bits), sum(bits)
+    assume(0 < ones < T)
+    m = Fraction(ones, T)
+    num = sum((bits[t] - m) * (bits[t + lag] - m) for t in range(T - lag))
+    den = sum((b - m) ** 2 for b in bits)
+    assert _autocorrelation(np.array(bits, dtype=np.uint8), ones, lag) == num / den

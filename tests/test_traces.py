@@ -2,7 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from avoidance import traces
 from avoidance.sequences import is_permissible
 from avoidance.traces import (
     CouplingTrace,
@@ -14,6 +16,8 @@ from avoidance.traces import (
     read_trace,
     write_trace,
 )
+from oracles import rowwise_read_trace, rowwise_write_trace
+from strategies import EOL, GAP, trace_texts
 
 
 def binary(rows):
@@ -160,3 +164,95 @@ def test_trace_validation():
     tr = binary([[1, 0]])
     with pytest.raises(ValueError):
         tr.rows[0, 0] = 0  # rows are frozen read-only
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty trace file"),
+        ("1 2 3\n", "malformed header '1 2 3'"),
+        ("1 1\nx\n", "invalid literal for int() with base 10: 'x'"),
+        ("1 1\n1.5\n", "invalid literal for int() with base 10: '1.5'"),
+        ("2 1\n0\n", "header says 2 rows, found 1"),
+        ("2 2\n0 1 1\n0\n", "row 1 has 3 values, header says 2"),
+        ("1 1\n99999999999999999999\n", "outside the 64-bit integer range"),
+        ("1 1 9 0\n-99999999999999999999\n", "outside the 64-bit integer range"),
+    ],
+)
+def test_read_trace_rejections(text, message):
+    with pytest.raises(ValueError) as info:
+        read_trace(io.StringIO(text))
+    assert message in str(info.value)
+
+
+def test_char_classes_match_string_methods():
+    chars = "".join(map(chr, range(0x110000)))
+    cls = traces._char_classes(chars)
+    space = np.array([c.isspace() for c in chars])
+    ends_line = np.array([len(("a" + c + "b").splitlines()) == 2 for c in chars])
+    assert ((cls & traces._SPACE != 0) == space).all()
+    assert ((cls & traces._BREAK != 0) == ends_line).all()
+
+
+def random_trace(kind, seed, T, k, n):
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        return CouplingTrace(k, rng.integers(0, 2, size=(T, k)))
+    return WalkerTrace(n, k, kind == "looped", rng.integers(1, n + 1, size=(T, k)))
+
+
+TRACES = st.builds(
+    random_trace,
+    kind=st.sampled_from(["binary", "walker", "looped"]),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.one_of(st.sampled_from([0, 1]), st.integers(0, 60)),
+    k=st.integers(1, 5),
+    n=st.one_of(st.integers(5, 120), st.sampled_from([10**6 + 3, 2**62])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tr=TRACES)
+def test_write_trace_matches_rowwise_writer(tr):
+    assert write_trace(tr) == rowwise_write_trace(tr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tr=TRACES, data=st.data())
+def test_read_trace_matches_rowwise_reader(tr, data):
+    # the written text, with its separators swapped for other whitespace
+    ends_line = EOL.filter(lambda eol: len(f"a{eol}b".splitlines()) > 1)
+    text = "".join(
+        data.draw(GAP) if ch == " " else data.draw(ends_line) if ch == "\n" else ch
+        for ch in write_trace(tr)
+    )
+    got, want = read_trace(io.StringIO(text)), rowwise_read_trace(text)
+    assert type(got) is type(want)
+    assert got.k == want.k and got.rows.dtype == want.rows.dtype
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.rows, tr.rows)
+    if isinstance(got, WalkerTrace):
+        assert (got.n, got.looped) == (want.n, want.looped)
+
+
+def parse_outcome(read, text):
+    """The parsed trace's fields, or the type of the error reading it."""
+    try:
+        tr = read(text)
+    except ValueError as exc:
+        return type(exc)
+    extra = (tr.n, tr.looped) if isinstance(tr, WalkerTrace) else ()
+    return type(tr), tr.k, extra, str(tr.rows.dtype), tr.rows.tolist()
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=trace_texts())
+def test_read_trace_agrees_on_malformed_text(text):
+    got = parse_outcome(lambda t: read_trace(io.StringIO(t)), text)
+    try:
+        want = parse_outcome(rowwise_read_trace, text)
+    except OverflowError:
+        # the row-wise reader lets numpy's OverflowError out; read_trace
+        # reports a value past int64 as ValueError like every other defect
+        want = ValueError
+    assert got == want
