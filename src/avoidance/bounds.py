@@ -23,6 +23,12 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 
+# taylor_partial adds at most this many terms one at a time; the rest of the
+# series it adds in closed form
+DIRECT_TERMS = 2**16
+
+EULER_GAMMA = 0.5772156649015329
+
 
 def feasible_pressure(p: float) -> float:
     """p * (1 - p * ln p); strictly increasing on (0, 1], with value 1 at p=1."""
@@ -108,12 +114,63 @@ def max_walkers(n: int) -> WalkerBound:
     return WalkerBound(n=n, value=n - m, raw=raw, intermediate=intermediate)
 
 
+def _exp1(x: float) -> float:
+    """The exponential integral E1(x), the integral of e^(-u)/u over u > x > 0.
+
+    For x <= 1 the series -gamma - ln x + sum (-1)^(n+1) x^n / (n n!);
+    above 1 the continued fraction of E1, evaluated by modified Lentz.
+    """
+    if x <= 1.0:
+        term = acc = x
+        n = 1
+        while abs(term) > 1e-17 * acc:
+            term *= -x * n / ((n + 1) * (n + 1))
+            acc += term
+            n += 1
+        return -EULER_GAMMA - math.log(x) + acc
+    b = x + 1.0
+    c = 1e300
+    d = h = 1.0 / b
+    i = 1
+    while True:
+        a = -i * i
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h * math.exp(-x)
+        i += 1
+
+
+def _series_tail(q: float, y: int) -> float:
+    """The sum of e^(-q b) / b over the integers b > y >= DIRECT_TERMS.
+
+    Euler-Maclaurin for f(u) = e^(-q u) / u: the integral of f past y, which
+    is E1(q y), less f(y)/2 and f'(y)/12.  The next correction, a third
+    derivative over 720, is below 1e-17 for every q whose series is still
+    changing at DIRECT_TERMS.  Past 2^1000 terms e^(-q y) is 0 in floats
+    whenever p^2, the factor the sum is scaled by, is not.
+    """
+    if y.bit_length() > 1000:
+        return 0.0
+    x = q * y
+    if x > 745.0:  # e^(-x), and E1(x) below it, underflow to 0
+        return 0.0
+    e = math.exp(-x)
+    return _exp1(x) - e / (2 * y) + e * (q / y + 1 / (y * y)) / 12
+
+
 def taylor_partial(p: float, terms: int) -> float:
     """Partial sum of p^2 (1-p)^b / b for b = 1..terms.
 
     Increases to the limit -p^2 ln p; the tail after N terms is at most
     p (1-p)^(N+1) / (N+1).  The sum stops at the first term that no longer
     changes it: later terms are no larger, so they cannot change it either.
+    When the first DIRECT_TERMS terms all change it, as for p below about
+    3.7e-4 and whenever 1 - p rounds to 1, the terms after them are
+    added in closed form, with (1-p)^b = e^(-q b) for q = -ln(1 - p).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
@@ -122,10 +179,13 @@ def taylor_partial(p: float, terms: int) -> float:
     g = 1.0 - p
     power = 1.0
     acc = 0.0
-    for b in range(1, terms + 1):
+    for b in range(1, min(terms, DIRECT_TERMS) + 1):
         power *= g
         term = power / b
         if acc + term == acc:
-            break
+            return p * p * acc
         acc += term
+    if terms > DIRECT_TERMS:
+        q = -math.log1p(-p)
+        acc += _series_tail(q, DIRECT_TERMS) - _series_tail(q, terms)
     return p * p * acc

@@ -11,7 +11,9 @@ applied in a fixed priority:
 
 Unwinding the recorded deltas from the trivial endpoint proves the inequality
 for the initial word; the step list is a certificate an independent checker
-replays with exact arithmetic.
+replays with exact arithmetic.  The exhaustive sweep checks one step per
+word instead: every rule has weight delta >= blank delta, so the inequality
+passes from the shorter word up to the longer one, by induction on length.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import lru_cache
 from .sequences import (
     BLANK,
     NeighborPair,
+    PairScan,
     Seq,
     blank_count,
     is_permissible,
@@ -337,15 +340,73 @@ def reduce_certificate(s: Seq) -> ReductionCertificate:
     return ReductionCertificate(s, tuple(steps), cur)
 
 
+def _check_step(step: ReductionStep, before_w: int) -> tuple[str | None, PairScan | None]:
+    """Independently re-verify one step with exact arithmetic.
+
+    ``before_w`` is the total weight of ``step.before`` as an integer over
+    lcm(1..k).  Recomputes the edit, the weight and blank deltas against the
+    stored ones, the rule's delta contract and, for rule 4, the
+    redistribution tables and the victim's admissibility; then checks the
+    induction premise: ``after`` is a shorter permissible word and
+    dw >= bd, so weight <= blanks for ``after`` implies it for ``before``.
+    Returns the first failure (None if the step checks) and the weight scan
+    of ``step.after`` (None on failure).
+    """
+    if len(step.after) >= len(step.before):
+        return "edit does not shorten the sequence", None
+    mismatch = _edit_matches(step)
+    if mismatch is not None:
+        return mismatch, None
+    scan = pair_scan(step.after)
+    den = scan.denominator
+    dw = scan.scaled_total - before_w
+    bd = blank_count(step.after) - blank_count(step.before)
+    stored = step.weight_delta
+    if dw * stored.denominator != stored.numerator * den:
+        return f"stored weight delta {stored} != recomputed {Fraction(dw, den)}", None
+    if bd != step.blank_delta:
+        return f"stored blank delta {step.blank_delta} != recomputed {bd}", None
+    if step.rule == COLLAPSE_BLANKS and not (dw == 0 and bd == -1):
+        return "blank collapse must have deltas (0, -1)", None
+    if step.rule == DELETE_ZERO_WEIGHT_PAIR and not (dw == 0 and bd == 0):
+        return "zero-weight deletion must have deltas (0, 0)", None
+    if step.rule == COLLAPSE_WEIGHT_ONE_PAIR and not (dw == -den and bd == -1):
+        return "weight-one collapse must have deltas (-1, -1)", None
+    if step.rule == DELETE_VICTIM_SYMBOL:
+        try:
+            red = redistribution(step.before)
+        except ValueError as exc:
+            return f"redistribution precondition: {exc}", None
+        total = Fraction(before_w, den)
+        if sum(red.input.values(), Fraction(0)) != total:
+            return "redistributed inputs do not sum to the total", None
+        if sum(red.output.values(), Fraction(0)) != total:
+            return "outputs do not sum to the total", None
+        if step.redistribution is not None:
+            if step.redistribution.input != red.input or step.redistribution.output != red.output:
+                return "stored redistribution tables differ", None
+        j = step.symbol
+        if red.input_of(j) < red.output_of(j):
+            return f"victim {j} has input < output, not admissible", None
+        if Fraction(dw, den) != red.input_of(j) - red.output_of(j):
+            return "weight delta != input - output of the victim", None
+        if bd != 0:
+            return "victim deletion must preserve blanks", None
+    if not is_permissible(step.after):
+        return "result is not permissible", None
+    if dw < bd * den:
+        return "weight falls by more than the blank count", None
+    return None, scan
+
+
 def check_certificate(cert: ReductionCertificate) -> CheckResult:
     """Independently re-verify a certificate with exact arithmetic.
 
-    Recomputes every step's edit, weight/blank deltas, rule-specific delta
-    contracts, redistribution tables and victim admissibility, checks the
-    chain links up from the initial word to a pair-free final word, and
-    confirms the unwound inequality total_weight(initial) <= blank_count(initial).
-    Each word of the chain is weighed once: a step's ``after`` is the next
-    step's ``before``.
+    Checks every step with ``_check_step``, checks the chain links up from
+    the initial word to a pair-free final word, and confirms the unwound
+    inequality total_weight(initial) <= blank_count(initial).  Each word of
+    the chain is weighed once: a step's ``after`` is the next step's
+    ``before``.
     """
     if not is_permissible(cert.initial):
         return CheckResult(False, "initial sequence is not permissible")
@@ -355,62 +416,12 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
     den = scan.denominator
     initial_w = prev_w = scan.scaled_total
     for idx, step in enumerate(cert.steps):
-        where = f"step {idx}"
         if step.before != prev:
-            return CheckResult(False, f"{where}: broken chain (before != previous after)")
-        if len(step.after) >= len(step.before):
-            return CheckResult(False, f"{where}: edit does not shorten the sequence")
-        mismatch = _edit_matches(step)
-        if mismatch is not None:
-            return CheckResult(False, f"{where}: {mismatch}")
-        scan = pair_scan(step.after)
-        after_w = scan.scaled_total
-        dw = after_w - prev_w
-        bd = blank_count(step.after) - blank_count(step.before)
-        stored = step.weight_delta
-        if dw * stored.denominator != stored.numerator * den:
-            return CheckResult(
-                False,
-                f"{where}: stored weight delta {stored} != recomputed {Fraction(dw, den)}",
-            )
-        if bd != step.blank_delta:
-            return CheckResult(
-                False, f"{where}: stored blank delta {step.blank_delta} != recomputed {bd}"
-            )
-        if step.rule == COLLAPSE_BLANKS and not (dw == 0 and bd == -1):
-            return CheckResult(False, f"{where}: blank collapse must have deltas (0, -1)")
-        if step.rule == DELETE_ZERO_WEIGHT_PAIR and not (dw == 0 and bd == 0):
-            return CheckResult(False, f"{where}: zero-weight deletion must have deltas (0, 0)")
-        if step.rule == COLLAPSE_WEIGHT_ONE_PAIR and not (dw == -den and bd == -1):
-            return CheckResult(False, f"{where}: weight-one collapse must have deltas (-1, -1)")
-        if step.rule == DELETE_VICTIM_SYMBOL:
-            try:
-                red = redistribution(step.before)
-            except ValueError as exc:
-                return CheckResult(False, f"{where}: redistribution precondition: {exc}")
-            total = Fraction(prev_w, den)
-            if sum(red.input.values(), Fraction(0)) != total:
-                return CheckResult(False, f"{where}: redistributed inputs do not sum to the total")
-            if sum(red.output.values(), Fraction(0)) != total:
-                return CheckResult(False, f"{where}: outputs do not sum to the total")
-            if step.redistribution is not None:
-                if (
-                    step.redistribution.input != red.input
-                    or step.redistribution.output != red.output
-                ):
-                    return CheckResult(False, f"{where}: stored redistribution tables differ")
-            j = step.symbol
-            if red.input_of(j) < red.output_of(j):
-                return CheckResult(
-                    False, f"{where}: victim {j} has input < output, not admissible"
-                )
-            if Fraction(dw, den) != red.input_of(j) - red.output_of(j):
-                return CheckResult(
-                    False, f"{where}: weight delta != input - output of the victim"
-                )
-            if bd != 0:
-                return CheckResult(False, f"{where}: victim deletion must preserve blanks")
-        prev, prev_w = step.after, after_w
+            return CheckResult(False, f"step {idx}: broken chain (before != previous after)")
+        failure, scan = _check_step(step, prev_w)
+        if failure is not None:
+            return CheckResult(False, f"step {idx}: {failure}")
+        prev, prev_w = step.after, scan.scaled_total
     if cert.final != prev:
         return CheckResult(False, "final sequence does not match the last step")
     if scan.pairs:
@@ -515,14 +526,20 @@ class ExhaustiveReport:
 
 
 def _verify_words(k: int, words) -> tuple[int, dict[int, int], list[tuple[int, ...]]]:
-    """Reduce and check each word; counterexamples are the words that fail."""
+    """Check each word's first reduction step; counterexamples are the words
+    whose step fails.  A terminal word has no step: it has no pairs, so it
+    holds the inequality outright."""
     checked = 0
     by_length: dict[int, int] = {}
     bad: list[tuple[int, ...]] = []
     for word in words:
         checked += 1
         by_length[len(word)] = by_length.get(len(word), 0) + 1
-        if not check_certificate(reduce_certificate(Seq(k, word))):
+        s = Seq(k, word)
+        if is_terminal(s):
+            continue
+        failure, _ = _check_step(reduce_step(s), pair_scan(s).scaled_total)
+        if failure is not None:
             bad.append(word)
     return checked, by_length, bad
 
@@ -546,20 +563,63 @@ def _shards(k: int, max_len: int, jobs: int) -> list[tuple[int, int, tuple[int, 
     return shards
 
 
-def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveReport:
-    """Check the inequality and certificate round-trip on every permissible word.
+def _word_counts(k: int, max_len: int) -> dict[int, int]:
+    """The number of permissible words of each length 1..max_len, by the
+    recurrence over the last symbol: a blank may follow anything, and walker
+    j may follow a blank or a walker <= j."""
+    ends = [1] * (k + 1)  # words of the current length ending in each symbol
+    counts = {1: k + 1}
+    for length in range(2, max_len + 1):
+        total = sum(ends)
+        run = ends[0]
+        for j in range(1, k + 1):
+            run += ends[j]
+            ends[j] = run
+        ends[0] = total
+        counts[length] = sum(ends)
+    return counts
 
-    Words of length 1..max_len over {B, 1..k}.  Raises when the raw word
-    count (k+1)^max_len exceeds the enumeration budget.  ``jobs`` > 1
-    spreads prefix shards (see ``_shards``) over that many processes, at
-    most one per CPU.  The report is the same at every ``jobs``;
-    counterexamples are listed in enumeration order.
+
+def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
+    """Whether base^exponent > limit, for base >= 2, without computing the
+    power: the product passes any limit within limit.bit_length() factors."""
+    value = 1
+    for _ in range(exponent):
+        value *= base
+        if value > limit:
+            return True
+    return False
+
+
+def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveReport:
+    """Prove total weight <= blanks for every permissible word of length
+    1..max_len over {B, 1..k}, by induction on length.
+
+    Each non-terminal word gets one ``reduce_step``, checked by
+    ``_check_step``: the step is the rule's edit, its stored deltas are the
+    recomputed ones, and it maps the word to a shorter permissible word with
+    dw >= bd.  Every rule's deltas satisfy that: (0, -1), (0, 0), (-1, -1)
+    and (input - output >= 0, 0).  So if the shorter word obeys the
+    inequality, w(before) = w(after) - dw <= blanks(after) - bd =
+    blanks(before).  The base cases, the empty word and a lone blank, have no
+    pairs.  The premise that every shorter word was checked is asserted: the
+    words counted per length must equal ``_word_counts``.  A counterexample
+    is a word whose own step fails its check; since ``reduce_step`` is
+    deterministic, every word's certificate checks exactly when every word's
+    first step does.
+
+    Raises when the raw word count (k+1)^max_len exceeds the enumeration
+    budget.  ``jobs`` > 1 spreads prefix shards (see ``_shards``) over that
+    many processes, at most one per CPU.  The report is the same at every
+    ``jobs``; counterexamples are listed in enumeration order.
     """
     if k < 1 or max_len < 1:
         raise ValueError("need k >= 1 and max_len >= 1")
-    if (k + 1) ** max_len > ENUMERATION_BUDGET:
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    if _power_exceeds(k + 1, max_len, ENUMERATION_BUDGET):
         raise ValueError(
-            f"(k+1)^max_len = {(k + 1) ** max_len} exceeds budget {ENUMERATION_BUDGET}"
+            f"(k+1)^max_len = {k + 1}^{max_len} words exceed the budget {ENUMERATION_BUDGET}"
         )
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
@@ -577,5 +637,10 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveRe
                 bad.extend(cx)
     else:
         checked, by_length, bad = _verify_words(k, permissible_words(k, max_len))
+    expected = _word_counts(k, max_len)
+    if by_length != expected:
+        raise AssertionError(
+            f"incomplete enumeration: words per length {by_length} != {expected}"
+        )
     counterexamples = tuple(Seq(k, w).text() for w in sorted(bad))
     return ExhaustiveReport(k, max_len, checked, dict(sorted(by_length.items())), counterexamples)

@@ -180,3 +180,22 @@ def choices_walkers(policy, T, rng):
             cur[i] = choices[rng.integers(len(choices))]
             pos[t, i] = cur[i]
     return pos
+
+
+def full_chain_sweep(k, max_len):
+    """The exhaustive lemma report the long way: every permissible word, found
+    by brute force over all words, is reduced to a terminal word and its whole
+    certificate replayed by check_certificate."""
+    from avoidance.lemma import ExhaustiveReport, check_certificate, reduce_certificate
+    from avoidance.sequences import Seq
+
+    by_length, bad = {}, []
+    for length in range(1, max_len + 1):
+        for word in itertools.product(range(k + 1), repeat=length):
+            if not brute_permissible(word):
+                continue
+            by_length[length] = by_length.get(length, 0) + 1
+            if not check_certificate(reduce_certificate(Seq(k, word))):
+                bad.append(word)
+    counterexamples = tuple(Seq(k, w).text() for w in sorted(bad))
+    return ExhaustiveReport(k, max_len, sum(by_length.values()), by_length, counterexamples)

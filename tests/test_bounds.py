@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from avoidance import bounds
 from avoidance.bounds import feasible_pressure, max_p, max_walkers, taylor_partial
 
 
@@ -178,3 +179,39 @@ def test_taylor_domain():
         taylor_partial(1.0, 10)
     with pytest.raises(ValueError):
         taylor_partial(0.5, 0)
+
+
+@pytest.mark.parametrize(
+    "p, terms",
+    [
+        (1e-17, 10**5),
+        (1e-17, 10**15),
+        (1e-17, 10**20),
+        (2e-16, 10**15),
+        (1e-10, 10**11),
+        (1e-6, 10**7),
+        (1e-4, 10**6),
+        (3e-4, 10**6),
+        (1e-2, 10**9),
+    ],
+)
+def test_taylor_closed_form_tail_matches_the_series(p, terms):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        g = 1 - mpmath.mpf(p)
+        tail = g ** (terms + 1) * mpmath.lerchphi(g, 1, terms + 1)  # sum over b > terms
+        exact = float(mpmath.mpf(p) ** 2 * (-mpmath.log(p) - tail))
+    assert taylor_partial(p, terms) == pytest.approx(exact, rel=1e-12)
+
+
+def test_taylor_closed_form_joins_the_direct_sum():
+    n = bounds.DIRECT_TERMS
+    for p in (1e-17, 1e-8, 1e-4):
+        step = taylor_partial(p, n + 1) - taylor_partial(p, n)
+        assert step == pytest.approx(p * p * (1 - p) ** (n + 1) / (n + 1), rel=1e-3)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-5, 0.5, 1.0, 1.5, 2.0, 10.0, 50.0, 700.0])
+def test_exp1_matches_mpmath(x):
+    mpmath = pytest.importorskip("mpmath")
+    assert bounds._exp1(x) == pytest.approx(float(mpmath.e1(x)), rel=1e-14)

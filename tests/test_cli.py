@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -296,8 +297,7 @@ RATIONAL = st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100
 TOL = st.floats(1e-12, 1e-3).map(repr)
 # the LP commands keep k <= 4 and m <= 4, so a valid instance has at most 625 windows
 SMALL = st.one_of(st.integers(1, 4).map(str), st.sampled_from(["0", "-1", "nan", "inf", "1/0", "2.5"]))
-# taylor sums --T terms one by one, so --T stays where that is quick
-TERMS = st.one_of(st.integers(-2, 10**4).map(str), st.sampled_from(JUNK))
+TERMS = st.one_of(st.integers(-2, 10**5).map(str), NUMERIC)
 
 
 def command_args():
@@ -359,6 +359,42 @@ def test_taylor_huge_T_returns_quickly():
     )
     assert proc.returncode == 0
     assert proc.stdout == run_cli(["taylor", "--p", "0.5", "--T", "2000"])[1]
+
+
+def test_taylor_tiny_p_huge_T_returns_quickly():
+    # 1 - p rounds to 1, so the terms shrink only like 1/b
+    p, T = 1e-17, 10**15
+    proc = subprocess.run(
+        [sys.executable, "-m", "avoidance", "taylor", "--p", repr(p), "--T", str(T)],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0
+    # the sum of (1-p)^b / b is the harmonic number H_T less Ein(x), x = pT,
+    # and x - x^2/4 <= Ein(x) <= x - x^2/4 + x^3/18
+    x = p * T
+    harmonic = math.log(T) + 0.5772156649015329 + 1 / (2 * T)
+    value = float(proc.stdout)
+    assert p * p * (harmonic - x + x * x / 4 - x**3 / 18) <= value
+    assert value <= p * p * (harmonic - x + x * x / 4)
+
+
+@pytest.mark.parametrize("max_len", ["10000", "30000000"])
+def test_verify_lemma_budget_decided_without_the_power(max_len):
+    proc = subprocess.run(
+        [sys.executable, "-m", "avoidance", "verify-lemma", "--k", "2", "--max-len", max_len],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"(k+1)^max_len = 3^{max_len} words exceed the budget 10000000" in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_lemma_rejects_jobs_below_one(jobs, capsys):
+    assert main(["verify-lemma", "--k", "2", "--max-len", "3", f"--jobs={jobs}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "jobs" in captured.err
 
 
 def test_stats_output_is_independent_of_blas_threads(tmp_path):

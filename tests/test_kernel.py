@@ -1,6 +1,8 @@
 """Differential tests of the weight kernel and the lemma layer built on it,
 against the brute-force definitions in oracles.py."""
 
+import dataclasses
+import itertools
 import multiprocessing
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from avoidance import lemma
 from avoidance.lemma import (
     DELETE_VICTIM_SYMBOL,
+    DELETE_ZERO_WEIGHT_PAIR,
+    ReductionStep,
     check_certificate,
     permissible_words,
     reduce_certificate,
@@ -17,7 +21,18 @@ from avoidance.lemma import (
 )
 from avoidance.sequences import Seq, neighbor_pairs, pair_scan, total_weight
 
-from oracles import brute_pairs, brute_permissible, brute_redistribution, brute_total_weight
+from oracles import (
+    brute_pairs,
+    brute_permissible,
+    brute_redistribution,
+    brute_total_weight,
+    full_chain_sweep,
+)
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="pool workers see the patched function only when forked",
+)
 
 
 def any_words(max_k=4, max_len=14):
@@ -121,17 +136,75 @@ def test_exhaustive_report_same_at_one_and_two_jobs(k, max_len):
     )
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_context().get_start_method() != "fork",
-    reason="pool workers see the patched checker only when forked",
-)
+@FORK_ONLY
 def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch):
-    # fail every word that ends in a blank, so there are counterexamples to order
-    def fake_check(cert):
-        return lemma.CheckResult(cert.initial.symbols[-1] != 0)
+    # fail the step of every word that ends in walker 2, so there are
+    # counterexamples to order
+    def fake_check(step, before_w):
+        return ("fails" if step.before.symbols[-1] == 2 else None), None
 
-    monkeypatch.setattr(lemma, "check_certificate", fake_check)
-    expected = tuple(Seq(2, w).text() for w in permissible_words(2, 5) if w[-1] == 0)
+    monkeypatch.setattr(lemma, "_check_step", fake_check)
+    expected = tuple(Seq(2, w).text() for w in permissible_words(2, 5) if w[-1] == 2)
     for jobs in (1, 2):
         assert verify_lemma_exhaustive(2, 5, jobs=jobs).counterexamples == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweep_matches_full_chain_oracle(k):
+    for max_len in range(1, 7):
+        oracle = full_chain_sweep(k, max_len)
+        for jobs in (1, 2):
+            assert verify_lemma_exhaustive(k, max_len, jobs=jobs) == oracle
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_sweep_reports_exactly_the_words_whose_step_fails(monkeypatch, jobs):
+    # a wrong stored weight delta on some words; the chains through them are
+    # not blamed, since each word is checked by its own step
+    real = lemma.reduce_step
+
+    def tampered(s):
+        step = real(s)
+        if sum(s.symbols) % 4 == 1:
+            return dataclasses.replace(step, weight_delta=step.weight_delta + Fraction(1, 2))
+        return step
+
+    monkeypatch.setattr(lemma, "reduce_step", tampered)
+    expected = tuple(Seq(2, w).text() for w in permissible_words(2, 6) if sum(w) % 4 == 1)
+    assert expected
+    assert verify_lemma_exhaustive(2, 6, jobs=jobs).counterexamples == expected
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_missing_word_trips_the_completeness_check(monkeypatch, jobs):
+    real = lemma.permissible_words
+
+    def dropping(*args):
+        return (w for w in real(*args) if w != (1, 2, 0))
+
+    monkeypatch.setattr(lemma, "permissible_words", dropping)
+    with pytest.raises(AssertionError, match="incomplete enumeration"):
+        verify_lemma_exhaustive(2, 5, jobs=jobs)
+
+
+def test_word_counts_match_brute_force():
+    for k in range(1, 5):
+        for max_len in range(1, 6):
+            expected = {
+                length: sum(
+                    brute_permissible(w) for w in itertools.product(range(k + 1), repeat=length)
+                )
+                for length in range(1, max_len + 1)
+            }
+            assert lemma._word_counts(k, max_len) == expected
+
+
+def test_step_check_rejects_a_non_permissible_result(monkeypatch):
+    # (1, 2, 2) -> (2, 1) keeps the zero-weight deletion's deltas (0, 0); with
+    # the edit check out of the way, the induction premise must still fail it
+    monkeypatch.setattr(lemma, "_edit_matches", lambda step: None)
+    step = ReductionStep(
+        DELETE_ZERO_WEIGHT_PAIR, 3, 2, Seq(2, (1, 2, 2)), Seq(2, (2, 1)), Fraction(0), 0
+    )
+    assert lemma._check_step(step, 0) == ("result is not permissible", None)
 
