@@ -169,7 +169,7 @@ def redistribution(s: Seq) -> RedistributionReport:
     k = s.k
     scan = pair_scan(s)
     den = _donation_denominator(k)
-    scaled_inp = [0] * (k + 1)
+    scaled_inp: dict[int, int] = {}
     donations = []
     for pair, (_, _, _, between) in zip(scan.neighbor_pairs(), scan.pairs):
         b = pair.b
@@ -183,11 +183,11 @@ def redistribution(s: Seq) -> RedistributionReport:
                 f"pair ({pair.t1},{pair.t2}) has no blank between its endpoints"
             )
         amount = Fraction(1, b * (b - 1))
-        for r in range(1, k + 1):
+        for r in range(1, between.bit_length()):
             if between >> r & 1:
                 donations.append(Donation(pair, r, amount))
-                scaled_inp[r] += den // (b * (b - 1))
-    inp = {r: Fraction(x, den) for r, x in enumerate(scaled_inp) if x}
+                scaled_inp[r] = scaled_inp.get(r, 0) + den // (b * (b - 1))
+    inp = {r: Fraction(scaled_inp[r], den) for r in sorted(scaled_inp)}
     return RedistributionReport(inp, scan.outputs(), tuple(donations))
 
 

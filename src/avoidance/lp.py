@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .sequences import symbol_text
 
 if TYPE_CHECKING:
+    import numpy as np
     from scipy import sparse
 
 __all__ = [
@@ -97,6 +96,7 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
     # is refused without computing the power
     if m >= WINDOW_BUDGET.bit_length() or (k + 1) ** m > WINDOW_BUDGET:
         raise ValueError(f"(k+1)^m = {k + 1}^{m} windows exceed the budget {WINDOW_BUDGET}")
+    import numpy as np
     from scipy import sparse
 
     base, n = k + 1, (k + 1) ** m
@@ -189,6 +189,8 @@ class FeasibilityResult:
 
 def witness_residual(lp: WindowLP, q: np.ndarray) -> float:
     """Largest constraint violation of q: equality rows, negativity, support."""
+    import numpy as np
+
     q = np.asarray(q, dtype=np.float64)
     res = float(np.abs(lp.A @ q - lp.b).max())
     if q.size:
@@ -247,6 +249,8 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1
     gaps below ``unknown_margin`` are reported as unknown.
     """
     _check_tol(tol)
+    import numpy as np
+
     bounds = np.zeros((lp.num_vars, 2))
     bounds[:, 1] = np.inf
     bounds[list(lp.zero_vars), 1] = 0.0
@@ -277,6 +281,7 @@ def _phase_one_gap(lp: WindowLP, bounds: np.ndarray) -> float:
     ``bounds`` are the window variables' (lower, upper) bounds; the slacks
     are nonnegative.
     """
+    import numpy as np
     from scipy import sparse
 
     nv, nr = lp.num_vars, lp.num_rows
@@ -304,6 +309,8 @@ def marginalize_witness(lp: WindowLP, q: np.ndarray) -> np.ndarray:
     """
     if lp.m < 2:
         raise ValueError("cannot marginalize a length-1 window instance")
+    import numpy as np
+
     q = np.asarray(q)
     index = {w: i for i, w in enumerate(lp.windows)}
     out = []

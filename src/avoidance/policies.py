@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import ClassVar
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar
 
 from .traces import CouplingTrace, WalkerTrace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "trivial_k1",
@@ -47,6 +48,8 @@ class BernoulliSite:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         return (rng.random(T) < self.p).astype(np.uint8)[:, None]
 
 
@@ -66,6 +69,8 @@ class RoundRobin:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         rows = np.zeros((T, self.k), dtype=np.uint8)
         rows[np.arange(T), np.arange(T) % self.k] = 1
         return rows
@@ -89,6 +94,8 @@ class IndependentSites:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         return (rng.random((T, self.k)) < self.p).astype(np.uint8)
 
 
@@ -125,6 +132,8 @@ class AvoidingWalkers:
             raise ValueError(f"start positions must lie in 1..{self.n}")
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         n, k = self.n, self.k
         if k == 1:
             if self.looped:
@@ -187,6 +196,8 @@ class StayingInWaves:
         return self.inner.start
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         waves = rng.random(T) < 1.0 / self.n
         moving = ~waves
         m = int(np.count_nonzero(moving))
@@ -228,6 +239,8 @@ def simulate(policy, T: int, seed: int) -> CouplingTrace | WalkerTrace:
     """Run a policy for T rounds; bit-exact reproduction for a fixed seed."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     rows = policy.generate(T, rng)
     if policy.kind == "binary":

@@ -8,9 +8,8 @@ run-dependent content, so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = ["frac_text", "sig12", "jsonable", "render_json", "render_csv", "csv_cell"]
 
@@ -23,16 +22,24 @@ def sig12(x) -> str:
     return format(float(x), ".12g")
 
 
+def _numpy():
+    """numpy if something has imported it, else None: without it loaded no
+    value can be a numpy scalar or array, so reports never import it."""
+    return sys.modules.get("numpy")
+
+
 def jsonable(obj):
     """Recursively convert to JSON-encodable values, preserving dict order."""
     if isinstance(obj, Fraction):
         return frac_text(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(x) for x in obj.tolist()]
+    np = _numpy()
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return [jsonable(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -51,7 +58,8 @@ def csv_cell(x) -> str:
         return "true" if x else "false"
     if isinstance(x, Fraction):
         return sig12(float(x))
-    if isinstance(x, (float, np.floating)):
+    np = _numpy()
+    if isinstance(x, float) or (np is not None and isinstance(x, np.floating)):
         return sig12(x)
     return str(x)
 

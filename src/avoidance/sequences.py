@@ -156,15 +156,25 @@ class PairScan:
     ``pairs`` holds ``(symbol, t1, t2, between)`` for every neighbor pair,
     ordered by (symbol, t1); ``between`` is the bit set of the distinct
     symbols strictly between t1 and t2 (bit 0 the blank), so the pair's b is
-    ``between.bit_count()``.  ``counts[i][b]`` is the number of pairs of
-    walker i with that b; row 0 is unused and b <= k always.  Weights are
-    integers over ``denominator``; ``outputs`` and ``total`` are their
-    exact rational values.
+    ``between.bit_count()``.  ``by_b[i][b]`` is the number of pairs of walker
+    i with that b, for each walker with at least one pair; a row is only as
+    long as the word allows, since b <= min(k, T - 2).  Weights are integers
+    over ``denominator``; ``outputs`` and ``total`` are their exact rational
+    values.
     """
 
     k: int
     pairs: list[tuple[int, int, int, int]]
-    counts: list[list[int]]
+    by_b: dict[int, list[int]]
+
+    @property
+    def counts(self) -> list[list[int]]:
+        """The full table: ``counts[i][b]`` for every walker i and b = 0..k;
+        row 0 is unused."""
+        table = [[0] * (self.k + 1) for _ in range(self.k + 1)]
+        for i, row in self.by_b.items():
+            table[i][: len(row)] = row
+        return table
 
     @property
     def denominator(self) -> int:
@@ -173,22 +183,17 @@ class PairScan:
 
     def scaled_output(self, i: int) -> int:
         """Walker i's summed pair weight times ``denominator``."""
-        return sum(map(operator.mul, self.counts[i], _scales(self.k)))
+        return sum(map(operator.mul, self.by_b.get(i, ()), _scales(self.k)))
 
     @property
     def scaled_total(self) -> int:
         """The word's total weight times ``denominator``."""
-        per_b = map(sum, zip(*self.counts))  # pairs per b over all walkers
-        return sum(map(operator.mul, per_b, _scales(self.k)))
+        return sum(map(self.scaled_output, self.by_b))
 
     def outputs(self) -> dict[int, Fraction]:
         """Per-walker summed weights, for every walker with at least one pair."""
         den = self.denominator
-        return {
-            i: Fraction(self.scaled_output(i), den)
-            for i in range(1, self.k + 1)
-            if any(self.counts[i])
-        }
+        return {i: Fraction(self.scaled_output(i), den) for i in sorted(self.by_b)}
 
     @property
     def total(self) -> Fraction:
@@ -208,11 +213,14 @@ def pair_scan(s: Seq) -> PairScan:
 
     The pass keeps the last position of each symbol.  When walker i recurs at
     t2 after t1, the symbols strictly between are exactly those last seen
-    after t1; i itself was last seen at t1, so it is never among them.
+    after t1; i itself was last seen at t1, so it is never among them.  Only
+    walkers that pair get a row of counts, so a short word costs O(T*k), not
+    O(k^2).
     """
     k = s.k
+    width = min(k, len(s.symbols) - 2) + 1  # the largest b, plus one
     last = [0] * (k + 1)  # 1-based last position of each symbol, 0 if unseen
-    counts = [[0] * (k + 1) for _ in range(k + 1)]
+    by_b: dict[int, list[int]] = {}
     pairs = []
     for t2, sym in enumerate(s.symbols, start=1):
         if sym != BLANK:
@@ -222,11 +230,14 @@ def pair_scan(s: Seq) -> PairScan:
                 for x, tx in enumerate(last):
                     if tx > t1:
                         between |= 1 << x
-                counts[sym][between.bit_count()] += 1
+                row = by_b.get(sym)
+                if row is None:
+                    row = by_b[sym] = [0] * width
+                row[between.bit_count()] += 1
                 pairs.append((sym, t1, t2, between))
         last[sym] = t2
     pairs.sort()
-    return PairScan(k, pairs, counts)
+    return PairScan(k, pairs, by_b)
 
 
 def neighbor_pairs(s: Seq) -> list[NeighborPair]:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .sequences import BLANK, Seq, pair_scan
 from .traces import CouplingTrace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EmpiricalStats",
@@ -147,6 +149,8 @@ def faithfulness_tests(
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
+    import numpy as np
+
     T = tr.T
     if T < min_T:
         raise ValueError(f"need T >= {min_T} rounds for the configured tests, got {T}")
@@ -188,6 +192,8 @@ def _autocorrelation(x: np.ndarray, ones: int, lag: int) -> Fraction:
     products equal to 1 and A, B the ones of the two factors; the denominator
     sum (x_t - m)^2 is ones - ones^2 / T.  Both are scaled by T^2.
     """
+    import numpy as np
+
     T = x.size
     head, tail = x[:-lag], x[lag:]
     products = int(np.count_nonzero(head & tail))
@@ -205,6 +211,8 @@ def _effective_window(T: int, p: float, window: int) -> int:
 
 
 def _window_chisquare(x: np.ndarray, p: float, w: int) -> float:
+    import numpy as np
+
     nwin = len(x) // w
     blocks = x[: nwin * w].reshape(nwin, w).astype(np.int64)
     codes = blocks @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64))

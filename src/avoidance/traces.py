@@ -10,10 +10,13 @@ in index order within a round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .sequences import Seq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CouplingTrace",
@@ -35,6 +38,8 @@ class CouplingTrace:
     rows: np.ndarray  # (T, k) of {0, 1}
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         rows = np.ascontiguousarray(self.rows, dtype=np.uint8)
         if rows.ndim != 2 or rows.shape[1] != self.k:
             raise ValueError(f"rows must have shape (T, {self.k})")
@@ -56,6 +61,8 @@ class WalkerTrace:
     rows: np.ndarray  # (T, k) of vertices in 1..n
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         rows = np.ascontiguousarray(self.rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.k:
             raise ValueError(f"rows must have shape (T, {self.k})")
@@ -106,6 +113,8 @@ def check_1avoidance(tr: CouplingTrace) -> ViolationReport:
     immediately after a higher-indexed one; ``t`` in the record is the
     earlier time.
     """
+    import numpy as np
+
     rows = tr.rows
     out: list[Violation] = []
     sums = rows.sum(axis=1)
@@ -134,6 +143,8 @@ def check_walker_avoidance(tr: WalkerTrace) -> ViolationReport:
     and the previous-round positions of walkers after it; a loopless walker
     must also move.  ``t`` in each record is the round of the later move.
     """
+    import numpy as np
+
     pos = tr.rows
     out: list[Violation] = []
     for i in range(tr.k):
@@ -154,6 +165,8 @@ def check_walker_avoidance(tr: WalkerTrace) -> ViolationReport:
 
 def encode(tr: CouplingTrace) -> Seq:
     """Map rows to symbols: the index of the single 1, or blank for all-zero."""
+    import numpy as np
+
     sums = tr.rows.sum(axis=1)
     if tr.T and sums.max() > 1:
         t = int(np.argmax(sums > 1)) + 1
@@ -166,7 +179,7 @@ def project(tr: WalkerTrace, v: int) -> CouplingTrace:
     """Occupancy of a single vertex: X_i(t) = 1 iff walker i sits at v."""
     if not 1 <= v <= tr.n:
         raise ValueError(f"vertex {v} out of range 1..{tr.n}")
-    return CouplingTrace(tr.k, (tr.rows == v).astype(np.uint8))
+    return CouplingTrace(tr.k, (tr.rows == v).astype("uint8"))
 
 
 def write_trace(tr: CouplingTrace | WalkerTrace, path=None) -> str:
@@ -185,6 +198,8 @@ def write_trace(tr: CouplingTrace | WalkerTrace, path=None) -> str:
 def _format_rows(rows: np.ndarray) -> str:
     """Nonnegative integer rows as text: values in decimal, separated by one
     space, each row ended by a newline."""
+    import numpy as np
+
     T, k = rows.shape
     if not rows.size:
         return "\n" * T
@@ -210,20 +225,31 @@ def _format_rows(rows: np.ndarray) -> str:
 # on (str.isspace), _BREAK what str.splitlines() ends a line at.  Every code
 # point past the table is neither.
 _SPACE, _BREAK = 1, 2
-_CLASS = np.zeros(0x3002, dtype=np.uint8)
-_CLASS[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
-        8232, 8233, 8239, 8287, 12288]] = _SPACE
-_CLASS[[10, 11, 12, 13, 28, 29, 30, 133, 8232, 8233]] |= _BREAK
+
+
+@cache
+def _class_table() -> np.ndarray:
+    import numpy as np
+
+    table = np.zeros(0x3002, dtype=np.uint8)
+    table[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
+           8232, 8233, 8239, 8287, 12288]] = _SPACE
+    table[[10, 11, 12, 13, 28, 29, 30, 133, 8232, 8233]] |= _BREAK
+    table.setflags(write=False)  # every caller shares the cached table
+    return table
 
 
 def _char_classes(text: str) -> np.ndarray:
+    import numpy as np
+
+    table = _class_table()
     if text.isascii():
         codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     else:
         # a lone surrogate is not whitespace, so it lands in a token int() rejects
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        codes = np.minimum(codes, len(_CLASS) - 1)
-    return _CLASS[codes]
+        codes = np.minimum(codes, len(table) - 1)
+    return table[codes]
 
 
 def read_trace(source) -> CouplingTrace | WalkerTrace:
@@ -239,6 +265,8 @@ def read_trace(source) -> CouplingTrace | WalkerTrace:
             text = fh.read()
     if not text:
         raise ValueError("empty trace file")
+    import numpy as np
+
     cls = _char_classes(text)
     breaks = cls & _BREAK != 0
     word = cls & _SPACE == 0

@@ -49,3 +49,24 @@ def trace_texts(draw):
         + (draw(EOL) if draw(RARELY) else "\n")
         for tokens in [header] + rows
     )
+
+
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+# tokens of a word file: mostly blanks and small walker indices, in ASCII or
+# full-width digits, then tokens that the alphabet or int() rejects
+WORD_TOKENS = st.one_of(
+    st.just("B"),
+    st.integers(1, 4).map(str),
+    st.integers(0, 400).map(lambda n: str(n).translate(FULLWIDTH)),
+    st.sampled_from(
+        ["-1", "0", "99999999999999999999", "b", "B1", "1.5", "+1", "²", "٣", "\ud800"]
+    ),
+)
+WORD_GAPS = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\xa0", "　", "\x85", "\u2028", "\x1c"])
+
+
+@st.composite
+def word_texts(draw):
+    """Text near the word format: tokens joined by assorted Unicode whitespace."""
+    tokens = draw(st.lists(WORD_TOKENS, max_size=24))
+    return "".join(draw(WORD_GAPS) + token for token in tokens) + draw(WORD_GAPS)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidance.cli import main
-from strategies import trace_texts
+from strategies import trace_texts, word_texts
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -349,6 +349,59 @@ def test_trace_commands_keep_the_exit_code_contract(text, fmt):
         assert code in (0, 1, 2), argv
         if code == 2:
             assert out.getvalue() == "", argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=word_texts(),
+    k=st.integers(1, 300),
+    command=st.sampled_from(["weights", "reduce"]),
+    fmt=st.sampled_from(["text", "json", "csv"]),
+)
+def test_word_commands_keep_the_exit_code_contract(text, k, command, fmt):
+    argv = [command, "--k", str(k), "--in", "-", f"--format={fmt}"]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+
+
+def test_lemma_and_bounds_commands_load_no_numpy(tmp_path):
+    # the benchmark tracer patches every layer module, so the CLI must still
+    # load all nine eagerly; only numpy waits for a command that builds an array
+    word = tmp_path / "word.txt"
+    word.write_text(WORKED_EXAMPLE + "\n")
+    runs = [
+        ["weights", "--k", "3", "--in", str(word)],
+        ["weights", "--k", "3", "--in", str(word), "--format", "json"],
+        ["reduce", "--k", "3", "--in", str(word), "--format", "csv"],
+        ["reduce", "--k", "3", "--in", str(word), "--format", "json"],
+        ["verify-lemma", "--k", "2", "--max-len", "6", "--jobs", "1", "--format", "csv"],
+        ["verify-lemma", "--k", "2", "--max-len", "6", "--jobs", "2", "--format", "json"],
+        ["bound", "--n", "21", "--format", "json"],
+        ["maxp", "--k", "3", "--format", "csv"],
+        ["taylor", "--p", "0.3", "--T", "100"],
+    ]
+    code = f"""
+import io, sys
+from contextlib import redirect_stdout
+import avoidance.cli
+layers = ("cli", "sequences", "lemma", "bounds", "policies", "traces", "stats", "lp", "reporting")
+print([m for m in layers if "avoidance." + m not in sys.modules])
+for argv in {runs!r}:
+    with redirect_stdout(io.StringIO()):
+        code = avoidance.cli.main(argv)
+    print(code)
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n" + "0\n" * len(runs) + "[]\n"
 
 
 def test_taylor_huge_T_returns_quickly():

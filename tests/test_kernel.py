@@ -99,6 +99,15 @@ def test_kernel_counts_outputs_and_totals_match_definition(s):
     assert rep.per_symbol_output == per
 
 
+def test_scan_rows_are_sized_by_the_word():
+    # b <= min(k, T - 2), and only walkers with a pair get a row, so a short
+    # word over a huge alphabet costs no k x k table
+    scan = pair_scan(Seq(3000, (5, 0, 5, 7, 7)))
+    assert scan.by_b == {5: [0, 1, 0, 0], 7: [1, 0, 0, 0]}
+    assert scan.outputs() == {5: Fraction(1), 7: Fraction(0)}
+    assert scan.total == 1
+
+
 @given(permissible_words_st())
 @settings(max_examples=60, deadline=None)
 def test_redistribution_inputs_match_definition(s):
