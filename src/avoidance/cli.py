@@ -277,21 +277,18 @@ def cmd_simulate(ns) -> int:
 def cmd_check_trace(ns) -> int:
     trace = _read_trace(ns.infile)
     if isinstance(trace, traces.WalkerTrace):
-        report = traces.check_walker_avoidance(trace)
+        report = traces.check_walker_avoidance(trace, MAX_LISTED_VIOLATIONS)
         kind = "walker"
     else:
-        report = traces.check_1avoidance(trace)
+        report = traces.check_1avoidance(trace, MAX_LISTED_VIOLATIONS)
         kind = "binary"
-    counts = {}
-    for v in report.violations:
-        counts[v.kind] = counts.get(v.kind, 0) + 1
-    listed = report.violations[:MAX_LISTED_VIOLATIONS]
+    listed = report.violations
     body = {
         "trace": kind,
         "rounds": report.rounds,
         "ok": report.ok,
-        "violation_count": len(report.violations),
-        "counts": {k: counts[k] for k in sorted(counts)},
+        "violation_count": report.total,
+        "counts": report.counts,
         "violations": [
             {"kind": v.kind, "t": v.t, "i": v.i, "j": v.j} for v in listed
         ],
@@ -300,10 +297,10 @@ def cmd_check_trace(ns) -> int:
     if report.ok:
         lines = ["OK"]
     else:
-        lines = [f"violations {len(report.violations)}"]
+        lines = [f"violations {report.total}"]
         lines += [f"{v.kind} t={v.t} i={v.i} j={v.j}" for v in listed]
-        if len(report.violations) > len(listed):
-            lines.append(f"... {len(report.violations) - len(listed)} more")
+        if report.total > len(listed):
+            lines.append(f"... {report.total - len(listed)} more")
     _emit(ns, body, lines)
     return 0 if report.ok else 1
 
@@ -316,13 +313,13 @@ def cmd_stats(ns) -> int:
     body = {"T": trace.T, "k": trace.k, "p": ns.p, "faithful": report.passed}
     lines = [f"T {trace.T}", f"k {trace.k}", f"faithful {str(report.passed).lower()}"]
     try:
-        seq = traces.encode(trace)
+        symbols = traces.symbol_array(trace)
     except ValueError:
-        seq = None
+        symbols = None
         body["encodable"] = False
         lines.append("encodable false")
-    if seq is not None:
-        est = stats.empirical_stats(seq, ns.p)
+    if symbols is not None:
+        est = stats.empirical_stats(symbols, ns.p, trace.k)
         body.update(
             {
                 "encodable": True,

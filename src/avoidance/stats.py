@@ -11,11 +11,12 @@ fixed-length windows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .sequences import BLANK, Seq, pair_scan
+from .sequences import Seq, _scales, _weight_denominator
 from .traces import CouplingTrace
 
 if TYPE_CHECKING:
@@ -53,32 +54,83 @@ class EmpiricalStats:
     weight_rate_total: Fraction
 
 
-def empirical_stats(s: Seq, p: float, k: int | None = None) -> EmpiricalStats:
-    """Compute the estimators for a symbol sequence claiming parameter p."""
-    if k is None:
-        k = s.k
-    elif k != s.k:
-        raise ValueError(f"k={k} does not match the sequence's k={s.k}")
-    T = s.T
+def empirical_stats(s: Seq | np.ndarray, p: float, k: int | None = None) -> EmpiricalStats:
+    """Compute the estimators for a symbol sequence claiming parameter p.
+
+    ``s`` is a Seq or a 1-d integer array of symbols (0 the blank), such as
+    ``traces.symbol_array`` returns; an array needs ``k``.
+    """
+    import numpy as np
+
+    if isinstance(s, Seq):
+        if k is None:
+            k = s.k
+        elif k != s.k:
+            raise ValueError(f"k={k} does not match the sequence's k={s.k}")
+        x = np.array(s.symbols, dtype=np.int64)
+    else:
+        if k is None:
+            raise ValueError("a symbol array needs k")
+        x = np.asarray(s)
+        if x.ndim != 1:
+            raise ValueError("a symbol array must be 1-d")
+        if x.size and (x.min() < 0 or x.max() > k):
+            raise ValueError(f"symbols must lie in 0..{k}")
+    T = x.size
     if T < 1:
         raise ValueError("sequence must be nonempty")
-    blanks = s.symbols.count(BLANK)
-    scan = pair_scan(s)
-    gap_hist: dict[int, dict[int, int]] = {i: {} for i in range(1, k + 1)}
-    for sym, t1, t2, _ in scan.pairs:
-        hist = gap_hist[sym]
-        hist[t2 - t1] = hist.get(t2 - t1, 0) + 1
-    outputs = scan.outputs()
+    sym, t1, t2, b = _array_pairs(x, k)
+    blanks = T - int(np.count_nonzero(x))
+    scales, den = _scales(k), _weight_denominator(k)
+    gap_hist: dict[int, dict[int, int]] = {}
+    weight_rate: dict[int, Fraction] = {}
+    scaled_total = 0
+    ends = np.searchsorted(sym, np.arange(1, k + 2))  # walker i's pairs: ends[i-1]:ends[i]
+    for i in range(1, k + 1):
+        mine = slice(ends[i - 1], ends[i])
+        gaps = np.bincount(t2[mine] - t1[mine])
+        gap_hist[i] = {int(g): int(gaps[g]) for g in np.flatnonzero(gaps)}
+        scaled = sum(map(operator.mul, np.bincount(b[mine]).tolist(), scales))
+        weight_rate[i] = Fraction(scaled, den) / T
+        scaled_total += scaled
     return EmpiricalStats(
         T=T,
         k=k,
         blanks=blanks,
         blank_rate=Fraction(blanks, T),
         occupancy_rate=Fraction(T - blanks, T),
-        gap_histogram={i: dict(sorted(h.items())) for i, h in gap_hist.items()},
-        weight_rate={i: outputs.get(i, Fraction(0)) / T for i in range(1, k + 1)},
-        weight_rate_total=scan.total / T,
+        gap_histogram=gap_hist,
+        weight_rate=weight_rate,
+        weight_rate_total=Fraction(scaled_total, den) / T,
     )
+
+
+def _array_pairs(x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The neighbor pairs of a symbol array as arrays (symbol, t1, t2, b),
+    ordered by (symbol, t1), times 1-based: ``sequences.pair_scan`` in
+    whole-array passes, O(T*k).
+
+    With 0-based occurrences u1 < u2 of a walker, symbol s lies strictly
+    between them iff its first occurrence at or after u1 + 1 comes before u2.
+    A reversed running minimum gives that next occurrence for every position
+    at once.  The walker itself next occurs at u2, so it never counts.
+    """
+    import numpy as np
+
+    T = x.size
+    occ = [np.flatnonzero(x == i) for i in range(1, k + 1)]
+    sizes = [max(o.size - 1, 0) for o in occ]
+    sym = np.repeat(np.arange(1, k + 1), sizes)
+    u1 = np.concatenate([np.empty(0, np.intp)] + [o[:-1] for o in occ])
+    u2 = np.concatenate([np.empty(0, np.intp)] + [o[1:] for o in occ])
+    b = np.zeros(u1.size, dtype=np.intp)
+    if u1.size:
+        after, ids = u1 + 1, np.arange(T)
+        for s in range(k + 1):
+            nxt = np.where(x == s, ids, T)[::-1]
+            np.minimum.accumulate(nxt, out=nxt)
+            b += nxt[::-1][after] < u2
+    return sym, u1 + 1, u2 + 1, b
 
 
 def gap_law_chisquare(hist: dict[int, int], p: float, min_expected: float = 5.0):
@@ -102,10 +154,9 @@ def gap_law_chisquare(hist: dict[int, int], p: float, min_expected: float = 5.0)
     observed.append(n - sum(observed))
     expected = [n * p * (1.0 - p) ** (g - 1) for g in range(1, cut)]
     expected.append(n * (1.0 - p) ** (cut - 1))
-    from scipy import stats as sps
-
-    stat, pvalue = sps.chisquare(observed, expected)
-    return float(stat), float(pvalue), len(observed) - 1
+    stat = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    dof = len(observed) - 1
+    return stat, _chi2_sf(stat, dof), dof
 
 
 @dataclass(frozen=True)
@@ -220,7 +271,40 @@ def _window_chisquare(x: np.ndarray, p: float, w: int) -> float:
     popcount = np.array([bin(c).count("1") for c in range(1 << w)])
     expected = nwin * p**popcount * (1.0 - p) ** (w - popcount)
     chisq = float(((observed - expected) ** 2 / expected).sum())
-    # the chi-square survival function, the routine scipy.stats.chi2.sf calls
-    from scipy.special import chdtrc
+    return _chi2_sf(chisq, (1 << w) - 1)
 
-    return float(chdtrc((1 << w) - 1, chisq))
+
+_LOG_2 = math.log(2.0)
+_LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with integer ``dof`` >= 1 degrees of freedom.
+
+    Closed forms (Abramowitz and Stegun 26.4.4 and 26.4.5): for even dof,
+    e^{-x/2} sum_{j < dof/2} (x/2)^j / j!; for odd dof, erfc(sqrt(x/2)) plus
+    sqrt(2x/pi) e^{-x/2} sum_{r < (dof-1)/2} x^r / (2r+1)!!.  Every term is
+    positive and is formed in log space, so none over- or underflows on its
+    own; math.fsum adds them.
+    """
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    half = 0.5 * x
+    if dof % 2 == 0:
+        log_half = math.log(half)
+        return math.fsum(
+            math.exp(j * log_half - half - math.lgamma(j + 1)) for j in range(dof // 2)
+        )
+    log_x = math.log(x)
+    terms = [math.erfc(math.sqrt(half))]
+    terms += [
+        # (2r+1)!! = (2r+1)! / (2^r r!)
+        math.exp(
+            _LOG_SQRT_2_OVER_PI + (r + 0.5) * log_x - half
+            - math.lgamma(2 * r + 2) + r * _LOG_2 + math.lgamma(r + 1)
+        )
+        for r in range(dof // 2)
+    ]
+    return math.fsum(terms)

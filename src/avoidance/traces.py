@@ -25,6 +25,7 @@ __all__ = [
     "ViolationReport",
     "check_1avoidance",
     "check_walker_avoidance",
+    "symbol_array",
     "encode",
     "project",
     "write_trace",
@@ -93,86 +94,123 @@ class Violation:
     j: int
 
 
+# every violation kind, in the order reports sort them
+KINDS = ("cross_round", "cross_time", "self_loop", "simultaneous", "within_round")
+
+
 @dataclass(frozen=True)
 class ViolationReport:
+    """``counts`` holds the number of violations of each kind that occurs, in
+    kind order; ``violations`` the first of them by (t, i, j, kind), as many
+    as the check was asked to list."""
+
+    counts: dict[str, int]
     violations: tuple[Violation, ...]
     rounds: int
 
     @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.counts
 
     def count(self, kind: str) -> int:
-        return sum(1 for v in self.violations if v.kind == kind)
+        return self.counts.get(kind, 0)
 
 
-def check_1avoidance(tr: CouplingTrace) -> ViolationReport:
+def _report(groups, rounds: int, limit: int | None) -> ViolationReport:
+    """Count and list violations given as (kind, i, j, times) groups, each
+    with its times ascending.
+
+    A group can add at most ``limit`` violations to the first ``limit``
+    overall, so only that many of each are sorted, by np.lexsort on
+    (t, i, j, kind); only the listed ones become Violation objects.
+    """
+    import numpy as np
+
+    counts = dict.fromkeys(KINDS, 0)
+    keys = []
+    for kind, i, j, times in groups:
+        counts[kind] += times.size
+        head = times[:limit]
+        keys.append(np.stack(np.broadcast_arrays(head, i, j, KINDS.index(kind))))
+    listed: tuple[Violation, ...] = ()
+    if keys:
+        t, i, j, kind = np.concatenate(keys, axis=1)
+        order = np.lexsort((kind, j, i, t))[:limit]
+        listed = tuple(
+            Violation(KINDS[c], int(tv), int(iv), int(jv))
+            for tv, iv, jv, c in zip(t[order], i[order], j[order], kind[order])
+        )
+    return ViolationReport({k: c for k, c in counts.items() if c}, listed, rounds)
+
+
+def check_1avoidance(tr: CouplingTrace, limit: int | None = None) -> ViolationReport:
     """Detect simultaneous occupancy and forbidden cross-time occupancy.
 
     The cross-time rule bans a lower-indexed walker from occupying the site
     immediately after a higher-indexed one; ``t`` in the record is the
-    earlier time.
+    earlier time.  Every violation is counted; the first ``limit`` (all by
+    default) are listed.
     """
     import numpy as np
 
-    rows = tr.rows
-    out: list[Violation] = []
-    sums = rows.sum(axis=1)
-    for t in np.nonzero(sums >= 2)[0]:
-        ones = np.nonzero(rows[t])[0]
-        for a in range(len(ones)):
-            for b in range(a + 1, len(ones)):
-                out.append(
-                    Violation("simultaneous", int(t) + 1, int(ones[a]) + 1, int(ones[b]) + 1)
-                )
-    if tr.T >= 2:
-        for i in range(tr.k):
-            for j in range(i + 1, tr.k):
-                hits = np.nonzero((rows[1:, i] == 1) & (rows[:-1, j] == 1))[0]
-                out.extend(
-                    Violation("cross_time", int(t) + 1, i + 1, j + 1) for t in hits
-                )
-    out.sort(key=lambda v: (v.t, v.i, v.j, v.kind))
-    return ViolationReport(tuple(out), tr.T)
+    cols = np.ascontiguousarray(tr.rows.T)
+    groups = []
+    for i in range(tr.k):
+        for j in range(i + 1, tr.k):
+            hits = np.flatnonzero(cols[i] & cols[j])
+            groups.append(("simultaneous", i + 1, j + 1, hits + 1))
+            hits = np.flatnonzero(cols[i, 1:] & cols[j, :-1])
+            groups.append(("cross_time", i + 1, j + 1, hits + 1))
+    return _report(groups, tr.T, limit)
 
 
-def check_walker_avoidance(tr: WalkerTrace) -> ViolationReport:
+def check_walker_avoidance(tr: WalkerTrace, limit: int | None = None) -> ViolationReport:
     """Check the one-at-a-time move discipline on a position trace.
 
     In round t walker i must avoid the new positions of walkers before it
     and the previous-round positions of walkers after it; a loopless walker
     must also move.  ``t`` in each record is the round of the later move.
+    Every violation is counted; the first ``limit`` (all by default) are
+    listed.
     """
     import numpy as np
 
-    pos = tr.rows
-    out: list[Violation] = []
+    pos = np.ascontiguousarray(tr.rows.T)
+    groups = []
     for i in range(tr.k):
         for j in range(i + 1, tr.k):
             # walker j moves after walker i within a round
-            hits = np.nonzero(pos[:, i] == pos[:, j])[0]
-            out.extend(Violation("within_round", int(t) + 1, i + 1, j + 1) for t in hits)
+            hits = np.flatnonzero(pos[i] == pos[j])
+            groups.append(("within_round", i + 1, j + 1, hits + 1))
             # walker i moves while walker j still sits at its round t-1 spot
-            hits = np.nonzero(pos[1:, i] == pos[:-1, j])[0]
-            out.extend(Violation("cross_round", int(t) + 2, i + 1, j + 1) for t in hits)
+            hits = np.flatnonzero(pos[i, 1:] == pos[j, :-1])
+            groups.append(("cross_round", i + 1, j + 1, hits + 2))
     if not tr.looped:
         for i in range(tr.k):
-            hits = np.nonzero(pos[1:, i] == pos[:-1, i])[0]
-            out.extend(Violation("self_loop", int(t) + 2, i + 1, i + 1) for t in hits)
-    out.sort(key=lambda v: (v.t, v.i, v.j, v.kind))
-    return ViolationReport(tuple(out), tr.T)
+            hits = np.flatnonzero(pos[i, 1:] == pos[i, :-1])
+            groups.append(("self_loop", i + 1, i + 1, hits + 2))
+    return _report(groups, tr.T, limit)
 
 
-def encode(tr: CouplingTrace) -> Seq:
-    """Map rows to symbols: the index of the single 1, or blank for all-zero."""
+def symbol_array(tr: CouplingTrace) -> np.ndarray:
+    """The symbol of each row: the index of its single 1, or 0 (blank) for an
+    all-zero row; a row with two or more ones is a ValueError."""
     import numpy as np
 
     sums = tr.rows.sum(axis=1)
     if tr.T and sums.max() > 1:
         t = int(np.argmax(sums > 1)) + 1
         raise ValueError(f"row {t} has {int(sums[t - 1])} ones; cannot encode")
-    symbols = tr.rows @ np.arange(1, tr.k + 1, dtype=np.int64)
-    return Seq(tr.k, tuple(symbols.tolist()))
+    return tr.rows @ np.arange(1, tr.k + 1, dtype=np.int64)
+
+
+def encode(tr: CouplingTrace) -> Seq:
+    """Map rows to symbols: the index of the single 1, or blank for all-zero."""
+    return Seq(tr.k, tuple(symbol_array(tr).tolist()))
 
 
 def project(tr: WalkerTrace, v: int) -> CouplingTrace:
@@ -222,9 +260,10 @@ def _format_rows(rows: np.ndarray) -> str:
 
 
 # Code-point classes of the text format: _SPACE marks what str.split() splits
-# on (str.isspace), _BREAK what str.splitlines() ends a line at.  Every code
-# point past the table is neither.
-_SPACE, _BREAK = 1, 2
+# on (str.isspace), _BREAK what str.splitlines() ends a line at, _DIGIT the
+# ASCII digits, whose value sits in the bits from _VALUE_SHIFT up.  Every
+# code point past the table is none of them.
+_SPACE, _BREAK, _DIGIT, _VALUE_SHIFT = 1, 2, 4, 3
 
 
 @cache
@@ -235,6 +274,7 @@ def _class_table() -> np.ndarray:
     table[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
            8232, 8233, 8239, 8287, 12288]] = _SPACE
     table[[10, 11, 12, 13, 28, 29, 30, 133, 8232, 8233]] |= _BREAK
+    table[ord("0") : ord("9") + 1] = _DIGIT | np.arange(10) << _VALUE_SHIFT
     table.setflags(write=False)  # every caller shares the cached table
     return table
 
@@ -250,6 +290,57 @@ def _char_classes(text: str) -> np.ndarray:
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         codes = np.minimum(codes, len(table) - 1)
     return table[codes]
+
+
+# the longest token parsed in place: 10^18 - 1 still fits an int64
+_MAX_DIGITS = 18
+
+
+def _digit_runs(cls: np.ndarray, begin: int) -> np.ndarray | None:
+    """The values of the tokens after character ``begin``, parsed in place
+    when every one is a run of at most 18 ASCII digits; otherwise None.
+
+    ``cls[begin]`` must be a space (the header's line break), so no run
+    reaches back past it.  Digit d of a token, counted from the right, sits
+    d characters before its last one while the run lasts.
+    """
+    import numpy as np
+
+    body = cls[begin:]
+    if (body & (_SPACE | _DIGIT) == 0).any():
+        return None
+    word = body & _SPACE == 0
+    at = np.flatnonzero(word & ~np.append(word[1:], False))  # each token's last character
+    values = (body[at] >> _VALUE_SHIFT).astype(np.int64)
+    idx = None  # the tokens that have digit d; None while that is all of them
+    d = 0
+    while True:
+        d += 1
+        at -= 1
+        keep = word[at]
+        if not keep.any():
+            return values
+        if d == _MAX_DIGITS:
+            return None
+        idx = np.flatnonzero(keep) if idx is None else idx[keep]
+        at = at[keep]
+        values[idx] += (body[at] >> _VALUE_SHIFT).astype(np.int64) * 10**d
+
+
+def _layout(cls: np.ndarray) -> tuple[int, np.ndarray]:
+    """Where the header line ends, and the number of tokens on each nonblank
+    line after it."""
+    import numpy as np
+
+    word = cls & _SPACE == 0
+    first = np.flatnonzero(word & ~np.append(False, word[:-1]))  # each token's first character
+    breaks = np.flatnonzero(cls & _BREAK)
+    if not breaks.size:
+        return cls.size, np.empty(0, np.int64)
+    # the tokens after each line boundary and before the next ("\r\n"
+    # adds only a blank line)
+    sizes = np.diff(np.searchsorted(first, breaks), append=first.size)
+    return int(breaks[0]), sizes[sizes > 0]
 
 
 def read_trace(source) -> CouplingTrace | WalkerTrace:
@@ -268,16 +359,7 @@ def read_trace(source) -> CouplingTrace | WalkerTrace:
     import numpy as np
 
     cls = _char_classes(text)
-    breaks = cls & _BREAK != 0
-    word = cls & _SPACE == 0
-    starts = word.copy()  # first character of each token
-    starts[1:] &= ~word[:-1]
-    # line boundaries and token starts in text order: the number of
-    # boundaries before a token is its line ("\r\n" adds only a blank line)
-    events = np.flatnonzero(breaks | starts)
-    at_break = breaks[events]
-    line = np.cumsum(at_break)[~at_break]
-    head_end = int(events[at_break][0]) if at_break.any() else len(text)
+    head_end, sizes = _layout(cls)
     header = text[:head_end].split()
     if len(header) == 2:
         T, k = map(int, header)
@@ -287,8 +369,14 @@ def read_trace(source) -> CouplingTrace | WalkerTrace:
         looped = bool(looped_i)
     else:
         raise ValueError(f"malformed header {text[:head_end]!r}")
-    sizes = np.bincount(line, minlength=1)[1:]
-    sizes = sizes[sizes > 0]  # tokens per nonblank line after the header
+    if T < 0:
+        raise ValueError(f"header row count must be >= 0, got {T}")
+    if k < 0:
+        raise ValueError(f"header walker count must be >= 0, got {k}")
+    if n is not None and n < 1:
+        raise ValueError(f"header vertex count must be >= 1, got {n}")
+    if n is not None and looped_i not in (0, 1):
+        raise ValueError(f"header looped flag must be 0 or 1, got {looped_i}")
     if sizes.size != T:
         raise ValueError(f"header says {T} rows, found {sizes.size}")
     ragged = np.flatnonzero(sizes != k)
@@ -296,10 +384,12 @@ def read_trace(source) -> CouplingTrace | WalkerTrace:
         r = int(ragged[0])
         raise ValueError(f"row {r + 1} has {sizes[r]} values, header says {k}")
     if T:
-        try:
-            values = np.array(text[head_end:].split(), dtype=np.int64)
-        except OverflowError:
-            raise ValueError("trace value outside the 64-bit integer range") from None
+        values = _digit_runs(cls, head_end)
+        if values is None:
+            try:
+                values = np.array(text[head_end:].split(), dtype=np.int64)
+            except OverflowError:
+                raise ValueError("trace value outside the 64-bit integer range") from None
         rows = values.reshape(T, k)
     else:
         rows = np.empty((0, k), np.int64)

@@ -156,6 +156,8 @@ def rowwise_read_trace(text):
         looped = bool(looped_i)
     else:
         raise ValueError(f"malformed header {lines[0]!r}")
+    if T < 0 or k < 0 or (n is not None and (n < 1 or looped_i not in (0, 1))):
+        raise ValueError(f"header {lines[0]!r} out of range")
     data = [line.split() for line in lines[1:] if line.strip()]
     if len(data) != T:
         raise ValueError(f"header says {T} rows, found {len(data)}")
@@ -163,6 +165,54 @@ def rowwise_read_trace(text):
     if len(header) == 2:
         return CouplingTrace(k, rows)
     return WalkerTrace(n, k, looped, rows)
+
+
+def all_1avoidance_violations(tr):
+    """Every violation of a binary trace as a Violation, sorted by
+    (t, i, j, kind): simultaneous pairs row by row, cross-time hits pair by
+    pair."""
+    from avoidance.traces import Violation
+
+    rows = tr.rows
+    out = []
+    sums = rows.sum(axis=1)
+    for t in np.nonzero(sums >= 2)[0]:
+        ones = np.nonzero(rows[t])[0]
+        for a in range(len(ones)):
+            for b in range(a + 1, len(ones)):
+                out.append(
+                    Violation("simultaneous", int(t) + 1, int(ones[a]) + 1, int(ones[b]) + 1)
+                )
+    if tr.T >= 2:
+        for i in range(tr.k):
+            for j in range(i + 1, tr.k):
+                hits = np.nonzero((rows[1:, i] == 1) & (rows[:-1, j] == 1))[0]
+                out.extend(
+                    Violation("cross_time", int(t) + 1, i + 1, j + 1) for t in hits
+                )
+    out.sort(key=lambda v: (v.t, v.i, v.j, v.kind))
+    return out
+
+
+def all_walker_violations(tr):
+    """Every violation of a position trace as a Violation, sorted by
+    (t, i, j, kind)."""
+    from avoidance.traces import Violation
+
+    pos = tr.rows
+    out = []
+    for i in range(tr.k):
+        for j in range(i + 1, tr.k):
+            hits = np.nonzero(pos[:, i] == pos[:, j])[0]
+            out.extend(Violation("within_round", int(t) + 1, i + 1, j + 1) for t in hits)
+            hits = np.nonzero(pos[1:, i] == pos[:-1, j])[0]
+            out.extend(Violation("cross_round", int(t) + 2, i + 1, j + 1) for t in hits)
+    if not tr.looped:
+        for i in range(tr.k):
+            hits = np.nonzero(pos[1:, i] == pos[:-1, i])[0]
+            out.extend(Violation("self_loop", int(t) + 2, i + 1, i + 1) for t in hits)
+    out.sort(key=lambda v: (v.t, v.i, v.j, v.kind))
+    return out
 
 
 def choices_walkers(policy, T, rng):

@@ -404,6 +404,37 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
     assert proc.stdout == "[]\n" + "0\n" * len(runs) + "[]\n"
 
 
+def test_trace_commands_load_no_scipy(tmp_path):
+    binary, walker = tmp_path / "binary.txt", tmp_path / "walker.txt"
+    runs = [
+        ["simulate", "independent", "--k", "2", "--p", "0.3", "--T", "20000", "--seed", "1",
+         "--out", str(binary)],
+        ["simulate", "walkers", "--n", "6", "--k", "3", "--T", "200", "--seed", "1",
+         "--out", str(walker)],
+        ["check-trace", "--in", str(binary)],
+        ["check-trace", "--in", str(walker), "--format", "json"],
+        ["stats", "--in", str(binary), "--p", "0.3"],
+        ["stats", "--in", str(binary), "--p", "0.3", "--format", "csv"],
+    ]
+    code = f"""
+import io, sys
+from contextlib import redirect_stdout
+import avoidance.cli
+for argv in {runs!r}:
+    with redirect_stdout(io.StringIO()):
+        code = avoidance.cli.main(argv)
+    print(code)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # independent walkers collide, and their marginals are faithful
+    assert proc.stdout == "0\n0\n1\n0\n0\n0\n[]\n"
+
+
 def test_taylor_huge_T_returns_quickly():
     # in a subprocess, so a sum that runs for hours fails at the timeout
     proc = subprocess.run(

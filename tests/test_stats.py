@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from avoidance.policies import independent, round_robin, simulate, trivial_k1
-from avoidance.sequences import parse_seq, total_weight
+from avoidance.sequences import Seq, pair_scan, parse_seq, total_weight
 from avoidance.stats import (
+    _array_pairs,
     _autocorrelation,
+    _chi2_sf,
     empirical_stats,
     faithfulness_tests,
     gap_law_chisquare,
 )
-from avoidance.traces import CouplingTrace, encode
+from avoidance.traces import CouplingTrace, encode, symbol_array
+from oracles import brute_pairs
 
 FAITHFUL = simulate(trivial_k1(0.3), 10**6, seed=2024)
 FAITHFUL_SEQ = encode(FAITHFUL)
@@ -145,3 +148,105 @@ def test_autocorrelation_is_exact(bits, lag):
     num = sum((bits[t] - m) * (bits[t + lag] - m) for t in range(T - lag))
     den = sum((b - m) ** 2 for b in bits)
     assert _autocorrelation(np.array(bits, dtype=np.uint8), ones, lag) == num / den
+
+
+SYMBOL_ARRAYS = st.integers(0, 5).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.integers(0, k), max_size=60).map(lambda xs: np.array(xs, dtype=np.int64)),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=SYMBOL_ARRAYS)
+def test_array_pairs_match_pair_scan_and_brute_force(case):
+    k, x = case
+    got = list(zip(*(a.tolist() for a in _array_pairs(x, k))))
+    scan = pair_scan(Seq(k, tuple(x.tolist())))
+    assert got == [(i, t1, t2, between.bit_count()) for i, t1, t2, between in scan.pairs]
+    assert got == brute_pairs(x.tolist(), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=SYMBOL_ARRAYS)
+def test_empirical_stats_of_an_array_equal_those_of_the_word(case):
+    k, x = case
+    assume(x.size)
+    assert empirical_stats(x, 0.3, k) == empirical_stats(Seq(k, tuple(x.tolist())), 0.3)
+
+
+def test_empirical_stats_of_the_trace_symbols():
+    est = empirical_stats(symbol_array(FAITHFUL), 0.3, 1)
+    assert est == empirical_stats(FAITHFUL_SEQ, 0.3)
+
+
+@pytest.mark.parametrize(
+    "x, k, message",
+    [
+        (np.array([0, 1]), None, "needs k"),
+        (np.array([[0, 1]]), 1, "1-d"),
+        (np.array([0, 2]), 1, "0..1"),
+        (np.array([-1, 0]), 1, "0..1"),
+        (np.array([], dtype=np.int64), 1, "nonempty"),
+    ],
+)
+def test_empirical_stats_rejects_bad_arrays(x, k, message):
+    with pytest.raises(ValueError, match=message):
+        empirical_stats(x, 0.3, k)
+
+
+# chi-square tails on a grid of degrees of freedom 1..255 and x in [0, 6 dof]
+CHI2_GRID = [
+    (dof, 6.0 * dof * f)
+    for dof in range(1, 256)
+    for f in (0, 0.001, 0.05, 0.1, 0.15, 1 / 6, 0.2, 0.3, 0.45, 0.7, 1)
+]
+
+
+def test_chi2_tail_matches_scipy():
+    from scipy.special import chdtrc
+
+    for dof, x in CHI2_GRID:
+        assert _chi2_sf(x, dof) == pytest.approx(float(chdtrc(dof, x)), rel=1e-12, abs=0), (dof, x)
+
+
+def test_chi2_tail_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for dof, x in CHI2_GRID:
+            exact = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+            assert _chi2_sf(x, dof) == pytest.approx(float(exact), rel=1e-12, abs=0), (dof, x)
+
+
+def test_chi2_tail_edges():
+    assert _chi2_sf(0.0, 3) == 1.0
+    assert _chi2_sf(math.inf, 3) == 0.0
+    assert _chi2_sf(math.inf, 4) == 0.0
+    assert _chi2_sf(1e6, 255) == 0.0
+    assert _chi2_sf(2.0, 2) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gaps=st.lists(st.integers(1, 40), min_size=60, max_size=200),
+    p=st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.8]),
+)
+def test_gap_law_chisquare_matches_scipy(gaps, p):
+    from scipy import stats as sps
+
+    hist = {}
+    for g in gaps:
+        hist[g] = hist.get(g, 0) + 1
+    try:
+        stat, pvalue, dof = gap_law_chisquare(hist, p)
+    except ValueError:
+        reject()  # too few gaps for the binning
+    n, cut = len(gaps), dof + 1  # gaps below cut are binned singly
+    observed = [hist.get(g, 0) for g in range(1, cut)]
+    observed.append(n - sum(observed))
+    expected = [n * p * (1.0 - p) ** (g - 1) for g in range(1, cut)]
+    expected.append(n * (1.0 - p) ** (cut - 1))
+    want = sps.chisquare(observed, expected)
+    assert stat == pytest.approx(float(want.statistic), rel=1e-12)
+    assert pvalue == pytest.approx(float(want.pvalue), rel=1e-12)

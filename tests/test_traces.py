@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from avoidance.traces import (
     read_trace,
     write_trace,
 )
-from oracles import rowwise_read_trace, rowwise_write_trace
+from oracles import (
+    all_1avoidance_violations,
+    all_walker_violations,
+    rowwise_read_trace,
+    rowwise_write_trace,
+)
 from strategies import EOL, GAP, trace_texts
 
 
@@ -177,12 +183,41 @@ def test_trace_validation():
         ("2 2\n0 1 1\n0\n", "row 1 has 3 values, header says 2"),
         ("1 1\n99999999999999999999\n", "outside the 64-bit integer range"),
         ("1 1 9 0\n-99999999999999999999\n", "outside the 64-bit integer range"),
+        ("1 1\n9223372036854775808\n", "outside the 64-bit integer range"),
+        ("-1 1\n", "header row count must be >= 0, got -1"),
+        ("0 -1\n", "header walker count must be >= 0, got -1"),
+        ("0 2 -3 0\n", "header vertex count must be >= 1, got -3"),
+        ("0 2 0 0\n", "header vertex count must be >= 1, got 0"),
+        ("2 1 3 7\n1\n2\n", "header looped flag must be 0 or 1, got 7"),
+        ("1 1 3 -1\n1\n", "header looped flag must be 0 or 1, got -1"),
     ],
 )
 def test_read_trace_rejections(text, message):
     with pytest.raises(ValueError) as info:
         read_trace(io.StringIO(text))
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        # 18 digits are parsed in place, 19 and more by int()
+        ("1 1 999999999999999999 0\n999999999999999999\n", [[10**18 - 1]]),
+        ("1 1 9223372036854775807 0\n9223372036854775807\n", [[2**63 - 1]]),
+        ("1 1 2000000000000000000 0\n1000000000000000000\n", [[10**18]]),
+        # leading zeros, within and past 18 characters
+        ("2 2\n001 0000\n000000000000000000 01\n", [[1, 0], [0, 1]]),
+        ("2 2\n0000000000000000001 0\n0 00000000000000000000000000001\n", [[1, 0], [0, 1]]),
+        # digit runs next to tokens only int() reads
+        ("2 2 12 1\n1_0 7\n+3 12\n", [[10, 7], [3, 12]]),
+        ("2 2 12 1\n\u0663 7\n11 \uff11\uff12\n", [[3, 7], [11, 12]]),
+        ("2 2\n-0 1\n1 00\n", [[0, 1], [1, 0]]),
+        ("1 3\xa0\n1\u3000 0 0\x85\n", [[1, 0, 0]]),
+    ],
+)
+def test_read_trace_digit_runs_and_other_tokens(text, rows):
+    got, want = read_trace(io.StringIO(text)), rowwise_read_trace(text)
+    assert got.rows.tolist() == want.rows.tolist() == rows
 
 
 def test_char_classes_match_string_methods():
@@ -192,6 +227,57 @@ def test_char_classes_match_string_methods():
     ends_line = np.array([len(("a" + c + "b").splitlines()) == 2 for c in chars])
     assert ((cls & traces._SPACE != 0) == space).all()
     assert ((cls & traces._BREAK != 0) == ends_line).all()
+
+
+def dense_trace(kind, seed, T, k, n, density):
+    """A random trace with many ties: binary rows with ones at ``density``,
+    or positions on few vertices."""
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        return CouplingTrace(k, rng.random((T, k)) < density)
+    return WalkerTrace(n, k, kind == "looped", rng.integers(1, n + 1, size=(T, k)))
+
+
+DENSE_TRACES = st.builds(
+    dense_trace,
+    kind=st.sampled_from(["binary", "walker", "looped"]),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 40)),
+    k=st.integers(1, 5),
+    n=st.integers(1, 6),
+    density=st.sampled_from([0.1, 0.5, 0.9]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tr=DENSE_TRACES, data=st.data())
+def test_counted_violations_match_the_listing_oracle(tr, data):
+    if isinstance(tr, WalkerTrace):
+        check, oracle = check_walker_avoidance, all_walker_violations
+    else:
+        check, oracle = check_1avoidance, all_1avoidance_violations
+    want = oracle(tr)
+    limit = data.draw(st.one_of(st.none(), st.integers(0, len(want) + 3)))
+    report = check(tr, limit)
+    assert report.counts == dict(sorted(Counter(v.kind for v in want).items()))
+    assert report.total == len(want)
+    assert report.ok == (not want)
+    assert report.rounds == tr.T
+    assert list(report.violations) == want[:limit]
+
+
+def test_violation_ties_sort_by_kind():
+    # rows 1 and 2 give walkers 1 and 2 a simultaneous and a cross-time
+    # violation at the same (t, i, j)
+    report = check_1avoidance(binary([[1, 1], [1, 0]]), limit=1)
+    assert report.counts == {"cross_time": 1, "simultaneous": 1}
+    assert [(v.kind, v.t, v.i, v.j) for v in report.violations] == [("cross_time", 1, 1, 2)]
+    report = check_walker_avoidance(walkers([[1, 2], [2, 2]], n=3, looped=True), limit=2)
+    assert [(v.kind, v.t, v.i, v.j) for v in report.violations] == [
+        ("cross_round", 2, 1, 2),
+        ("within_round", 2, 1, 2),
+    ]
+    assert report.counts == {"cross_round": 1, "within_round": 1}
 
 
 def random_trace(kind, seed, T, k, n):
