@@ -6,7 +6,7 @@ walker counts and Bernoulli parameters, trace simulation and checking with
 statistical faithfulness tests, and a window-marginal LP feasibility probe.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bounds import feasible_pressure, max_p, max_walkers, taylor_partial
 from .lemma import (
@@ -18,19 +18,17 @@ from .lemma import (
 )
 from .lp import build_window_lp, scan_p, solve_feasibility
 from .policies import (
-    avoiding_walkers,
-    independent,
-    round_robin,
+    AvoidingWalkers,
+    IndependentSites,
+    RoundRobin,
+    StayingInWaves,
     simulate,
-    staying_in_waves,
-    trivial_k1,
 )
 from .sequences import (
     BLANK,
     Seq,
     blank_count,
     is_permissible,
-    neighbor_pairs,
     parse_seq,
     total_weight,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "Seq",
     "parse_seq",
     "is_permissible",
-    "neighbor_pairs",
     "total_weight",
     "blank_count",
     "redistribution",
@@ -69,11 +66,10 @@ __all__ = [
     "encode",
     "project",
     "simulate",
-    "trivial_k1",
-    "round_robin",
-    "independent",
-    "avoiding_walkers",
-    "staying_in_waves",
+    "RoundRobin",
+    "IndependentSites",
+    "AvoidingWalkers",
+    "StayingInWaves",
     "empirical_stats",
     "faithfulness_tests",
     "build_window_lp",

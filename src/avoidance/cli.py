@@ -247,25 +247,16 @@ def cmd_taylor(ns) -> int:
 
 def _make_policy(ns):
     name = ns.policy
-    if name == "trivial-k1":
-        if ns.p is None:
-            raise ValueError("trivial-k1 requires --p")
-        return policies.trivial_k1(ns.p)
     if name == "round-robin":
-        return policies.round_robin(ns.k)
-    if name == "independent":
+        return policies.RoundRobin(ns.k)
+    if name in ("trivial-k1", "independent"):
         if ns.p is None:
-            raise ValueError("independent requires --p")
-        return policies.independent(ns.k, ns.p)
+            raise ValueError(f"{name} requires --p")
+        return policies.IndependentSites(1 if name == "trivial-k1" else ns.k, ns.p)
     if ns.n is None:
         raise ValueError(f"{name} requires --n")
-    if name == "walkers":
-        return policies.avoiding_walkers(ns.n, ns.k, looped=False)
-    if name == "walkers-looped":
-        return policies.avoiding_walkers(ns.n, ns.k, looped=True)
-    if name == "waves":
-        return policies.staying_in_waves(policies.avoiding_walkers(ns.n, ns.k, looped=False), ns.n)
-    raise ValueError(f"unknown policy {name!r}")
+    walkers = policies.AvoidingWalkers(ns.n, ns.k, looped=name == "walkers-looped")
+    return policies.StayingInWaves(walkers) if name == "waves" else walkers
 
 
 def cmd_simulate(ns) -> int:
@@ -451,8 +442,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return HANDLERS[ns.command](ns)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a size past the address space; a bare MemoryError carries no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -18,15 +18,12 @@ passes from the shorter word up to the longer one, by induction on length.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .sequences import (
     BLANK,
-    NeighborPair,
     PairScan,
     Seq,
     blank_count,
@@ -40,7 +37,6 @@ __all__ = [
     "DELETE_ZERO_WEIGHT_PAIR",
     "COLLAPSE_WEIGHT_ONE_PAIR",
     "DELETE_VICTIM_SYMBOL",
-    "Donation",
     "RedistributionReport",
     "ReductionStep",
     "ReductionCertificate",
@@ -86,13 +82,6 @@ SHARDS_PER_JOB = 8
 
 
 @dataclass(frozen=True)
-class Donation:
-    pair: NeighborPair
-    recipient: int
-    amount: Fraction
-
-
-@dataclass(frozen=True)
 class RedistributionReport:
     """Weight redistribution over a word with no rule-1..3 pattern left.
 
@@ -105,7 +94,6 @@ class RedistributionReport:
 
     input: dict[int, Fraction]
     output: dict[int, Fraction]
-    donations: tuple[Donation, ...]
 
     def input_of(self, j: int) -> Fraction:
         return self.input.get(j, Fraction(0))
@@ -149,12 +137,6 @@ class CheckResult:
         return self.ok
 
 
-@lru_cache(maxsize=None)
-def _donation_denominator(k: int) -> int:
-    """lcm of b(b-1) over b = 2..k: every sum of donations is an integer over it."""
-    return math.lcm(*(b * (b - 1) for b in range(2, k + 1)))
-
-
 def redistribution(s: Seq) -> RedistributionReport:
     """Donate each pair's weight to the distinct walker symbols between it.
 
@@ -166,29 +148,24 @@ def redistribution(s: Seq) -> RedistributionReport:
     """
     if not is_permissible(s):
         raise ValueError("sequence is not permissible")
-    k = s.k
     scan = pair_scan(s)
-    den = _donation_denominator(k)
+    # b and b - 1 are coprime and at most k, so b(b-1) divides lcm(1..k)
+    den = scan.denominator
     scaled_inp: dict[int, int] = {}
-    donations = []
-    for pair, (_, _, _, between) in zip(scan.neighbor_pairs(), scan.pairs):
-        b = pair.b
+    for sym, t1, t2, between in scan.pairs:
+        b = between.bit_count()
         if b <= 1:
             raise ValueError(
-                f"pair ({pair.t1},{pair.t2}) of symbol {pair.symbol} has "
-                f"b={b}; rules 1..3 are not exhausted"
+                f"pair ({t1},{t2}) of symbol {sym} has b={b}; rules 1..3 are not exhausted"
             )
         if not between & (1 << BLANK):
-            raise ValueError(
-                f"pair ({pair.t1},{pair.t2}) has no blank between its endpoints"
-            )
-        amount = Fraction(1, b * (b - 1))
+            raise ValueError(f"pair ({t1},{t2}) has no blank between its endpoints")
+        share = den // (b * (b - 1))
         for r in range(1, between.bit_length()):
             if between >> r & 1:
-                donations.append(Donation(pair, r, amount))
-                scaled_inp[r] = scaled_inp.get(r, 0) + den // (b * (b - 1))
+                scaled_inp[r] = scaled_inp.get(r, 0) + share
     inp = {r: Fraction(scaled_inp[r], den) for r in sorted(scaled_inp)}
-    return RedistributionReport(inp, scan.outputs(), tuple(donations))
+    return RedistributionReport(inp, scan.outputs())
 
 
 def apply_edit(s: Seq, rule: str, arg: int) -> Seq:

@@ -1,12 +1,13 @@
 """Trace-generating policies and the simulation driver.
 
 A policy is a frozen configuration whose ``generate(T, rng)`` emits T rows
-deterministically from a seeded generator.  Shipped policies: a faithful
-single-walker Bernoulli source, two negative controls (deterministic
-alternation, fully independent walkers), greedy random avoiding walkers on
-the complete graph, and the wave transform turning a loopless policy into a
-looped one.  Only the single-walker sources are faithful; the avoiding
-walkers keep the no-collision discipline but make no claim about marginals.
+deterministically from a seeded generator.  Shipped policies: i.i.d.
+Bernoulli sites (``IndependentSites(1, p)`` is the faithful single-walker
+source; k >= 2 is a negative control), deterministic alternation (another
+negative control), greedy random avoiding walkers on the complete graph, and
+the wave transform turning a loopless policy into a looped one.  Only the
+single-walker sources are faithful; the avoiding walkers keep the
+no-collision discipline but make no claim about marginals.
 """
 
 from __future__ import annotations
@@ -21,36 +22,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "trivial_k1",
-    "round_robin",
-    "independent",
-    "avoiding_walkers",
-    "staying_in_waves",
-    "simulate",
-    "BernoulliSite",
     "RoundRobin",
     "IndependentSites",
     "AvoidingWalkers",
     "StayingInWaves",
+    "simulate",
 ]
-
-
-@dataclass(frozen=True)
-class BernoulliSite:
-    """One walker occupying the site i.i.d. with probability p (faithful)."""
-
-    p: float
-    kind: ClassVar[str] = "binary"
-    k: ClassVar[int] = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
-
-    def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        import numpy as np
-
-        return (rng.random(T) < self.p).astype(np.uint8)[:, None]
 
 
 @dataclass(frozen=True)
@@ -80,7 +57,8 @@ class RoundRobin:
 class IndependentSites:
     """k walkers occupying independently with probability p each.
 
-    Negative control: collides at rate about p^2 per unordered pair.
+    Faithful for k = 1, the single Bernoulli site; for k >= 2 a negative
+    control that collides at rate about p^2 per unordered pair.
     """
 
     k: int
@@ -177,15 +155,16 @@ class StayingInWaves:
     """
 
     inner: AvoidingWalkers
-    n: int
     kind: ClassVar[str] = "walker"
     looped: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if getattr(self.inner, "kind", None) != "walker" or self.inner.looped:
             raise ValueError("inner policy must emit loopless walker rows")
-        if self.n != self.inner.n:
-            raise ValueError(f"n={self.n} does not match the inner policy's n={self.inner.n}")
+
+    @property
+    def n(self) -> int:
+        return self.inner.n
 
     @property
     def k(self) -> int:
@@ -211,28 +190,6 @@ class StayingInWaves:
         out[~seeded] = np.asarray(self.start, dtype=np.int64)
         out[seeded] = inner_rows[idx[seeded]]
         return out
-
-
-def trivial_k1(p: float) -> BernoulliSite:
-    return BernoulliSite(p)
-
-
-def round_robin(k: int) -> RoundRobin:
-    return RoundRobin(k)
-
-
-def independent(k: int, p: float) -> IndependentSites:
-    return IndependentSites(k, p)
-
-
-def avoiding_walkers(
-    n: int, k: int, looped: bool = False, start: tuple[int, ...] = ()
-) -> AvoidingWalkers:
-    return AvoidingWalkers(n, k, looped, tuple(start))
-
-
-def staying_in_waves(policy: AvoidingWalkers, n: int) -> StayingInWaves:
-    return StayingInWaves(policy, n)
 
 
 def simulate(policy, T: int, seed: int) -> CouplingTrace | WalkerTrace:

@@ -30,7 +30,6 @@ __all__ = [
     "parse_seq",
     "is_permissible",
     "pair_scan",
-    "neighbor_pairs",
     "total_weight",
     "blank_count",
 ]
@@ -238,14 +237,6 @@ def pair_scan(s: Seq) -> PairScan:
         last[sym] = t2
     pairs.sort()
     return PairScan(k, pairs, by_b)
-
-
-def neighbor_pairs(s: Seq) -> list[NeighborPair]:
-    """All neighbor pairs, ordered by (symbol, t1).
-
-    Each walker symbol occurring m >= 1 times contributes exactly m - 1 pairs.
-    """
-    return pair_scan(s).neighbor_pairs()
 
 
 def total_weight(s: Seq) -> WeightReport:

@@ -31,12 +31,11 @@ from avoidance.lp import (
     witness_residual,
 )
 from avoidance.policies import (
-    avoiding_walkers,
-    independent,
-    round_robin,
+    AvoidingWalkers,
+    IndependentSites,
+    RoundRobin,
+    StayingInWaves,
     simulate,
-    staying_in_waves,
-    trivial_k1,
 )
 from avoidance.sequences import Seq, is_permissible, parse_seq, total_weight
 from avoidance.stats import empirical_stats, faithfulness_tests, gap_law_chisquare
@@ -142,7 +141,7 @@ def test_criterion_4_bounds():
 def test_criterion_5_simulator_statistics():
     p, T, seed = 0.3, 10**6, 2024
     start = time.perf_counter()
-    trace = simulate(trivial_k1(p), T, seed)
+    trace = simulate(IndependentSites(1, p), T, seed)
     seq = encode(trace)
     est = empirical_stats(seq, p)
     _, pvalue, _ = gap_law_chisquare(est.gap_histogram[1], p)
@@ -159,7 +158,7 @@ def test_criterion_5_simulator_statistics():
 
 def test_criterion_6_negative_controls(tmp_path):
     p, T = 0.3, 10**5
-    trace = simulate(independent(2, p), T, seed=101)
+    trace = simulate(IndependentSites(2, p), T, seed=101)
     report = check_1avoidance(trace)
     freq = report.count("simultaneous") / T
     sigma = math.sqrt(p * p * (1 - p * p) / T)
@@ -174,7 +173,7 @@ def test_criterion_6_negative_controls(tmp_path):
     run_cli(["simulate", "round-robin", "--k", "2", "--T", "10000", "--seed", "0",
              "--out", str(rr_path)])
     code_rr, _ = run_cli(["stats", "--in", str(rr_path), "--p", "0.5"])
-    rr_report = faithfulness_tests(simulate(round_robin(2), 10**4, 0), 0.5)
+    rr_report = faithfulness_tests(simulate(RoundRobin(2), 10**4, 0), 0.5)
     lag1_fails = any(
         o.name == "autocorr_lag_1" and not o.passed for o in rr_report.outcomes
     )
@@ -193,7 +192,7 @@ def test_criterion_7_projection_and_waves():
         k_max = min(4, n if looped else n - 1)
         k = int(rng.integers(1, k_max + 1))
         T = int(rng.integers(10, 41))
-        trace = simulate(avoiding_walkers(n, k, looped=looped), T, int(rng.integers(2**32)))
+        trace = simulate(AvoidingWalkers(n, k, looped=looped), T, int(rng.integers(2**32)))
         if not check_walker_avoidance(trace).ok:
             failures += 1
             continue
@@ -201,7 +200,7 @@ def test_criterion_7_projection_and_waves():
         if not check_1avoidance(proj).ok or not is_permissible(encode(proj)):
             failures += 1
     n, T = 5, 10**6
-    waves_trace = simulate(staying_in_waves(avoiding_walkers(n, 1), n), T, seed=77)
+    waves_trace = simulate(StayingInWaves(AvoidingWalkers(n, 1)), T, seed=77)
     counts = np.bincount(waves_trace.rows[:, 0], minlength=n + 1)[1:]
     sigma = math.sqrt((1 / n) * (1 - 1 / n) / T)
     waves_ok = all(abs(c / T - 1 / n) < 4 * sigma for c in counts)

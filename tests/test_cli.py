@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avoidance.cli import main
+from avoidance.cli import POLICIES, main
 from strategies import trace_texts, word_texts
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
@@ -218,6 +219,37 @@ def test_byte_identical_reruns():
         assert out_a == out_b, args
 
 
+# sha256 of `simulate ... --T 2000` stdout per policy and seed; a change to
+# any policy's random stream or row layout shows up here
+SIMULATE_DIGESTS = [
+    (["trivial-k1", "--p", "0.3"], 1, "70dd3596218285912e1ab751a819932031ecde3860b0dbb81b8c40b897fcf73b"),
+    (["trivial-k1", "--p", "0.3"], 7, "173897f76196cbe0b147cf84df1e1324b3541e4f3a6ab8b24817818469460c36"),
+    (["trivial-k1", "--p", "0.3"], 2024, "047a3e9d35bad3136c17d08d166caa02088c7896ba99d1f86723e11cbc39014a"),
+    (["round-robin", "--k", "3"], 1, "d41377262f0756c04de2429e0af810c52bfac5d9d80ac2e3edbee536a290ec65"),
+    (["round-robin", "--k", "3"], 7, "d41377262f0756c04de2429e0af810c52bfac5d9d80ac2e3edbee536a290ec65"),
+    (["round-robin", "--k", "3"], 2024, "d41377262f0756c04de2429e0af810c52bfac5d9d80ac2e3edbee536a290ec65"),
+    (["independent", "--k", "3", "--p", "0.2"], 1, "2bc633bf77e76bba897f2e8821bacecc99e1fae516d22b5748b806ead6f5738f"),
+    (["independent", "--k", "3", "--p", "0.2"], 7, "f7c7efb216ac7fa727cc7dd7c50dbe55507b1d0aa226aac33bad16ce93dcc7e5"),
+    (["independent", "--k", "3", "--p", "0.2"], 2024, "f8d78a4e5d51584e452113c91461569f2c6f47d7948ff86aee09090309132448"),
+    (["walkers", "--n", "7", "--k", "3"], 1, "8f2ec43addceafaab36a3d1bf5f8241ccc736a42a5a6ae2683dfa5fdd2af8cd3"),
+    (["walkers", "--n", "7", "--k", "3"], 7, "269e8510374f826271d5db59d79fedbd0231901a2cd22c5293e56ae49c4d8d6f"),
+    (["walkers", "--n", "7", "--k", "3"], 2024, "3e5829bf739dd8c28bd4f8059d35c8bedf4e329e3bc4b8c8c2f9374a074d02b8"),
+    (["walkers-looped", "--n", "5", "--k", "3"], 1, "bff56f13b911e3fe7dc2ce2de14a94af56b0b7c56460ef2ddeb1f11f499dd597"),
+    (["walkers-looped", "--n", "5", "--k", "3"], 7, "1495fbe231a78695c418332ecde90e9a2d45b6ac31c703cf31778cd1455bac6b"),
+    (["walkers-looped", "--n", "5", "--k", "3"], 2024, "434905346057ec8f3aeef2c93d4cd5037851a09547fe43991cd73cd57d6ffab5"),
+    (["waves", "--n", "6", "--k", "2"], 1, "c1ff94444b20a1ac899d0293c799c3a926f35f2527f3771c079fd12b13ba3312"),
+    (["waves", "--n", "6", "--k", "2"], 7, "0a1708a5373a8df24220cc46171772154755e88a2e499e67e204f833f2333134"),
+    (["waves", "--n", "6", "--k", "2"], 2024, "dc5ea1d1358b31097b5dadab0c50f2d93509bab2c0c5e7dd294c87ae3ff7c4f3"),
+]
+
+
+@pytest.mark.parametrize("policy, seed, digest", SIMULATE_DIGESTS)
+def test_simulate_output_is_pinned(policy, seed, digest):
+    code, out = run_cli(["simulate", *policy, "--T", "2000", "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_module_entry_point(seq_file):
     proc = subprocess.run(
         [sys.executable, "-m", "avoidance", "bound", "--n", "21"],
@@ -298,10 +330,28 @@ TOL = st.floats(1e-12, 1e-3).map(repr)
 # the LP commands keep k <= 4 and m <= 4, so a valid instance has at most 625 windows
 SMALL = st.one_of(st.integers(1, 4).map(str), st.sampled_from(["0", "-1", "nan", "inf", "1/0", "2.5"]))
 TERMS = st.one_of(st.integers(-2, 10**5).map(str), NUMERIC)
+# simulate sizes are at most 50 or at least 10^15: an array that large fails
+# to allocate at once, while a mid-range size would really be allocated;
+# valid values are drawn often enough that the success paths run too
+def mostly(valid):
+    """``valid`` four draws in five, else a NUMERIC value.  one_of would
+    flatten NUMERIC's branches and draw its junk far more often."""
+    return st.integers(0, 4).flatmap(lambda i: valid if i else NUMERIC)
+
+
+SIZE = mostly(st.one_of(st.integers(1, 50).map(str), st.sampled_from(HUGE).map(str)))
+POLICY_OPTIONS = {
+    "--k": SIZE,
+    "--n": SIZE,
+    "--T": SIZE,
+    "--p": mostly(PROB),
+    "--seed": mostly(st.integers(0, 2**64).map(str)),
+}
 
 
 def command_args():
-    """(subcommand, {option: value}) with numeric options for five subcommands."""
+    """(subcommand words, {option: value}) with numeric options for five
+    subcommands and each simulate policy."""
     grid = st.lists(st.one_of(RATIONAL, PROB, NUMERIC), min_size=1, max_size=2).map(",".join)
     options = {
         "bound": {"--n": NUMERIC},
@@ -310,6 +360,7 @@ def command_args():
         "lp-build": {"--k": SMALL, "--p": st.one_of(RATIONAL, PROB, NUMERIC), "--m": SMALL},
         "lp-scan": {"--k": SMALL, "--m": SMALL, "--grid": grid, "--tol": st.one_of(TOL, TOL, NUMERIC)},
     }
+    options.update({f"simulate {policy}": POLICY_OPTIONS for policy in POLICIES})
     return st.one_of(
         st.tuples(st.just(name), st.fixed_dictionaries(opts)) for name, opts in options.items()
     )
@@ -320,13 +371,33 @@ def command_args():
 def test_numeric_options_keep_the_exit_code_contract(command, fmt):
     name, opts = command
     # option=value, so a value that starts with "-" is not read as a flag
-    argv = [name, f"--format={fmt}"] + [f"{flag}={value}" for flag, value in opts.items()]
+    argv = name.split() + [f"--format={fmt}"] + [f"{flag}={value}" for flag, value in opts.items()]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2), argv
+    # a simulation has no verdict, so exit 1 is never its answer
+    assert code in ((0, 2) if name.startswith("simulate") else (0, 1, 2)), argv
     if code == 2:
         assert out.getvalue() == "", argv
+        assert err.getvalue().strip() not in ("", "error:"), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["round-robin", "--k", str(10**15), "--T", "3"],
+        ["trivial-k1", "--p", "0.3", "--T", str(10**15)],
+        # the start tuple's bare MemoryError has no text of its own
+        ["walkers-looped", "--n", str(10**15), "--k", str(10**15), "--T", "3"],
+        # a start tuple longer than sys.maxsize is an OverflowError
+        ["walkers-looped", "--n", str(10**23), "--k", str(10**23), "--T", "3"],
+    ],
+)
+def test_simulate_past_the_address_space_exit_2(argv, capsys):
+    assert main(["simulate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.strip() != "error:"
 
 
 @pytest.mark.parametrize("command", [["stats", "--p", "0.3"], ["check-trace"]])

@@ -19,7 +19,7 @@ from avoidance.lemma import (
     reduce_certificate,
     verify_lemma_exhaustive,
 )
-from avoidance.sequences import Seq, neighbor_pairs, pair_scan, total_weight
+from avoidance.sequences import Seq, pair_scan, total_weight
 
 from oracles import (
     brute_pairs,
@@ -73,7 +73,7 @@ def test_kernel_pairs_match_definition(s):
     for _, t1, t2, between in scan.pairs:
         window = set(s.symbols[t1 : t2 - 1])
         assert between == sum(1 << x for x in window)
-    pairs = neighbor_pairs(s)
+    pairs = pair_scan(s).neighbor_pairs()
     for p, (i, t1, t2, b) in zip(pairs, brute_pairs(list(s.symbols), s.k)):
         assert (p.symbol, p.t1, p.t2, p.b) == (i, t1, t2, b)
         assert p.weight == (Fraction(1, b) if b else 0)

@@ -21,7 +21,7 @@ from avoidance.lemma import (
     redistribution,
     verify_lemma_exhaustive,
 )
-from avoidance.sequences import BLANK, Seq, blank_count, parse_seq, total_weight
+from avoidance.sequences import BLANK, Seq, blank_count, pair_scan, parse_seq, total_weight
 
 from oracles import brute_redistribution
 
@@ -65,10 +65,22 @@ def test_redistribution_rejects_low_b():
         redistribution(parse_seq("1 B 1", 1))
 
 
+def pair_donations(s):
+    """(symbol, t1, recipients, amount) per pair: the pair donates amount
+    1/(b(b-1)) to each walker symbol in its ``between`` bit set."""
+    for sym, t1, _, between in pair_scan(s).pairs:
+        b = between.bit_count()
+        recipients = [r for r in range(1, between.bit_length()) if between >> r & 1]
+        yield sym, t1, recipients, Fraction(1, b * (b - 1))
+
+
 def test_redistribution_never_donates_to_own_symbol():
-    red = redistribution(REDUCED_EXAMPLE)
-    for d in red.donations:
-        assert d.recipient != d.pair.symbol
+    received = {}
+    for sym, _, recipients, amount in pair_donations(REDUCED_EXAMPLE):
+        assert sym not in recipients
+        for r in recipients:
+            received[r] = received.get(r, 0) + amount
+    assert received == redistribution(REDUCED_EXAMPLE).input
 
 
 @given(permissible_seqs())
@@ -268,18 +280,17 @@ def collect_victim_steps(k, max_len):
 
 
 def test_victim_deletion_pair_by_pair_donation():
-    from avoidance.sequences import neighbor_pairs
-
     interesting = 0
     for step in collect_victim_steps(3, 7):
         j = step.symbol
-        red = step.redistribution
-        donated = {}
-        for d in red.donations:
-            if d.recipient == j:
-                donated[(d.pair.symbol, d.pair.t1)] = d.amount
-        before_pairs = [p for p in neighbor_pairs(step.before) if p.symbol != j]
-        after_pairs = neighbor_pairs(step.after)
+        donated = {
+            (sym, t1): amount
+            for sym, t1, recipients, amount in pair_donations(step.before)
+            if j in recipients
+        }
+        assert sum(donated.values()) == step.redistribution.input_of(j)
+        before_pairs = [p for p in pair_scan(step.before).neighbor_pairs() if p.symbol != j]
+        after_pairs = pair_scan(step.after).neighbor_pairs()
         assert len(before_pairs) == len(after_pairs)
         # occurrences of surviving symbols are untouched, so pairs line up in order
         for bp, ap in zip(before_pairs, after_pairs):

@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from avoidance.policies import (
     AvoidingWalkers,
+    IndependentSites,
+    RoundRobin,
     StayingInWaves,
-    avoiding_walkers,
-    independent,
-    round_robin,
     simulate,
-    staying_in_waves,
-    trivial_k1,
 )
 from avoidance.traces import (
     CouplingTrace,
@@ -24,20 +21,20 @@ from oracles import choices_walkers
 
 
 def test_simulate_is_deterministic():
-    a = simulate(trivial_k1(0.3), 10, seed=42)
-    b = simulate(trivial_k1(0.3), 10, seed=42)
-    c = simulate(trivial_k1(0.3), 10, seed=43)
+    a = simulate(IndependentSites(1, 0.3), 10, seed=42)
+    b = simulate(IndependentSites(1, 0.3), 10, seed=42)
+    c = simulate(IndependentSites(1, 0.3), 10, seed=43)
     assert (a.rows == b.rows).all()
     assert (a.rows != c.rows).any()
 
 
 def test_round_robin_rows():
-    tr = simulate(round_robin(2), 4, seed=0)
+    tr = simulate(RoundRobin(2), 4, seed=0)
     assert tr.rows.tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
 
 
 def test_independent_walkers_collide():
-    tr = simulate(independent(2, 0.5), 10**5, seed=1)
+    tr = simulate(IndependentSites(2, 0.5), 10**5, seed=1)
     report = check_1avoidance(tr)
     assert not report.ok
     freq = report.count("simultaneous") / tr.T
@@ -47,13 +44,13 @@ def test_independent_walkers_collide():
 
 def test_avoiding_walkers_pass_checks():
     for k, n, looped, seed in [(1, 5, False, 0), (2, 6, False, 1), (3, 5, True, 2), (4, 9, False, 3)]:
-        tr = simulate(avoiding_walkers(n, k, looped=looped), 200, seed=seed)
+        tr = simulate(AvoidingWalkers(n, k, looped=looped), 200, seed=seed)
         assert isinstance(tr, WalkerTrace)
         assert check_walker_avoidance(tr).ok, (k, n, looped)
 
 
 def test_avoiding_walkers_k1_is_uniform_off_diagonal():
-    tr = simulate(avoiding_walkers(4, 1), 200_000, seed=7)
+    tr = simulate(AvoidingWalkers(4, 1), 200_000, seed=7)
     pos = tr.rows[:, 0]
     assert (pos[1:] != pos[:-1]).all()
     counts = np.bincount(pos, minlength=5)[1:]
@@ -62,13 +59,13 @@ def test_avoiding_walkers_k1_is_uniform_off_diagonal():
 
 def test_avoiding_walkers_needs_room():
     with pytest.raises(ValueError):
-        avoiding_walkers(3, 3, looped=False)
-    avoiding_walkers(3, 3, looped=True)  # legal: everyone may stay put
+        AvoidingWalkers(3, 3, looped=False)
+    AvoidingWalkers(3, 3, looped=True)  # legal: everyone may stay put
 
 
 def test_waves_repeat_rows_exactly():
     n, T, seed = 5, 2000, 11
-    policy = staying_in_waves(avoiding_walkers(n, 1), n)
+    policy = StayingInWaves(AvoidingWalkers(n, 1))
     tr = simulate(policy, T, seed)
     # reconstruct the wave mask: the indicators are drawn first from the stream
     rng = np.random.default_rng(seed)
@@ -81,7 +78,7 @@ def test_waves_repeat_rows_exactly():
 
 def test_waves_frequency_matches_rate():
     n, T = 5, 10**6
-    policy = staying_in_waves(avoiding_walkers(n, 1), n)
+    policy = StayingInWaves(AvoidingWalkers(n, 1))
     tr = simulate(policy, T, seed=3)
     prev = np.concatenate([[policy.start[0]], tr.rows[:-1, 0]])
     stay_rate = (tr.rows[:, 0] == prev).mean()
@@ -93,7 +90,7 @@ def test_waves_positions_are_uniform():
     # staying in waves turns the loopless uniform walker into an i.i.d.
     # uniform one: P(stay) = 1/n and P(move to any fixed other vertex) = 1/n
     n, T = 5, 10**6
-    tr = simulate(staying_in_waves(avoiding_walkers(n, 1), n), T, seed=17)
+    tr = simulate(StayingInWaves(AvoidingWalkers(n, 1)), T, seed=17)
     counts = np.bincount(tr.rows[:, 0], minlength=n + 1)[1:]
     sigma = math.sqrt((1 / n) * (1 - 1 / n) / T)
     for c in counts:
@@ -102,13 +99,15 @@ def test_waves_positions_are_uniform():
 
 def test_waves_requires_loopless_inner():
     with pytest.raises(ValueError):
-        staying_in_waves(avoiding_walkers(5, 1, looped=True), 5)
+        StayingInWaves(AvoidingWalkers(5, 1, looped=True))
     with pytest.raises(ValueError):
-        staying_in_waves(avoiding_walkers(5, 1), 6)
+        StayingInWaves(IndependentSites(1, 0.5))
+    # the wave rate 1/n is the inner walkers' n
+    assert StayingInWaves(AvoidingWalkers(5, 1)).n == 5
 
 
 def test_waves_multiwalker_passes_walker_check():
-    policy = staying_in_waves(avoiding_walkers(7, 3), 7)
+    policy = StayingInWaves(AvoidingWalkers(7, 3))
     tr = simulate(policy, 500, seed=23)
     assert tr.looped
     assert check_walker_avoidance(tr).ok
@@ -116,12 +115,12 @@ def test_waves_multiwalker_passes_walker_check():
 
 def test_simulate_rejects_bad_T():
     with pytest.raises(ValueError):
-        simulate(trivial_k1(0.5), 0, seed=0)
+        simulate(IndependentSites(1, 0.5), 0, seed=0)
 
 
 def test_binary_policies_emit_coupling_traces():
-    assert isinstance(simulate(trivial_k1(0.2), 5, 0), CouplingTrace)
-    assert isinstance(simulate(independent(3, 0.2), 5, 0), CouplingTrace)
+    assert isinstance(simulate(IndependentSites(1, 0.2), 5, 0), CouplingTrace)
+    assert isinstance(simulate(IndependentSites(3, 0.2), 5, 0), CouplingTrace)
 
 
 class ChoicesWalkers(AvoidingWalkers):
@@ -151,7 +150,7 @@ def test_rank_draw_matches_choices_loop(setup, waves, T, seed):
     n, k, looped, start = setup
     fast, slow = AvoidingWalkers(n, k, looped, start), ChoicesWalkers(n, k, looped, start)
     if waves and not looped:  # waves wrap loopless walkers only
-        fast, slow = StayingInWaves(fast, n), StayingInWaves(slow, n)
+        fast, slow = StayingInWaves(fast), StayingInWaves(slow)
     rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
     got, want = fast.generate(T, rng_fast), slow.generate(T, rng_slow)
     assert got.dtype == want.dtype and np.array_equal(got, want)

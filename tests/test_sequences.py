@@ -9,7 +9,7 @@ from avoidance.sequences import (
     Seq,
     blank_count,
     is_permissible,
-    neighbor_pairs,
+    pair_scan,
     parse_seq,
     total_weight,
 )
@@ -80,7 +80,7 @@ def test_is_permissible(tokens, k, expected):
 
 def test_worked_example_pairs_of_symbol_three():
     s = parse_seq(WORKED_EXAMPLE, 3)
-    threes = [p for p in neighbor_pairs(s) if p.symbol == 3]
+    threes = [p for p in pair_scan(s).neighbor_pairs() if p.symbol == 3]
     assert [(p.t1, p.t2) for p in threes] == [(2, 5), (5, 6), (6, 8), (8, 15)]
     assert [p.weight for p in threes] == [
         Fraction(1, 2),
@@ -91,11 +91,11 @@ def test_worked_example_pairs_of_symbol_three():
 
 
 def test_single_occurrence_has_no_pair():
-    assert neighbor_pairs(Seq(1, (1,))) == []
+    assert pair_scan(Seq(1, (1,))).neighbor_pairs() == []
 
 
 def test_pair_with_one_distinct_between():
-    pairs = neighbor_pairs(Seq(2, (1, 2, 1)))
+    pairs = pair_scan(Seq(2, (1, 2, 1))).neighbor_pairs()
     assert len(pairs) == 1
     p = pairs[0]
     assert (p.t1, p.t2, p.b, p.weight) == (1, 3, 1, Fraction(1))
@@ -144,7 +144,7 @@ def test_permissibility_matches_brute_force(s):
 
 @given(seqs())
 def test_pairs_partition_occurrences(s):
-    pairs = neighbor_pairs(s)
+    pairs = pair_scan(s).neighbor_pairs()
     for i in set(s.symbols) - {BLANK}:
         m = s.symbols.count(i)
         assert sum(1 for p in pairs if p.symbol == i) == m - 1
@@ -153,7 +153,7 @@ def test_pairs_partition_occurrences(s):
 
 @given(seqs())
 def test_weights_are_unit_fractions(s):
-    for p in neighbor_pairs(s):
+    for p in pair_scan(s).neighbor_pairs():
         assert 0 <= p.b <= s.k
         if p.b == 0:
             assert p.weight == 0 and p.t2 == p.t1 + 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from avoidance.policies import independent, round_robin, simulate, trivial_k1
+from avoidance.policies import IndependentSites, RoundRobin, simulate
 from avoidance.sequences import Seq, pair_scan, parse_seq, total_weight
 from avoidance.stats import (
     _array_pairs,
@@ -18,7 +18,7 @@ from avoidance.stats import (
 from avoidance.traces import CouplingTrace, encode, symbol_array
 from oracles import brute_pairs
 
-FAITHFUL = simulate(trivial_k1(0.3), 10**6, seed=2024)
+FAITHFUL = simulate(IndependentSites(1, 0.3), 10**6, seed=2024)
 FAITHFUL_SEQ = encode(FAITHFUL)
 
 
@@ -91,7 +91,7 @@ def test_faithfulness_accepts_genuine_source():
 
 
 def test_faithfulness_flags_round_robin_lag1():
-    tr = simulate(round_robin(2), 10**4, seed=0)
+    tr = simulate(RoundRobin(2), 10**4, seed=0)
     report = faithfulness_tests(tr, 0.5)
     assert not report.passed
     freq = [o for o in report.outcomes if o.name == "frequency"]
@@ -110,7 +110,7 @@ def test_faithfulness_flags_all_zero_trace():
 
 
 def test_faithfulness_requires_long_trace():
-    tr = simulate(trivial_k1(0.3), 100, seed=0)
+    tr = simulate(IndependentSites(1, 0.3), 100, seed=0)
     with pytest.raises(ValueError):
         faithfulness_tests(tr, 0.3)
 
@@ -124,7 +124,7 @@ def test_faithfulness_wrong_p_fails_frequency():
 def test_independent_marginals_are_faithful():
     # marginals of independent walkers are genuinely i.i.d. even though the
     # joint law collides; faithfulness alone must accept it
-    tr = simulate(independent(2, 0.3), 10**5, seed=5)
+    tr = simulate(IndependentSites(2, 0.3), 10**5, seed=5)
     assert faithfulness_tests(tr, 0.3).passed
 
 
