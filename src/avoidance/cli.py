@@ -18,7 +18,16 @@ from fractions import Fraction
 from . import __version__, bounds, lemma, lp, policies, sequences, stats, traces
 from .reporting import frac_text, jsonable, render_csv, render_json, sig12
 
-POLICIES = ("trivial-k1", "round-robin", "independent", "walkers", "walkers-looped", "waves")
+# the size and probability options each simulate policy reads
+POLICY_OPTIONS = {
+    "trivial-k1": ("p",),
+    "round-robin": ("k",),
+    "independent": ("k", "p"),
+    "walkers": ("n", "k"),
+    "walkers-looped": ("n", "k"),
+    "waves": ("n", "k"),
+}
+POLICIES = tuple(POLICY_OPTIONS)
 
 # capped listings keep reports on huge traces readable and deterministic
 MAX_LISTED_VIOLATIONS = 100
@@ -66,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("policy", choices=POLICIES)
     sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=int, default=None, help="walkers (default 1)")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", type=float, default=None)
 
@@ -247,15 +256,21 @@ def cmd_taylor(ns) -> int:
 
 def _make_policy(ns):
     name = ns.policy
+    unread = [
+        f"--{opt}" for opt in ("k", "n", "p") if getattr(ns, opt) is not None and opt not in POLICY_OPTIONS[name]
+    ]
+    if unread:
+        raise ValueError(f"{name} does not take {' or '.join(unread)}")
+    k = 1 if ns.k is None else ns.k
     if name == "round-robin":
-        return policies.RoundRobin(ns.k)
+        return policies.RoundRobin(k)
     if name in ("trivial-k1", "independent"):
         if ns.p is None:
             raise ValueError(f"{name} requires --p")
-        return policies.IndependentSites(1 if name == "trivial-k1" else ns.k, ns.p)
+        return policies.IndependentSites(1 if name == "trivial-k1" else k, ns.p)
     if ns.n is None:
         raise ValueError(f"{name} requires --n")
-    walkers = policies.AvoidingWalkers(ns.n, ns.k, looped=name == "walkers-looped")
+    walkers = policies.AvoidingWalkers(ns.n, k, looped=name == "walkers-looped")
     return policies.StayingInWaves(walkers) if name == "waves" else walkers
 
 

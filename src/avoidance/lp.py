@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .sequences import symbol_text
@@ -43,6 +44,17 @@ __all__ = [
 
 WINDOW_BUDGET = 200_000
 
+# HiGHS's interior-point solver (with crossover) was the fastest measured on
+# the phase-one LPs of k = 2, m = 9 and k = 3, m = 6..7.  Its default
+# tolerances (1e-7, 1e-8) exceed the right-hand sides p^m of small p, and a
+# solution that drops those fails the witness re-check at tol = 1e-9.
+SOLVER_METHOD = "highs-ipm"
+SOLVER_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "ipm_optimality_tolerance": 1e-10,
+}
+
 
 def window_text(w: tuple[int, ...]) -> str:
     return "".join(symbol_text(s) for s in w) if w else "-"
@@ -57,13 +69,20 @@ class WindowLP:
     a decreasing adjacent walker pair are pinned to zero through
     ``zero_vars`` (variable bounds, not rows).  All coefficients are 0/+-1;
     ``b_exact`` keeps the right-hand sides as exact rationals.
+
+    A is held in compressed-column form: column c's entries are
+    ``row_ind[col_ptr[c]:col_ptr[c + 1]]`` (increasing) with coefficients
+    ``coef`` at the same positions.  ``A`` is the same matrix as a scipy CSR
+    matrix, built on first access.
     """
 
     k: int
     p: Fraction
     m: int
     windows: tuple[tuple[int, ...], ...]
-    A: sparse.csr_matrix
+    col_ptr: np.ndarray
+    row_ind: np.ndarray
+    coef: np.ndarray
     b: np.ndarray
     b_exact: tuple[Fraction, ...]
     row_labels: tuple[str, ...]
@@ -76,6 +95,20 @@ class WindowLP:
     @property
     def num_rows(self) -> int:
         return len(self.row_labels)
+
+    @cached_property
+    def A(self) -> sparse.csr_matrix:
+        from scipy import sparse
+
+        shape = (self.num_rows, self.num_vars)
+        return sparse.csc_matrix((self.coef, self.row_ind, self.col_ptr), shape=shape).tocsr()
+
+    def entries(self) -> tuple[list[int], list[int], list[int]]:
+        """(row, column, integer coefficient) lists of A's nonzeros, column by column."""
+        import numpy as np
+
+        cols = np.repeat(np.arange(self.num_vars), np.diff(self.col_ptr))
+        return self.row_ind.tolist(), cols.tolist(), self.coef.astype(np.int64).tolist()
 
 
 def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
@@ -97,7 +130,6 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
     if m >= WINDOW_BUDGET.bit_length() or (k + 1) ** m > WINDOW_BUDGET:
         raise ValueError(f"(k+1)^m = {k + 1}^{m} windows exceed the budget {WINDOW_BUDGET}")
     import numpy as np
-    from scipy import sparse
 
     base, n = k + 1, (k + 1) ** m
     n_shift = n // base  # one shift row per length m-1 word
@@ -109,23 +141,22 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
         occupied = np.flatnonzero(d)
         indicator[d[occupied] - 1, occupied] += 1 << (m - 1 - j)
 
-    # every window enters the normalization row, +1 the shift row of its
-    # last m-1 symbols, -1 the shift row of its first m-1 symbols, and one
-    # faithfulness row per walker
-    rows = np.concatenate(
-        [
-            np.zeros(n, dtype=np.int64),
-            1 + codes % n_shift,
-            1 + codes // base,
-            1 + n_shift + ((np.arange(k)[:, None] << m) + indicator).ravel(),
-        ]
-    )
-    data = np.ones((3 + k) * n)
-    data[2 * n : 3 * n] = -1.0
-    shape = (1 + n_shift + (k << m), n)
-    A = sparse.coo_matrix((data, (rows, np.tile(codes, 3 + k))), shape=shape).tocsr()
-    A.eliminate_zeros()  # a constant window's two shift entries cancel
-    A.sort_indices()
+    # one column per window: it enters the normalization row, +1 the shift
+    # row of its last m-1 symbols, -1 the shift row of its first m-1 symbols,
+    # and one faithfulness row per walker
+    rows = np.empty((3 + k, n), dtype=np.int64)
+    rows[0] = 0
+    rows[1] = 1 + codes % n_shift
+    rows[2] = 1 + codes // base
+    rows[3:] = 1 + n_shift + ((np.arange(k)[:, None] << m) + indicator)
+    data = np.ones((3 + k, n))
+    data[2] = -1.0
+    data[1:3, rows[1] == rows[2]] = 0.0  # a constant window's two shift entries cancel
+    order = np.argsort(rows, axis=0, kind="stable")
+    rows, data = np.take_along_axis(rows, order, 0).T, np.take_along_axis(data, order, 0).T
+    kept = data != 0.0
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(kept.sum(axis=1), out=col_ptr[1:])
 
     # right-hand sides, one per popcount of the faithfulness pattern
     rhs = [p**ones * (1 - p) ** (m - ones) for ones in range(m + 1)]
@@ -151,7 +182,9 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
         p=p,
         m=m,
         windows=tuple(itertools.product(range(base), repeat=m)),
-        A=A,
+        col_ptr=col_ptr,
+        row_ind=rows[kept],
+        coef=data[kept],
         b=b,
         b_exact=b_exact,
         row_labels=labels,
@@ -208,10 +241,9 @@ def check_witness_exact(lp: WindowLP, q: list[Fraction]) -> bool:
         return False
     if any(q[i] != 0 for i in lp.zero_vars):
         return False
-    coo = lp.A.tocoo()
     sums = [Fraction(0)] * lp.num_rows
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        sums[r] += int(v) * q[c]
+    for r, c, v in zip(*lp.entries()):
+        sums[r] += v * q[c]
     return all(s == rhs for s, rhs in zip(sums, lp.b_exact))
 
 
@@ -241,63 +273,52 @@ def _check_tol(tol: float) -> None:
 
 
 def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1e-6) -> FeasibilityResult:
-    """Decide feasibility with an LP solver, then re-check independently.
+    """Decide feasibility with one phase-one LP solve, then re-check independently.
 
-    A claimed-feasible solve only counts when the returned point re-verifies
-    within ``tol`` against every constraint.  A claimed-infeasible solve is
-    quantified by a phase-one solve minimizing the L1 equality violation;
-    gaps below ``unknown_margin`` are reported as unknown.
+    The solve minimizes the L1 equality violation 1'(s+ + s-) subject to
+    A' q + s+ - s- = b' and q, s+, s- >= 0, where A' keeps the permissible
+    windows' columns and drops the rows they leave empty (all with b = 0).
+    A gap above ``unknown_margin`` is "infeasible".  Otherwise the window
+    part of the solution, scattered back to every window, counts as a
+    "feasible" witness only when it re-verifies within ``tol`` against the
+    full system, support zeros included; anything else, a failed solve too,
+    is "unknown".
     """
     _check_tol(tol)
     import numpy as np
+    from scipy.sparse import csc_array
 
-    bounds = np.zeros((lp.num_vars, 2))
-    bounds[:, 1] = np.inf
-    bounds[list(lp.zero_vars), 1] = 0.0
-    res = linprog(
-        c=np.zeros(lp.num_vars),
-        A_eq=lp.A,
-        b_eq=lp.b,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 0:
-        witness = np.asarray(res.x, dtype=np.float64)
-        residual = witness_residual(lp, witness)
-        if residual <= tol:
-            return FeasibilityResult("feasible", witness, residual, None, tol)
-        return FeasibilityResult("unknown", witness, residual, None, tol)
-    if res.status == 2:
-        gap = _phase_one_gap(lp, bounds)
-        if gap > unknown_margin:
-            return FeasibilityResult("infeasible", None, None, gap, tol)
-        return FeasibilityResult("unknown", None, None, gap, tol)
-    return FeasibilityResult("unknown", None, None, None, tol)
-
-
-def _phase_one_gap(lp: WindowLP, bounds: np.ndarray) -> float:
-    """Minimal sum of artificial slacks: 0 iff the system is feasible.
-
-    ``bounds`` are the window variables' (lower, upper) bounds; the slacks
-    are nonnegative.
-    """
-    import numpy as np
-    from scipy import sparse
-
-    nv, nr = lp.num_vars, lp.num_rows
-    A = sparse.hstack(
-        [lp.A, sparse.identity(nr, format="csr"), -sparse.identity(nr, format="csr")],
-        format="csr",
+    free = np.ones(lp.num_vars, dtype=bool)
+    free[list(lp.zero_vars)] = False
+    entry_free = np.repeat(free, np.diff(lp.col_ptr))
+    rows, coef = lp.row_ind[entry_free], lp.coef[entry_free]
+    used = np.bincount(rows, minlength=lp.num_rows) > 0
+    assert not lp.b[~used].any(), "a row with nonzero right-hand side lost every window"
+    nv, nr = int(free.sum()), int(used.sum())
+    col_ptr = np.concatenate([[0], np.cumsum(np.diff(lp.col_ptr)[free])])
+    # one +1 and one -1 slack column per remaining row
+    slack_rows = np.arange(nr)
+    A = csc_array(
+        (
+            np.concatenate([coef, np.ones(nr), -np.ones(nr)]),
+            np.concatenate([(np.cumsum(used) - 1)[rows], slack_rows, slack_rows]),
+            np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * nr)]),
+        ),
+        shape=(nr, nv + 2 * nr),
     )
     c = np.concatenate([np.zeros(nv), np.ones(2 * nr)])
-    slack_bounds = np.zeros((2 * nr, 2))
-    slack_bounds[:, 1] = np.inf
-    res = linprog(
-        c=c, A_eq=A, b_eq=lp.b, bounds=np.vstack([bounds, slack_bounds]), method="highs"
-    )
+    res = linprog(c=c, A_eq=A, b_eq=lp.b[used], method=SOLVER_METHOD, options=SOLVER_OPTIONS)
     if res.status != 0:
-        raise RuntimeError(f"phase-one solve failed with status {res.status}")
-    return float(res.fun)
+        return FeasibilityResult("unknown", None, None, None, tol)
+    gap = float(res.fun)
+    if gap > unknown_margin:
+        return FeasibilityResult("infeasible", None, None, gap, tol)
+    witness = np.zeros(lp.num_vars)
+    witness[free] = res.x[:nv]
+    residual = witness_residual(lp, witness)
+    if residual <= tol:
+        return FeasibilityResult("feasible", witness, residual, None, tol)
+    return FeasibilityResult("unknown", witness, residual, gap, tol)
 
 
 def marginalize_witness(lp: WindowLP, q: np.ndarray) -> np.ndarray:
@@ -381,18 +402,15 @@ def write_mps(lp: WindowLP) -> str:
         row_names.append(name)
         lines.append(f" E {name}")
     lines.append("COLUMNS")
-    csc = lp.A.tocsc()
-    for c in range(lp.num_vars):
-        var = f"W_{window_text(lp.windows[c])}"
-        start, end = csc.indptr[c], csc.indptr[c + 1]
-        for r, v in zip(csc.indices[start:end], csc.data[start:end]):
-            lines.append(f"    {var} {row_names[r]} {int(v)}")
+    var_names = [f"W_{window_text(w)}" for w in lp.windows]
+    rows, cols, coefs = lp.entries()
+    lines += [f"    {var_names[c]} {row_names[r]} {v}" for r, c, v in zip(rows, cols, coefs)]
     lines.append("RHS")
     for name, rhs in zip(row_names, lp.b_exact):
         if rhs != 0:
             lines.append(f"    RHS {name} {float(rhs)!r}")
     lines.append("BOUNDS")
     for i in lp.zero_vars:
-        lines.append(f" FX BND W_{window_text(lp.windows[i])} 0")
+        lines.append(f" FX BND {var_names[i]} 0")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,7 @@ independent of the library's code paths.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,21 @@ def brute_permissible(symbols):
     )
 
 
+@dataclass(frozen=True)
+class BruteLP:
+    """The window LP as ``brute_window_lp`` builds it, with a scipy CSR ``A``."""
+
+    k: int
+    p: Fraction
+    m: int
+    windows: tuple
+    A: object
+    b: np.ndarray
+    b_exact: tuple
+    row_labels: tuple
+    zero_vars: tuple
+
+
 def brute_window_lp(k, p, m):
     """The window LP for k walkers, rational p and window length m, built row
     by row from coefficient dicts, in the row and column order of
@@ -65,8 +81,6 @@ def brute_window_lp(k, p, m):
     walker-i indicators equal the pattern".
     """
     from scipy import sparse
-
-    from avoidance.lp import WindowLP
 
     windows = tuple(itertools.product(range(k + 1), repeat=m))
     index = {w: i for i, w in enumerate(windows)}
@@ -112,7 +126,7 @@ def brute_window_lp(k, p, m):
     A = sparse.csr_matrix(
         (data, (rows_i, cols)), shape=(len(labels), len(windows)), dtype=np.float64
     )
-    return WindowLP(
+    return BruteLP(
         k=k,
         p=p,
         m=m,
@@ -123,6 +137,45 @@ def brute_window_lp(k, p, m):
         row_labels=tuple(labels),
         zero_vars=zero_vars,
     )
+
+
+def two_step_solve(lp, tol=1e-9, unknown_margin=1e-6, options=None):
+    """(status, gap) of a ``BruteLP`` by two HiGHS solves over every
+    window: a feasibility solve with the support zeros pinned by bounds, and,
+    when that reports infeasible, a phase-one solve minimizing the L1
+    equality violation.  ``options`` go to both solves."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    nv, nr = len(lp.windows), len(lp.row_labels)
+    bounds = np.zeros((nv, 2))
+    bounds[:, 1] = np.inf
+    bounds[list(lp.zero_vars), 1] = 0.0
+    res = linprog(c=np.zeros(nv), A_eq=lp.A, b_eq=lp.b, bounds=bounds, method="highs", options=options)
+    if res.status == 0:
+        q = np.asarray(res.x, dtype=np.float64)
+        residual = max(
+            float(np.abs(lp.A @ q - lp.b).max()),
+            float(max(0.0, -q.min())),
+            float(np.abs(q[list(lp.zero_vars)]).max()) if lp.zero_vars else 0.0,
+        )
+        return ("feasible" if residual <= tol else "unknown"), None
+    assert res.status == 2, res.status
+    identity = sparse.identity(nr, format="csr")
+    A = sparse.hstack([lp.A, identity, -identity], format="csr")
+    slack_bounds = np.zeros((2 * nr, 2))
+    slack_bounds[:, 1] = np.inf
+    res = linprog(
+        c=np.concatenate([np.zeros(nv), np.ones(2 * nr)]),
+        A_eq=A,
+        b_eq=lp.b,
+        bounds=np.vstack([bounds, slack_bounds]),
+        method="highs",
+        options=options,
+    )
+    assert res.status == 0, res.status
+    gap = float(res.fun)
+    return ("infeasible" if gap > unknown_margin else "unknown"), gap
 
 
 def rowwise_write_trace(tr):

@@ -8,12 +8,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avoidance.cli import POLICIES, main
+from avoidance import lp
+from avoidance.cli import POLICIES, POLICY_OPTIONS, main
 from strategies import trace_texts, word_texts
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
@@ -205,6 +207,39 @@ def test_lp_scan_all_feasible_exit_0():
     assert code == 0
 
 
+def test_lp_scan_failed_solve_is_unknown(monkeypatch, capsys):
+    # HiGHS status 4: numerical difficulties, no solution to report
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        return SimpleNamespace(status=4, x=None, fun=None, message="numerical difficulties")
+
+    monkeypatch.setattr(lp, "linprog", failing)
+    assert main(["lp-scan", "--k", "2", "--m", "2", "--grid", "0.3,0.51"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "p=3/10 status=unknown within_maxp=true\np=51/100 status=unknown within_maxp=false\n"
+    assert captured.err == ""
+    assert len(calls) == 2
+
+
+# sha256 of `lp-build` stdout, computed before the MPS writer walked column
+# arrays instead of a scipy matrix
+LP_BUILD_DIGESTS = [
+    (3, "1/10", 6, "0263ad70e12b2251aaf8e1658486a1c45c2e02100d437ab6d3469b9058b16cd6"),
+    (3, "1/5", 6, "f6517afe0dce2f85b67e5d7e1a7ab22cd02cd7195c7b4dacb1b7ca3e6161f992"),
+    (3, "3/10", 6, "3816e2f419bfa0695ca95ec814b7eee53665ec38eeb8fa09ddfe663fd8000d51"),
+    (2, "9/20", 6, "d457d829d3d784d3cb35cd29d99fc752f345ca213f8da71afe37e76326358011"),
+]
+
+
+@pytest.mark.parametrize("k, p, m, digest", LP_BUILD_DIGESTS)
+def test_lp_build_output_is_pinned(k, p, m, digest):
+    code, out = run_cli(["lp-build", "--k", str(k), "--p", p, "--m", str(m)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_byte_identical_reruns():
     invocations = [
         ["simulate", "waves", "--n", "5", "--k", "1", "--T", "500", "--seed", "33"],
@@ -241,6 +276,31 @@ SIMULATE_DIGESTS = [
     (["waves", "--n", "6", "--k", "2"], 7, "0a1708a5373a8df24220cc46171772154755e88a2e499e67e204f833f2333134"),
     (["waves", "--n", "6", "--k", "2"], 2024, "dc5ea1d1358b31097b5dadab0c50f2d93509bab2c0c5e7dd294c87ae3ff7c4f3"),
 ]
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["trivial-k1", "--k", "3", "--n", "9", "--p", "0.3"], "--k or --n"),
+        (["round-robin", "--k", "2", "--p", "7"], "--p"),
+        (["independent", "--k", "2", "--p", "0.3", "--n", "4"], "--n"),
+        (["walkers", "--n", "5", "--k", "2", "--p", "0.3"], "--p"),
+        (["walkers-looped", "--n", "5", "--p", "0.3"], "--p"),
+        (["waves", "--n", "5", "--k", "1", "--p", "0.5"], "--p"),
+    ],
+)
+def test_simulate_rejects_options_its_policy_does_not_read(argv, unread, capsys):
+    assert main(["simulate", *argv, "--T", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} does not take {unread}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["round-robin"], ["independent", "--p", "0.3"], ["walkers", "--n", "4"], ["waves", "--n", "4"]]
+)
+def test_simulate_k_defaults_to_one(argv):
+    assert run_cli(["simulate", *argv, "--T", "50"]) == run_cli(["simulate", *argv, "--k", "1", "--T", "50"])
 
 
 @pytest.mark.parametrize("policy, seed, digest", SIMULATE_DIGESTS)
@@ -340,7 +400,7 @@ def mostly(valid):
 
 
 SIZE = mostly(st.one_of(st.integers(1, 50).map(str), st.sampled_from(HUGE).map(str)))
-POLICY_OPTIONS = {
+SIMULATE_OPTIONS = {
     "--k": SIZE,
     "--n": SIZE,
     "--T": SIZE,
@@ -349,9 +409,16 @@ POLICY_OPTIONS = {
 }
 
 
+def unread_options(name, opts):
+    """The options in ``opts`` that simulate policy ``name`` does not read."""
+    policy = name.removeprefix("simulate ")
+    return [flag for flag in ("--k", "--n", "--p") if flag in opts and flag[2:] not in POLICY_OPTIONS[policy]]
+
+
 def command_args():
     """(subcommand words, {option: value}) with numeric options for five
-    subcommands and each simulate policy."""
+    subcommands and each simulate policy.  A policy always gets the options
+    it reads and sometimes those it does not."""
     grid = st.lists(st.one_of(RATIONAL, PROB, NUMERIC), min_size=1, max_size=2).map(",".join)
     options = {
         "bound": {"--n": NUMERIC},
@@ -360,10 +427,14 @@ def command_args():
         "lp-build": {"--k": SMALL, "--p": st.one_of(RATIONAL, PROB, NUMERIC), "--m": SMALL},
         "lp-scan": {"--k": SMALL, "--m": SMALL, "--grid": grid, "--tol": st.one_of(TOL, TOL, NUMERIC)},
     }
-    options.update({f"simulate {policy}": POLICY_OPTIONS for policy in POLICIES})
-    return st.one_of(
-        st.tuples(st.just(name), st.fixed_dictionaries(opts)) for name, opts in options.items()
-    )
+    drawn = {name: st.fixed_dictionaries(opts) for name, opts in options.items()}
+    for policy in POLICIES:
+        unread = unread_options(policy, SIMULATE_OPTIONS)
+        drawn[f"simulate {policy}"] = st.fixed_dictionaries(
+            {flag: s for flag, s in SIMULATE_OPTIONS.items() if flag not in unread},
+            optional={flag: SIMULATE_OPTIONS[flag] for flag in unread},
+        )
+    return st.one_of(st.tuples(st.just(name), opts) for name, opts in drawn.items())
 
 
 @settings(max_examples=300, deadline=None)
@@ -377,6 +448,8 @@ def test_numeric_options_keep_the_exit_code_contract(command, fmt):
         code = main(argv)
     # a simulation has no verdict, so exit 1 is never its answer
     assert code in ((0, 2) if name.startswith("simulate") else (0, 1, 2)), argv
+    if name.startswith("simulate") and unread_options(name, opts):
+        assert code == 2, argv
     if code == 2:
         assert out.getvalue() == "", argv
         assert err.getvalue().strip() not in ("", "error:"), argv
@@ -504,6 +577,23 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.returncode == 0, proc.stderr
     # independent walkers collide, and their marginals are faithful
     assert proc.stdout == "0\n0\n1\n0\n0\n0\n[]\n"
+
+
+def test_lp_build_loads_no_scipy(tmp_path):
+    mps = tmp_path / "window.mps"
+    code = f"""
+import sys
+import avoidance.cli
+print(avoidance.cli.main(["lp-build", "--k", "3", "--p", "1/5", "--m", "6", "--out", {str(mps)!r}]))
+print(avoidance.cli.main(["lp-build", "--k", "2", "--p", "1/8", "--m", "3", "--format", "json", "--out", {str(mps)!r}]))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n0\n[]\n"
 
 
 def test_taylor_huge_T_returns_quickly():

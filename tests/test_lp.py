@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from avoidance.bounds import max_p
 from avoidance.lp import (
+    SOLVER_OPTIONS,
     build_window_lp,
     check_witness_exact,
     marginalize_witness,
@@ -24,7 +25,7 @@ from avoidance.lp import (
     write_mps,
 )
 
-from oracles import brute_window_lp
+from oracles import brute_window_lp, two_step_solve
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -202,6 +203,27 @@ def test_build_matches_dict_builder(k, m, p):
     assert lp.windows == ref.windows
 
 
+@pytest.mark.parametrize("k, m", SMALL_INSTANCES)
+@settings(max_examples=4, deadline=None)
+@given(p=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000), max_denominator=1000))
+def test_solve_matches_two_step_solve(k, m, p):
+    lp, ref = build_window_lp(k, p, m), brute_window_lp(k, p, m)
+    res = solve_feasibility(lp)
+    status, gap = two_step_solve(ref, options=SOLVER_OPTIONS)
+    if min(p, 1 - p) ** m >= Fraction(1, 10**8):
+        assert res.status == status
+    else:
+        # right-hand sides near the solvers' tolerances: either solve may come
+        # back unknown (the two-step one can even call the feasible k = 1
+        # system infeasible and then find no gap), but they never contradict
+        assert {res.status, status} != {"feasible", "infeasible"}
+    if res.status == status == "infeasible":
+        assert res.gap == pytest.approx(gap, abs=1e-9)
+    if res.status == "feasible":
+        assert res.witness.shape == (lp.num_vars,)
+        assert witness_residual(ref, res.witness) <= res.tol
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, -math.inf])
 def test_solve_and_scan_reject_bad_tolerance(tol):
     lp = build_window_lp(2, Fraction(3, 10), 1)
@@ -232,7 +254,7 @@ def test_import_loads_no_scipy():
 
 
 def test_solves_go_through_module_linprog():
-    # the feasible solve is one HiGHS call; an infeasible one adds phase one
+    # one phase-one HiGHS call per point, feasible or not
     out = run_python(
         """
         from fractions import Fraction
@@ -252,4 +274,4 @@ def test_solves_go_through_module_linprog():
             print(res.status, len(calls))
         """
     )
-    assert out == "feasible 1\ninfeasible 2\n"
+    assert out == "feasible 1\ninfeasible 1\n"
