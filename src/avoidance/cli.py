@@ -457,7 +457,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return HANDLERS[ns.command](ns)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,10 +46,11 @@ __all__ = [
 WINDOW_BUDGET = 200_000
 
 # HiGHS's interior-point solver (with crossover) was the fastest measured on
-# the phase-one LPs of k = 2, m = 9 and k = 3, m = 6..7.  Its default
-# tolerances (1e-7, 1e-8) exceed the right-hand sides p^m of small p, and a
-# solution that drops those fails the witness re-check at tol = 1e-9.
-SOLVER_METHOD = "highs-ipm"
+# the phase-one LPs of k = 2, m = 9 and k = 3, m = 6..7; the dual simplex is
+# the fallback when it ends non-optimal.  The default tolerances (1e-7, 1e-8)
+# exceed the right-hand sides p^m of small p, and a solution that drops those
+# fails the witness re-check at tol = 1e-9.
+SOLVERS = ("ipm", "simplex")
 SOLVER_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -73,7 +75,8 @@ class WindowLP:
     A is held in compressed-column form: column c's entries are
     ``row_ind[col_ptr[c]:col_ptr[c + 1]]`` (increasing) with coefficients
     ``coef`` at the same positions.  ``A`` is the same matrix as a scipy CSR
-    matrix, built on first access.
+    matrix, built on first access for callers outside the package; the
+    package itself reads only the column arrays.
     """
 
     k: int
@@ -225,7 +228,10 @@ def witness_residual(lp: WindowLP, q: np.ndarray) -> float:
     import numpy as np
 
     q = np.asarray(q, dtype=np.float64)
-    res = float(np.abs(lp.A @ q - lp.b).max())
+    # each row sums its entries in column order, as a CSR product does
+    col = np.repeat(np.arange(lp.num_vars), np.diff(lp.col_ptr))
+    Aq = np.bincount(lp.row_ind, lp.coef * q[col], minlength=lp.num_rows)
+    res = float(np.abs(Aq - lp.b).max())
     if q.size:
         res = max(res, float(max(0.0, -q.min())))
     if lp.zero_vars:
@@ -259,12 +265,90 @@ def product_witness(p: Fraction | str | float, m: int) -> list[Fraction]:
     return values
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first solve rather than with
-    the package, so commands that never solve do not load scipy."""
-    from scipy.optimize import linprog as scipy_linprog
+HIGHS_MODULE = "scipy.optimize._highspy._core"
 
-    return scipy_linprog(*args, **kwargs)
+
+def _highs():
+    """scipy's HiGHS extension module, the solver behind ``scipy.optimize.linprog``.
+
+    It is loaded from its file, so ``scipy.optimize``'s package init (about
+    0.9 s and 45 MB) never runs, and registered under its own name: a later
+    ``import scipy.optimize`` shares this instance, and one that scipy loaded
+    first is reused.  A missing or unloadable extension is an ImportError
+    with a one-line message.
+    """
+    core = sys.modules.get(HIGHS_MODULE)
+    if core is not None:
+        return core
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    try:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("scipy is not installed")
+        folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+        paths = [os.path.join(folder, "_core" + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no _core extension in {folder}")
+        spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
+        core = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(core)
+    except (ImportError, OSError) as exc:
+        reason = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+        raise ImportError(
+            f"lp-scan needs scipy>=1.15, which ships the HiGHS extension "
+            f"scipy/optimize/_highspy/_core; it could not be loaded ({reason})"
+        ) from None
+    sys.modules[HIGHS_MODULE] = core
+    return core
+
+
+def linprog(c, col_ptr, row_ind, coef, b):
+    """Minimize c'x subject to A x = b, x >= 0 with HiGHS, A given column-wise
+    (int32 ``col_ptr`` and ``row_ind``, float ``coef``).
+
+    Runs as ``scipy.optimize.linprog(method="highs-ipm", options=SOLVER_OPTIONS)``
+    does, and once more with the dual simplex (``method="highs-ds"``) when the
+    interior point ends non-optimal.  Returns ``status`` (0 when optimal, as
+    scipy's; otherwise 4, scipy's code for a failed solve: the phase-one
+    systems solved here are never infeasible or unbounded), and ``fun`` and
+    ``x``, None unless optimal.
+    """
+    import numpy as np
+    from types import SimpleNamespace
+
+    core = _highs()
+    nc, nr = len(c), len(b)
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = nc
+    model.num_row_ = model.a_matrix_.num_row_ = nr
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = col_ptr
+    model.a_matrix_.index_ = row_ind
+    model.a_matrix_.value_ = coef
+    model.col_cost_ = c
+    model.col_lower_ = np.zeros(nc)
+    model.col_upper_ = np.full(nc, core.kHighsInf)
+    model.row_lower_ = model.row_upper_ = b
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.output_flag = options.log_to_console = False
+    for key, value in SOLVER_OPTIONS.items():
+        setattr(options, key, value)
+    for solver in SOLVERS:
+        options.solver = solver
+        highs = core._Highs()
+        highs.passOptions(options)
+        highs.passModel(model)
+        highs.run()
+        if highs.getModelStatus() == core.HighsModelStatus.kOptimal:
+            x = np.array(highs.getSolution().col_value)
+            return SimpleNamespace(status=0, fun=highs.getInfo().objective_function_value, x=x)
+    return SimpleNamespace(status=4, fun=None, x=None)
 
 
 def _check_tol(tol: float) -> None:
@@ -275,18 +359,18 @@ def _check_tol(tol: float) -> None:
 def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1e-6) -> FeasibilityResult:
     """Decide feasibility with one phase-one LP solve, then re-check independently.
 
-    The solve minimizes the L1 equality violation 1'(s+ + s-) subject to
-    A' q + s+ - s- = b' and q, s+, s- >= 0, where A' keeps the permissible
-    windows' columns and drops the rows they leave empty (all with b = 0).
-    A gap above ``unknown_margin`` is "infeasible".  Otherwise the window
-    part of the solution, scattered back to every window, counts as a
-    "feasible" witness only when it re-verifies within ``tol`` against the
-    full system, support zeros included; anything else, a failed solve too,
-    is "unknown".
+    The solve (one ``linprog`` call: interior point, then the dual simplex
+    if that ends non-optimal) minimizes the L1 equality violation
+    1'(s+ + s-) subject to A' q + s+ - s- = b' and q, s+, s- >= 0, where
+    A' keeps the permissible windows' columns and drops the rows they leave
+    empty (all with b = 0).  A gap above ``unknown_margin`` is "infeasible".
+    Otherwise the window part of the solution, scattered back to every
+    window, counts as a "feasible" witness only when it re-verifies within
+    ``tol`` against the full system, support zeros included; anything else,
+    a failed solve too, is "unknown".
     """
     _check_tol(tol)
     import numpy as np
-    from scipy.sparse import csc_array
 
     free = np.ones(lp.num_vars, dtype=bool)
     free[list(lp.zero_vars)] = False
@@ -298,16 +382,13 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1
     col_ptr = np.concatenate([[0], np.cumsum(np.diff(lp.col_ptr)[free])])
     # one +1 and one -1 slack column per remaining row
     slack_rows = np.arange(nr)
-    A = csc_array(
-        (
-            np.concatenate([coef, np.ones(nr), -np.ones(nr)]),
-            np.concatenate([(np.cumsum(used) - 1)[rows], slack_rows, slack_rows]),
-            np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * nr)]),
-        ),
-        shape=(nr, nv + 2 * nr),
+    res = linprog(
+        np.concatenate([np.zeros(nv), np.ones(2 * nr)]),
+        np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * nr)]).astype(np.int32),
+        np.concatenate([(np.cumsum(used) - 1)[rows], slack_rows, slack_rows]).astype(np.int32),
+        np.concatenate([coef, np.ones(nr), -np.ones(nr)]),
+        lp.b[used],
     )
-    c = np.concatenate([np.zeros(nv), np.ones(2 * nr)])
-    res = linprog(c=c, A_eq=A, b_eq=lp.b[used], method=SOLVER_METHOD, options=SOLVER_OPTIONS)
     if res.status != 0:
         return FeasibilityResult("unknown", None, None, None, tol)
     gap = float(res.fun)

@@ -58,17 +58,29 @@ def brute_permissible(symbols):
 
 @dataclass(frozen=True)
 class BruteLP:
-    """The window LP as ``brute_window_lp`` builds it, with a scipy CSR ``A``."""
+    """The window LP as ``brute_window_lp`` builds it, with a scipy CSR ``A``
+    and, derived from it, the column arrays that ``witness_residual`` reads."""
 
     k: int
     p: Fraction
     m: int
     windows: tuple
     A: object
+    col_ptr: np.ndarray
+    row_ind: np.ndarray
+    coef: np.ndarray
     b: np.ndarray
     b_exact: tuple
     row_labels: tuple
     zero_vars: tuple
+
+    @property
+    def num_vars(self):
+        return len(self.windows)
+
+    @property
+    def num_rows(self):
+        return len(self.row_labels)
 
 
 def brute_window_lp(k, p, m):
@@ -126,12 +138,16 @@ def brute_window_lp(k, p, m):
     A = sparse.csr_matrix(
         (data, (rows_i, cols)), shape=(len(labels), len(windows)), dtype=np.float64
     )
+    csc = A.tocsc()
     return BruteLP(
         k=k,
         p=p,
         m=m,
         windows=windows,
         A=A,
+        col_ptr=csc.indptr,
+        row_ind=csc.indices,
+        coef=csc.data,
         b=np.array([float(x) for x in b_exact]),
         b_exact=tuple(b_exact),
         row_labels=tuple(labels),

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avoidance import lp
+from avoidance import __version__, lp
 from avoidance.cli import POLICIES, POLICY_OPTIONS, main
 from strategies import trace_texts, word_texts
 
@@ -221,6 +221,32 @@ def test_lp_scan_failed_solve_is_unknown(monkeypatch, capsys):
     assert captured.out == "p=3/10 status=unknown within_maxp=true\np=51/100 status=unknown within_maxp=false\n"
     assert captured.err == ""
     assert len(calls) == 2
+
+
+# sha256 of `lp-scan` stdout at the lp-frontier benchmark's points, text and
+# JSON (its version field set to VERSION), computed before the solve called
+# HiGHS's extension directly instead of scipy.optimize.linprog
+LP_SCAN_DIGESTS = [
+    (3, 6, "1/10", "1d53dddc851d8e142d026ab22986134f80af2eb609cd19fcd0cb2634048cd6a5",
+     "a4a87380de459b8933f91b88b93c0273ce401d5192f2bd91d42594bccdd6f99c"),
+    (3, 6, "1/5", "5239eb061f3a5d5ae7e1a1cecfb199203eff1336849e7dc6e39c66d4335a890a",
+     "aaafaa74d6c132faa5cf2cc5d21d53e4dc2b9c60ad149b4537174240fe73511d"),
+    (3, 6, "3/10", "ff8f1f455381041b63cf9f06c70a54ce538f246a436fc940ce252fdd46031363",
+     "d1441b12bfae592d2a985c41dcabb8ea59d988caaeaf48ecb2953a86672c994c"),
+    (2, 6, "9/20", "252c95fd70525ed9fb4f0bb488123e36acaf9e3308c29fa71e9f5cf3a223be39",
+     "4b30d18eef88f88e1ed3aec5e12c6de7de0a03a20bcdca07844f21369b0a5250"),
+]
+
+
+@pytest.mark.parametrize("k, m, p, text_digest, json_digest", LP_SCAN_DIGESTS)
+def test_lp_scan_output_is_pinned(k, m, p, text_digest, json_digest):
+    argv = ["lp-scan", "--k", str(k), "--m", str(m), "--grid", p]
+    code, text = run_cli(argv)
+    _, js = run_cli(argv + ["--format", "json"])
+    js = js.replace(f'"version": "{__version__}"', '"version": "VERSION"', 1)
+    assert code == (1 if "infeasible" in text else 0)
+    assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+    assert hashlib.sha256(js.encode()).hexdigest() == json_digest
 
 
 # sha256 of `lp-build` stdout, computed before the MPS writer walked column
@@ -594,6 +620,47 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n0\n[]\n"
+
+
+def test_lp_scan_loads_only_the_highs_extension(tmp_path):
+    code = f"""
+import io, sys
+from contextlib import redirect_stdout
+import avoidance.cli
+for argv in [["lp-scan", "--k", "3", "--m", "4", "--grid", "1/10,3/10"],
+             ["lp-scan", "--k", "2", "--m", "3", "--grid", "1/5", "--format", "json"]]:
+    with redirect_stdout(io.StringIO()):
+        print(avoidance.cli.main(argv))
+scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print([m for m in scipy if not m.startswith(avoidance.lp.HIGHS_MODULE)])
+print(bool(scipy))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # no scipy.optimize, scipy.sparse or scipy package init: only the extension
+    assert proc.stdout == "[]\nTrue\n"
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        ("importlib.util.find_spec", lambda name: None),
+        ("importlib.machinery.EXTENSION_SUFFIXES", [".no-such-suffix"]),
+        ("importlib.util.module_from_spec", mock.Mock(side_effect=ImportError("undefined symbol: Highs_run"))),
+    ],
+    ids=["no-scipy", "no-extension", "load-error"],
+)
+def test_lp_scan_without_the_highs_extension_exits_2(monkeypatch, capsys, patch):
+    monkeypatch.delitem(sys.modules, lp.HIGHS_MODULE, raising=False)
+    monkeypatch.setattr(*patch)
+    assert main(["lp-scan", "--k", "2", "--m", "2", "--grid", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lp-scan needs scipy>=1.15")
+    assert captured.err.count("\n") == 1
 
 
 def test_taylor_huge_T_returns_quickly():

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from avoidance import lp as lp_module
 from avoidance.bounds import max_p
 from avoidance.lp import (
     SOLVER_OPTIONS,
@@ -224,6 +225,55 @@ def test_solve_matches_two_step_solve(k, m, p):
         assert witness_residual(ref, res.witness) <= res.tol
 
 
+def phase_one_system(lp):
+    """The arguments ``solve_feasibility`` passes to ``lp.linprog``, and its result."""
+    calls = []
+    real = lp_module.linprog
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "linprog", lambda *args: calls.append(args) or real(*args))
+        res = solve_feasibility(lp)
+    assert len(calls) == 1
+    return calls[0], res
+
+
+def scipy_linprog(method, c, col_ptr, row_ind, coef, b):
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
+    A = csc_array((coef, row_ind, col_ptr), shape=(len(b), len(c)))
+    return linprog(c, A_eq=A, b_eq=b, method=method, options=SOLVER_OPTIONS)
+
+
+@pytest.mark.parametrize("k, m", SMALL_INSTANCES)
+@settings(max_examples=4, deadline=None)
+@given(p=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000), max_denominator=1000))
+@example(p=Fraction(1, 308))
+def test_linprog_matches_scipy_linprog(k, m, p):
+    # the direct HiGHS call is scipy's highs-ipm, and highs-ds where that fails
+    system, _ = phase_one_system(build_window_lp(k, p, m))
+    c, col_ptr, row_ind, coef, b = system
+    assert col_ptr.dtype == row_ind.dtype == np.int32
+    ours = lp_module.linprog(*system)
+    theirs = scipy_linprog("highs-ipm", *system)
+    if theirs.status != 0:
+        theirs = scipy_linprog("highs-ds", *system)
+    assert ours.status == theirs.status
+    if ours.status == 0:
+        assert abs(ours.fun - theirs.fun) <= 1e-12
+        assert np.allclose(ours.x, theirs.x, rtol=0.0, atol=1e-12)
+
+
+def test_simplex_retry_settles_a_failed_interior_point_solve():
+    # highs-ipm ends non-optimal here; the dual simplex retry, inside the same
+    # linprog call, finds a witness that re-verifies
+    lp = build_window_lp(2, Fraction(1, 308), 4)
+    system, res = phase_one_system(lp)
+    assert scipy_linprog("highs-ipm", *system).status != 0
+    assert res.status == "feasible"
+    assert res.residual <= res.tol
+    assert witness_residual(lp, res.witness) == res.residual
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, -math.inf])
 def test_solve_and_scan_reject_bad_tolerance(tol):
     lp = build_window_lp(2, Fraction(3, 10), 1)
@@ -275,3 +325,32 @@ def test_solves_go_through_module_linprog():
         """
     )
     assert out == "feasible 1\ninfeasible 1\n"
+
+
+@pytest.mark.parametrize("lp_first", [True, False])
+def test_highs_extension_is_shared_with_scipy_optimize(lp_first):
+    # either import order leaves one extension instance that both solve with
+    out = run_python(
+        f"""
+        import sys
+        from fractions import Fraction
+        import numpy as np
+        from avoidance import lp
+
+        def scipy_solve():
+            from scipy.optimize import linprog
+            res = linprog([1.0, 2.0], A_eq=np.array([[1.0, 1.0]]), b_eq=[1.0], method="highs-ipm")
+            return res.status, res.x.tolist()
+
+        def lp_solve():
+            return lp.solve_feasibility(lp.build_window_lp(2, Fraction(3, 10), 2)).status
+
+        first, second = (lp_solve, scipy_solve) if {lp_first} else (scipy_solve, lp_solve)
+        print(first(), second(), first(), second())
+        from scipy.optimize._highspy import _highs_wrapper
+
+        print(lp._highs() is sys.modules[lp.HIGHS_MODULE] is _highs_wrapper._h)
+        """
+    )
+    solves = ["feasible", "(0, [1.0, 0.0])"] if lp_first else ["(0, [1.0, 0.0])", "feasible"]
+    assert out == " ".join(solves * 2) + "\nTrue\n"
