@@ -41,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"avoidance {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, **kwargs):
-        sp = sub.add_parser(name, help=help_, **kwargs)
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    def add(name, help_, formats=("json", "csv", "text")):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         return sp
 
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--in", dest="infile", default="-", help="sequence file, - for stdin")
 
-    sp = add("reduce", "reduction certificate for a sequence")
+    sp = add("reduce", "reduction certificate for a sequence", ("json", "text"))
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--in", dest="infile", default="-")
 
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--T", type=int, required=True, help="number of series terms")
 
-    sp = add("simulate", "generate a trace with a named policy")
+    sp = add("simulate", "generate a trace with a named policy", ("text",))
     sp.add_argument("policy", choices=POLICIES)
     sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", default="-")
     sp.add_argument("--p", type=float, required=True)
 
-    sp = add("lp-build", "build the window LP and export it as MPS")
+    sp = add("lp-build", "build the window LP and export it as MPS", ("json", "text"))
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=str, required=True, help="rational, e.g. 0.3 or 1/8")
     sp.add_argument("--m", type=int, required=True)

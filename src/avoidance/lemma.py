@@ -3,11 +3,14 @@
 Every permissible word shrinks to a trivial one through four edit rules,
 applied in a fixed priority:
 
-1. CollapseBlanks        -- replace "B B" by "B"          (weight 0, blanks -1)
-2. DeleteZeroWeightPair  -- drop the right of "i i"       (weight 0, blanks 0)
-3. CollapseWeightOnePair -- replace "i B i" by "i"        (weight -1, blanks -1)
+1. CollapseBlanks        -- replace "B B" by "B"
+2. DeleteZeroWeightPair  -- replace "i i" by "i"
+3. CollapseWeightOnePair -- replace "i B i" by "i"
 4. DeleteVictimSymbol    -- remove every occurrence of a walker whose
-   redistributed input is at least its output             (weight >= 0, blanks 0)
+   redistributed input is at least its output  (weight delta >= 0, blanks 0)
+
+Rules 1..3 are local: ``LOCAL_RULES`` holds each one's pattern width and
+constant deltas.
 
 Unwinding the recorded deltas from the trivial endpoint proves the inequality
 for the initial word; the step list is a certificate an independent checker
@@ -60,19 +63,15 @@ DELETE_ZERO_WEIGHT_PAIR = "DeleteZeroWeightPair"
 COLLAPSE_WEIGHT_ONE_PAIR = "CollapseWeightOnePair"
 DELETE_VICTIM_SYMBOL = "DeleteVictimSymbol"
 
-RULES = (
-    COLLAPSE_BLANKS,
-    DELETE_ZERO_WEIGHT_PAIR,
-    COLLAPSE_WEIGHT_ONE_PAIR,
-    DELETE_VICTIM_SYMBOL,
-)
-
-# (weight delta, blank delta) of the rules whose deltas are constant
-RULE_DELTAS = {
-    COLLAPSE_BLANKS: (Fraction(0), -1),
-    DELETE_ZERO_WEIGHT_PAIR: (Fraction(0), 0),
-    COLLAPSE_WEIGHT_ONE_PAIR: (Fraction(-1), -1),
+# rule -> (pattern width, weight delta, blank delta) of the local rules, in
+# priority order; each edit keeps the pattern's first symbol, drops the rest
+LOCAL_RULES = {
+    COLLAPSE_BLANKS: (2, Fraction(0), -1),
+    DELETE_ZERO_WEIGHT_PAIR: (2, Fraction(0), 0),
+    COLLAPSE_WEIGHT_ONE_PAIR: (3, Fraction(-1), -1),
 }
+
+RULES = (*LOCAL_RULES, DELETE_VICTIM_SYMBOL)
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -171,14 +170,11 @@ def redistribution(s: Seq) -> RedistributionReport:
 def apply_edit(s: Seq, rule: str, arg: int) -> Seq:
     """Apply a rule's edit mechanically at a 1-based anchor (or victim symbol)."""
     syms = s.symbols
-    if rule in (COLLAPSE_BLANKS, DELETE_ZERO_WEIGHT_PAIR):
-        if not 1 <= arg < len(syms):
+    if rule in LOCAL_RULES:
+        width = LOCAL_RULES[rule][0]
+        if not 1 <= arg <= len(syms) - width + 1:
             raise ValueError(f"anchor {arg} out of range for length {len(syms)}")
-        return Seq(s.k, syms[:arg] + syms[arg + 1 :])
-    if rule == COLLAPSE_WEIGHT_ONE_PAIR:
-        if not 1 <= arg <= len(syms) - 2:
-            raise ValueError(f"anchor {arg} out of range for length {len(syms)}")
-        return Seq(s.k, syms[:arg] + syms[arg + 2 :])
+        return Seq(s.k, syms[:arg] + syms[arg + width - 1 :])
     if rule == DELETE_VICTIM_SYMBOL:
         if arg == BLANK or arg not in syms:
             raise ValueError(f"victim {arg} does not occur")
@@ -186,62 +182,59 @@ def apply_edit(s: Seq, rule: str, arg: int) -> Seq:
     raise ValueError(f"unknown rule {rule!r}")
 
 
+def _pattern_at(rule: str, syms: tuple[int, ...], pos: int) -> bool:
+    """Whether a local rule's pattern, "B B", "i i" or "i B i" for a walker
+    i, starts at the 1-based anchor ``pos``."""
+    t = pos - 1
+    if not 0 <= t <= len(syms) - LOCAL_RULES[rule][0]:
+        return False
+    if rule == COLLAPSE_BLANKS:
+        return syms[t] == BLANK and syms[t + 1] == BLANK
+    if rule == DELETE_ZERO_WEIGHT_PAIR:
+        return syms[t] != BLANK and syms[t + 1] == syms[t]
+    return syms[t] != BLANK and syms[t + 1] == BLANK and syms[t + 2] == syms[t]
+
+
+def _anchor_symbol(rule: str, syms: tuple[int, ...], pos: int) -> int | None:
+    """The walker a local step records: the pattern's first symbol, or None
+    for a blank collapse."""
+    return None if rule == COLLAPSE_BLANKS else syms[pos - 1]
+
+
 def _edit_matches(step: ReductionStep) -> str | None:
     """Check the recorded rule's pattern holds at the anchor; None if it does."""
     syms = step.before.symbols
-    if step.rule == COLLAPSE_BLANKS:
-        t = step.pos
-        if t is None or not 1 <= t < len(syms):
-            return "anchor out of range"
-        if not (syms[t - 1] == BLANK and syms[t] == BLANK):
-            return f"no blank pair at position {t}"
-    elif step.rule == DELETE_ZERO_WEIGHT_PAIR:
-        t = step.pos
-        if t is None or not 1 <= t < len(syms):
-            return "anchor out of range"
-        if not (syms[t - 1] != BLANK and syms[t - 1] == syms[t]):
-            return f"no adjacent equal walker pair at position {t}"
-        if step.symbol != syms[t - 1]:
-            return "recorded symbol does not match the pair"
-    elif step.rule == COLLAPSE_WEIGHT_ONE_PAIR:
-        t = step.pos
-        if t is None or not 1 <= t <= len(syms) - 2:
-            return "anchor out of range"
-        if not (syms[t - 1] != BLANK and syms[t] == BLANK and syms[t + 1] == syms[t - 1]):
-            return f"no walker-blank-walker pattern at position {t}"
-        if step.symbol != syms[t - 1]:
+    if step.rule in LOCAL_RULES:
+        arg = step.pos
+        if arg is None or not _pattern_at(step.rule, syms, arg):
+            return f"no {step.rule} pattern at position {arg}"
+        if step.symbol != _anchor_symbol(step.rule, syms, arg):
             return "recorded symbol does not match the pattern"
     elif step.rule == DELETE_VICTIM_SYMBOL:
-        if step.symbol is None or step.symbol == BLANK or step.symbol not in syms:
-            return f"victim {step.symbol} does not occur"
+        arg = step.symbol
+        if arg is None or arg == BLANK or arg not in syms:
+            return f"victim {arg} does not occur"
     else:
         return f"unknown rule {step.rule!r}"
-    arg = step.symbol if step.rule == DELETE_VICTIM_SYMBOL else step.pos
-    expected = apply_edit(step.before, step.rule, arg)
-    if expected != step.after:
+    if apply_edit(step.before, step.rule, arg) != step.after:
         return "recorded result does not match the edit"
     return None
 
 
-def _make_step(
-    rule: str,
-    pos: int | None,
-    symbol: int | None,
-    before: Seq,
-    after: Seq,
-    red: RedistributionReport | None = None,
-) -> ReductionStep:
-    """Record a step with the deltas its rule's contract fixes.
-
-    Rules 1..3 have constant deltas; rule 4's weight delta is the victim's
-    input minus its output.  ``check_certificate`` recomputes both from the
-    words, so a rule that broke its contract would fail the replay.
-    """
-    if rule == DELETE_VICTIM_SYMBOL:
-        wd, bd = red.input_of(symbol) - red.output_of(symbol), 0
-    else:
-        wd, bd = RULE_DELTAS[rule]
-    return ReductionStep(rule, pos, symbol, before, after, wd, bd, red)
+def _first_local(syms: tuple[int, ...]) -> tuple[str, int] | None:
+    """The first local rule in priority order that applies, with its leftmost
+    1-based anchor.  The scans inline ``_pattern_at``: this runs once per
+    word of an exhaustive sweep."""
+    for t in range(len(syms) - 1):
+        if syms[t] == BLANK and syms[t + 1] == BLANK:
+            return COLLAPSE_BLANKS, t + 1
+    for t in range(len(syms) - 1):
+        if syms[t] != BLANK and syms[t] == syms[t + 1]:
+            return DELETE_ZERO_WEIGHT_PAIR, t + 1
+    for t in range(len(syms) - 2):
+        if syms[t] != BLANK and syms[t + 1] == BLANK and syms[t + 2] == syms[t]:
+            return COLLAPSE_WEIGHT_ONE_PAIR, t + 1
+    return None
 
 
 def reduce_step(s: Seq) -> ReductionStep:
@@ -255,29 +248,13 @@ def reduce_step(s: Seq) -> ReductionStep:
     if not is_permissible(s):
         raise ValueError("sequence is not permissible")
     syms = s.symbols
-    for t in range(len(syms) - 1):
-        if syms[t] == BLANK and syms[t + 1] == BLANK:
-            return _make_step(
-                COLLAPSE_BLANKS, t + 1, None, s, apply_edit(s, COLLAPSE_BLANKS, t + 1)
-            )
-    for t in range(len(syms) - 1):
-        if syms[t] != BLANK and syms[t] == syms[t + 1]:
-            return _make_step(
-                DELETE_ZERO_WEIGHT_PAIR,
-                t + 1,
-                syms[t],
-                s,
-                apply_edit(s, DELETE_ZERO_WEIGHT_PAIR, t + 1),
-            )
-    for t in range(len(syms) - 2):
-        if syms[t] != BLANK and syms[t + 1] == BLANK and syms[t + 2] == syms[t]:
-            return _make_step(
-                COLLAPSE_WEIGHT_ONE_PAIR,
-                t + 1,
-                syms[t],
-                s,
-                apply_edit(s, COLLAPSE_WEIGHT_ONE_PAIR, t + 1),
-            )
+    local = _first_local(syms)
+    if local is not None:
+        rule, pos = local
+        _, wd, bd = LOCAL_RULES[rule]
+        return ReductionStep(
+            rule, pos, _anchor_symbol(rule, syms, pos), s, apply_edit(s, rule, pos), wd, bd
+        )
     present = sorted(set(syms) - {BLANK})
     if not present:
         raise ValueError("terminal sequence: no rule applies")
@@ -291,9 +268,9 @@ def reduce_step(s: Seq) -> ReductionStep:
         raise AssertionError(
             "no admissible victim; conservation of redistributed weight is broken"
         )
-    return _make_step(
-        DELETE_VICTIM_SYMBOL, None, victim, s, apply_edit(s, DELETE_VICTIM_SYMBOL, victim), red
-    )
+    wd = red.input_of(victim) - red.output_of(victim)
+    after = apply_edit(s, DELETE_VICTIM_SYMBOL, victim)
+    return ReductionStep(DELETE_VICTIM_SYMBOL, None, victim, s, after, wd, 0, red)
 
 
 def is_terminal(s: Seq) -> bool:
@@ -343,13 +320,12 @@ def _check_step(step: ReductionStep, before_w: int) -> tuple[str | None, PairSca
         return f"stored weight delta {stored} != recomputed {Fraction(dw, den)}", None
     if bd != step.blank_delta:
         return f"stored blank delta {step.blank_delta} != recomputed {bd}", None
-    if step.rule == COLLAPSE_BLANKS and not (dw == 0 and bd == -1):
-        return "blank collapse must have deltas (0, -1)", None
-    if step.rule == DELETE_ZERO_WEIGHT_PAIR and not (dw == 0 and bd == 0):
-        return "zero-weight deletion must have deltas (0, 0)", None
-    if step.rule == COLLAPSE_WEIGHT_ONE_PAIR and not (dw == -den and bd == -1):
-        return "weight-one collapse must have deltas (-1, -1)", None
-    if step.rule == DELETE_VICTIM_SYMBOL:
+    if step.rule in LOCAL_RULES:
+        _, want_w, want_b = LOCAL_RULES[step.rule]
+        # the local weight deltas are integers
+        if dw != want_w.numerator * den or bd != want_b:
+            return f"{step.rule} must have deltas ({want_w}, {want_b})", None
+    else:
         try:
             red = redistribution(step.before)
         except ValueError as exc:
@@ -457,10 +433,10 @@ def certificate_from_text(text: str) -> ReductionCertificate:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed step line {line!r}") from exc
         after = apply_edit(cur, rule, arg)
-        pos = None if rule == DELETE_VICTIM_SYMBOL else arg
-        symbol = arg if rule == DELETE_VICTIM_SYMBOL else (
-            cur.symbols[arg - 1] if rule != COLLAPSE_BLANKS else None
-        )
+        if rule in LOCAL_RULES:
+            pos, symbol = arg, _anchor_symbol(rule, cur.symbols, arg)
+        else:
+            pos, symbol = None, arg
         steps.append(ReductionStep(rule, pos, symbol, cur, after, wd, bd))
         cur = after
     final = parse_seq(lines[-1], k)
@@ -575,15 +551,15 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveRe
     Each non-terminal word gets one ``reduce_step``, checked by
     ``_check_step``: the step is the rule's edit, its stored deltas are the
     recomputed ones, and it maps the word to a shorter permissible word with
-    dw >= bd.  Every rule's deltas satisfy that: (0, -1), (0, 0), (-1, -1)
-    and (input - output >= 0, 0).  So if the shorter word obeys the
-    inequality, w(before) = w(after) - dw <= blanks(after) - bd =
-    blanks(before).  The base cases, the empty word and a lone blank, have no
-    pairs.  The premise that every shorter word was checked is asserted: the
-    words counted per length must equal ``_word_counts``.  A counterexample
-    is a word whose own step fails its check; since ``reduce_step`` is
-    deterministic, every word's certificate checks exactly when every word's
-    first step does.
+    dw >= bd.  Every rule's deltas satisfy that: the local rules' in
+    ``LOCAL_RULES``, and (input - output >= 0, 0) for rule 4.  So if the
+    shorter word obeys the inequality, w(before) = w(after) - dw <=
+    blanks(after) - bd = blanks(before).  The base cases, the empty word and
+    a lone blank, have no pairs.  The premise that every shorter word was
+    checked is asserted: the words counted per length must equal
+    ``_word_counts``.  A counterexample is a word whose own step fails its
+    check; since ``reduce_step`` is deterministic, every word's certificate
+    checks exactly when every word's first step does.
 
     Raises when the raw word count (k+1)^max_len exceeds the enumeration
     budget.  ``jobs`` > 1 spreads prefix shards (see ``_shards``) over that

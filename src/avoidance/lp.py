@@ -45,6 +45,10 @@ __all__ = [
 
 WINDOW_BUDGET = 200_000
 
+# a phase-one gap (minimal L1 equality violation) above this is "infeasible";
+# below it, only a re-checked witness makes a point "feasible"
+UNKNOWN_MARGIN = 1e-6
+
 # HiGHS's interior-point solver (with crossover) was the fastest measured on
 # the phase-one LPs of k = 2, m = 9 and k = 3, m = 6..7; the dual simplex is
 # the fallback when it ends non-optimal.  The default tolerances (1e-7, 1e-8)
@@ -218,10 +222,6 @@ class FeasibilityResult:
     gap: float | None
     tol: float
 
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
-
 
 def witness_residual(lp: WindowLP, q: np.ndarray) -> float:
     """Largest constraint violation of q: equality rows, negativity, support."""
@@ -356,14 +356,14 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1e-6) -> FeasibilityResult:
+def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
     """Decide feasibility with one phase-one LP solve, then re-check independently.
 
     The solve (one ``linprog`` call: interior point, then the dual simplex
     if that ends non-optimal) minimizes the L1 equality violation
     1'(s+ + s-) subject to A' q + s+ - s- = b' and q, s+, s- >= 0, where
     A' keeps the permissible windows' columns and drops the rows they leave
-    empty (all with b = 0).  A gap above ``unknown_margin`` is "infeasible".
+    empty (all with b = 0).  A gap above UNKNOWN_MARGIN is "infeasible".
     Otherwise the window part of the solution, scattered back to every
     window, counts as a "feasible" witness only when it re-verifies within
     ``tol`` against the full system, support zeros included; anything else,
@@ -392,7 +392,7 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9, unknown_margin: float = 1
     if res.status != 0:
         return FeasibilityResult("unknown", None, None, None, tol)
     gap = float(res.fun)
-    if gap > unknown_margin:
+    if gap > UNKNOWN_MARGIN:
         return FeasibilityResult("infeasible", None, None, gap, tol)
     witness = np.zeros(lp.num_vars)
     witness[free] = res.x[:nv]

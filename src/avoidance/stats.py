@@ -31,6 +31,15 @@ __all__ = [
     "faithfulness_tests",
 ]
 
+# faithfulness tests: z-statistics pass within SIGMA, over lags 1..LAGS; the
+# window chi-square starts at WINDOW symbols and passes at p-values >= ALPHA;
+# traces shorter than MIN_T rounds are refused
+SIGMA = 4.0
+LAGS = 16
+WINDOW = 8
+ALPHA = 1e-3
+MIN_T = 10_000
+
 
 @dataclass(frozen=True)
 class EmpiricalStats:
@@ -177,62 +186,46 @@ class TestReport:
     T: int
     outcomes: tuple[TestOutcome, ...]
     passed: bool
-    params: dict
 
 
-def faithfulness_tests(
-    tr: CouplingTrace,
-    p: float,
-    sigma: float = 4.0,
-    lags: int = 16,
-    window: int = 8,
-    alpha: float = 1e-3,
-    min_T: int = 10_000,
-) -> TestReport:
+def faithfulness_tests(tr: CouplingTrace, p: float) -> TestReport:
     """Statistical check that each walker's stream looks i.i.d. Bernoulli(p).
 
-    Per walker: a frequency z-test against p, lag-1..lags sample
+    Per walker: a frequency z-test against p, lag-1..LAGS sample
     autocorrelations scaled by sqrt(T), and a chi-square of disjoint
     length-w window counts against the product law.  The window length
-    shrinks from ``window`` until every expected cell count reaches 5.
-    z-statistics pass at ``sigma``; the chi-square passes when its p-value
-    is at least ``alpha``.
+    shrinks from WINDOW until every expected cell count reaches 5.
+    z-statistics pass at SIGMA; the chi-square passes when its p-value is
+    at least ALPHA.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     import numpy as np
 
     T = tr.T
-    if T < min_T:
-        raise ValueError(f"need T >= {min_T} rounds for the configured tests, got {T}")
+    if T < MIN_T:
+        raise ValueError(f"need T >= {MIN_T} rounds for the configured tests, got {T}")
     outcomes: list[TestOutcome] = []
     se = math.sqrt(p * (1.0 - p) / T)
     for i in range(tr.k):
         x = np.ascontiguousarray(tr.rows[:, i])
         ones = int(np.count_nonzero(x))
         z = (ones / T - p) / se
-        outcomes.append(TestOutcome("frequency", i + 1, z, sigma, abs(z) <= sigma))
+        outcomes.append(TestOutcome("frequency", i + 1, z, SIGMA, abs(z) <= SIGMA))
         if 0 < ones < T:
-            for lag in range(1, lags + 1):
+            for lag in range(1, LAGS + 1):
                 z = float(_autocorrelation(x, ones, lag)) * math.sqrt(T)
                 outcomes.append(
-                    TestOutcome(f"autocorr_lag_{lag}", i + 1, z, sigma, abs(z) <= sigma)
+                    TestOutcome(f"autocorr_lag_{lag}", i + 1, z, SIGMA, abs(z) <= SIGMA)
                 )
-        w = _effective_window(T, p, window)
+        w = _effective_window(T, p)
         if w >= 2:
             pvalue = _window_chisquare(tr.rows[:, i], p, w)
             outcomes.append(
-                TestOutcome(f"window_chi2_w{w}", i + 1, pvalue, alpha, pvalue >= alpha)
+                TestOutcome(f"window_chi2_w{w}", i + 1, pvalue, ALPHA, pvalue >= ALPHA)
             )
     passed = all(o.passed for o in outcomes)
-    params = {
-        "sigma": sigma,
-        "lags": lags,
-        "window": window,
-        "alpha": alpha,
-        "min_T": min_T,
-    }
-    return TestReport(p, T, tuple(outcomes), passed, params)
+    return TestReport(p, T, tuple(outcomes), passed)
 
 
 def _autocorrelation(x: np.ndarray, ones: int, lag: int) -> Fraction:
@@ -253,9 +246,9 @@ def _autocorrelation(x: np.ndarray, ones: int, lag: int) -> Fraction:
     return Fraction(num, T * (ones * T - ones * ones))
 
 
-def _effective_window(T: int, p: float, window: int) -> int:
+def _effective_window(T: int, p: float) -> int:
     q = min(p, 1.0 - p)
-    w = min(window, 16)
+    w = WINDOW
     while w >= 2 and (T // w) * q**w < 5.0:
         w -= 1
     return w

@@ -220,17 +220,13 @@ def project(tr: WalkerTrace, v: int) -> CouplingTrace:
     return CouplingTrace(tr.k, (tr.rows == v).astype("uint8"))
 
 
-def write_trace(tr: CouplingTrace | WalkerTrace, path=None) -> str:
+def write_trace(tr: CouplingTrace | WalkerTrace) -> str:
     """Serialize to the text format: header "T k" or "T k n looped", then rows."""
     if isinstance(tr, WalkerTrace):
         header = f"{tr.T} {tr.k} {tr.n} {int(tr.looped)}"
     else:
         header = f"{tr.T} {tr.k}"
-    text = header + "\n" + _format_rows(tr.rows)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return header + "\n" + _format_rows(tr.rows)
 
 
 def _format_rows(rows: np.ndarray) -> str:

@@ -56,6 +56,28 @@ def brute_permissible(symbols):
     )
 
 
+# the local reduction rules as literal slices, given the symbol i at the
+# anchor: "B B", and "i i" or "i B i" for a walker i
+LITERAL_PATTERNS = {
+    "CollapseBlanks": lambda i: (0, 0),
+    "DeleteZeroWeightPair": lambda i: (i, i) if i else None,
+    "CollapseWeightOnePair": lambda i: (i, 0, i) if i else None,
+}
+
+
+def literal_local_step(rule, symbols, pos):
+    """The (symbol, after) a local rule records at 1-based anchor ``pos``, or
+    None when its literal pattern does not start there.  The step records the
+    walker (None for "B B") and keeps the pattern's first symbol only."""
+    if not 1 <= pos <= len(symbols):
+        return None
+    i = symbols[pos - 1]
+    pattern = LITERAL_PATTERNS[rule](i)
+    if pattern is None or tuple(symbols[pos - 1 : pos - 1 + len(pattern)]) != pattern:
+        return None
+    return i or None, tuple(symbols[:pos]) + tuple(symbols[pos - 1 + len(pattern) :])
+
+
 @dataclass(frozen=True)
 class BruteLP:
     """The window LP as ``brute_window_lp`` builds it, with a scipy CSR ``A``

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -264,6 +265,64 @@ def test_lp_build_output_is_pinned(k, p, m, digest):
     code, out = run_cli(["lp-build", "--k", str(k), "--p", p, "--m", str(m)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def seeded_word(seed, k=6, length=400):
+    """A permissible word: after walker j only a blank or a walker >= j follows."""
+    rng = random.Random(seed)
+    word, last = [], 0
+    for _ in range(length):
+        last = 0 if rng.random() < 0.35 else rng.randint(max(last, 1), k)
+        word.append("B" if last == 0 else str(last))
+    return " ".join(word)
+
+
+# sha256 of `reduce` stdout, text and JSON (its version field set to
+# VERSION), computed before the local rules were read from one table
+REDUCE_DIGESTS = [
+    (WORKED_EXAMPLE, 3, "322800d6f94a195fb1aa5447020d23ed6edde22bf27cb5fe39c4815736f01a1c",
+     "0a8da13f2d55c475cec4d7f141dcfe02af28735f58ce22dc4bc5558400b7c26c"),
+    (seeded_word(1), 6, "4312f84775af8e7d911b4105295dc83de69e5353486068b969937e9402a566c3",
+     "5f7c1dc8b783e01e2d1494fecc6b1405a598354d8e1338e6fe8c4aac3cffc04d"),
+    (seeded_word(2), 6, "e2879009d9ed90cc55736355c67d53fef435feca871f504d44b6f455bf42d687",
+     "8a1be1df1694464aa3f3317ab12147c2b63c0b732596489cf6c157fc4e2cec64"),
+    (seeded_word(3), 6, "f44ec4fd5f929bd0c4c4793ed554880ef0296b49620d86e3da47359d8f0dc14e",
+     "6c397849e2236af70d50ab20f580cc95963bc4bc7fa112879aa3af894c0403bb"),
+    (seeded_word(4), 6, "859ce9ae8cacbee9ff2912581da1b972bd4197ca00b3068f625d7032e79c2eb4",
+     "4e02edb968fbbb82c727495d8d56b9f1ec311531c0be3533d3577c7b76f7251c"),
+    (seeded_word(5), 6, "27f6107372e25f8bcc4cefe5e4efb2822f30c28a3d9108bf2062820c75aa5db1",
+     "f96069f6ee1143b1e03e13973a19c685819bc1116d4d9ad27a50b02ecb9b7738"),
+]
+
+
+@pytest.mark.parametrize("word, k, text_digest, json_digest", REDUCE_DIGESTS)
+def test_reduce_output_is_pinned(word, k, text_digest, json_digest, monkeypatch):
+    argv = ["reduce", "--k", str(k), "--in", "-"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(word + "\n"))
+    code, text = run_cli(argv)
+    monkeypatch.setattr("sys.stdin", io.StringIO(word + "\n"))
+    _, js = run_cli(argv + ["--format", "json"])
+    js = js.replace(f'"version": "{__version__}"', '"version": "VERSION"', 1)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+    assert hashlib.sha256(js.encode()).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--k", "3", "--in", "-", "--format", "csv"],
+        ["lp-build", "--k", "2", "--p", "1/8", "--m", "2", "--format", "csv"],
+        ["simulate", "round-robin", "--T", "5", "--format", "json"],
+        ["simulate", "round-robin", "--T", "5", "--format", "csv"],
+    ],
+)
+def test_formats_a_command_does_not_write_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(WORKED_EXAMPLE + "\n"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
 
 
 def test_byte_identical_reruns():
@@ -546,7 +605,7 @@ def test_lemma_and_bounds_commands_load_no_numpy(tmp_path):
     runs = [
         ["weights", "--k", "3", "--in", str(word)],
         ["weights", "--k", "3", "--in", str(word), "--format", "json"],
-        ["reduce", "--k", "3", "--in", str(word), "--format", "csv"],
+        ["reduce", "--k", "3", "--in", str(word), "--format", "text"],
         ["reduce", "--k", "3", "--in", str(word), "--format", "json"],
         ["verify-lemma", "--k", "2", "--max-len", "6", "--jobs", "1", "--format", "csv"],
         ["verify-lemma", "--k", "2", "--max-len", "6", "--jobs", "2", "--format", "json"],

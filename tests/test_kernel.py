@@ -14,6 +14,7 @@ from avoidance.lemma import (
     DELETE_VICTIM_SYMBOL,
     DELETE_ZERO_WEIGHT_PAIR,
     ReductionStep,
+    apply_edit,
     check_certificate,
     permissible_words,
     reduce_certificate,
@@ -22,11 +23,13 @@ from avoidance.lemma import (
 from avoidance.sequences import Seq, pair_scan, total_weight
 
 from oracles import (
+    LITERAL_PATTERNS,
     brute_pairs,
     brute_permissible,
     brute_redistribution,
     brute_total_weight,
     full_chain_sweep,
+    literal_local_step,
 )
 
 FORK_ONLY = pytest.mark.skipif(
@@ -206,6 +209,29 @@ def test_word_counts_match_brute_force():
                 for length in range(1, max_len + 1)
             }
             assert lemma._word_counts(k, max_len) == expected
+
+
+def test_edit_check_accepts_exactly_the_literal_patterns():
+    # every local rule at every anchor of every permissible word with k <= 2
+    # and length <= 6, recording each symbol and the package's own edit: the
+    # check must accept exactly the steps the literal slices describe
+    accepted = 0
+    for k in (1, 2):
+        for word in permissible_words(k, 6):
+            before = Seq(k, word)
+            for rule in LITERAL_PATTERNS:
+                for pos in range(len(word) + 2):
+                    try:
+                        after = apply_edit(before, rule, pos)
+                    except ValueError:
+                        after = before
+                    want = literal_local_step(rule, word, pos)
+                    for symbol in (None, *range(k + 1)):
+                        step = ReductionStep(rule, pos, symbol, before, after, Fraction(0), 0)
+                        ok = want == (symbol, after.symbols)
+                        assert (lemma._edit_matches(step) is None) == ok, (rule, word, pos, symbol)
+                        accepted += ok
+    assert accepted > 500
 
 
 def test_step_check_rejects_a_non_permissible_result(monkeypatch):

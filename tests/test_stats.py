@@ -130,8 +130,9 @@ def test_independent_marginals_are_faithful():
 
 def test_report_records_parameters():
     report = faithfulness_tests(FAITHFUL, 0.3)
-    assert report.params["sigma"] == 4.0
-    assert report.params["alpha"] == 1e-3
+    chi2 = {o.threshold for o in report.outcomes if o.name.startswith("window_chi2")}
+    assert chi2 == {1e-3}
+    assert {o.threshold for o in report.outcomes if not o.name.startswith("window_chi2")} == {4.0}
     assert report.T == 10**6
     names = {o.name for o in report.outcomes}
     assert "frequency" in names

@@ -137,7 +137,8 @@ def test_project_bad_vertex():
 def test_binary_trace_round_trip(tmp_path):
     tr = binary([[1, 0], [0, 1], [0, 0]])
     path = tmp_path / "trace.txt"
-    text = write_trace(tr, path)
+    text = write_trace(tr)
+    path.write_text(text)
     assert text.splitlines()[0] == "3 2"
     back = read_trace(path)
     assert isinstance(back, CouplingTrace)
