@@ -6,7 +6,7 @@ walker counts and Bernoulli parameters, trace simulation and checking with
 statistical faithfulness tests, and a window-marginal LP feasibility probe.
 """
 
-__version__ = "0.4.3"
+__version__ = "0.4.4"
 
 from .bounds import feasible_pressure, max_p, max_walkers, taylor_partial
 from .lemma import (

@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__, bounds, lemma, lp, policies, sequences, stats, traces
 from .reporting import frac_text, jsonable, render_csv, render_json, sig12
@@ -115,14 +114,6 @@ def _meta(ns: argparse.Namespace) -> dict:
     }
 
 
-def _rational(text: str) -> Fraction:
-    """Parse a rational such as 0.3 or 1/8; a zero denominator is a ValueError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -159,6 +150,9 @@ def _flatten(body: dict, prefix: str = ""):
         key = f"{prefix}{k}"
         if isinstance(v, dict):
             yield from _flatten(v, key + ".")
+        elif isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v):
+            # one row per field of each item, keyed by its index: pairs.0.symbol
+            yield from _flatten(dict(enumerate(v)), key + ".")
         elif isinstance(v, (list, tuple)):
             yield key, " ".join(str(jsonable(x)) for x in v)
         else:
@@ -369,7 +363,7 @@ def cmd_stats(ns) -> int:
 
 
 def cmd_lp_build(ns) -> int:
-    inst = lp.build_window_lp(ns.k, _rational(ns.p), ns.m)
+    inst = lp.build_window_lp(ns.k, ns.p, ns.m)
     mps = lp.write_mps(inst)
     if ns.format == "json":
         body = {
@@ -388,7 +382,7 @@ def cmd_lp_build(ns) -> int:
 
 
 def cmd_lp_scan(ns) -> int:
-    grid = [_rational(tok) for tok in ns.grid.split(",") if tok.strip()]
+    grid = [tok for tok in ns.grid.split(",") if tok.strip()]
     if not grid:
         raise ValueError("empty grid")
     report = lp.scan_p(ns.k, ns.m, grid, tol=ns.tol)

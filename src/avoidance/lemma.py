@@ -79,6 +79,9 @@ ENUMERATION_BUDGET = 10_000_000
 # subtrees even out across the pool
 SHARDS_PER_JOB = 8
 
+# a sweep of fewer words runs in one process: a pool saves it no wall time
+POOL_MIN_WORDS = 6_000
+
 
 @dataclass(frozen=True)
 class RedistributionReport:
@@ -478,15 +481,13 @@ class ExhaustiveReport:
         return not self.counterexamples
 
 
-def _verify_words(k: int, words) -> tuple[int, dict[int, int], list[tuple[int, ...]]]:
-    """Check each word's first reduction step; counterexamples are the words
-    whose step fails.  A terminal word has no step: it has no pairs, so it
-    holds the inequality outright."""
-    checked = 0
+def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
+    """Check the first reduction step of each word under ``prefix``; the
+    counterexamples are the words whose step fails.  A terminal word has no
+    step: it has no pairs, so it holds the inequality outright."""
     by_length: dict[int, int] = {}
     bad: list[tuple[int, ...]] = []
-    for word in words:
-        checked += 1
+    for word in permissible_words(k, max_len, prefix):
         by_length[len(word)] = by_length.get(len(word), 0) + 1
         s = Seq(k, word)
         if is_terminal(s):
@@ -494,12 +495,7 @@ def _verify_words(k: int, words) -> tuple[int, dict[int, int], list[tuple[int, .
         failure, _ = _check_step(reduce_step(s), pair_scan(s).scaled_total)
         if failure is not None:
             bad.append(word)
-    return checked, by_length, bad
-
-
-def _verify_shard(args: tuple[int, int, tuple[int, ...]]):
-    k, max_len, prefix = args
-    return _verify_words(k, permissible_words(k, max_len, prefix))
+    return by_length, bad
 
 
 def _shards(k: int, max_len: int, jobs: int) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -562,8 +558,9 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveRe
     checks exactly when every word's first step does.
 
     Raises when the raw word count (k+1)^max_len exceeds the enumeration
-    budget.  ``jobs`` > 1 spreads prefix shards (see ``_shards``) over that
-    many processes, at most one per CPU.  The report is the same at every
+    budget.  A sweep of at least ``POOL_MIN_WORDS`` words spreads prefix
+    shards (see ``_shards``) over up to ``jobs`` processes, at most one per
+    usable CPU; a smaller one runs here.  The report is the same at every
     ``jobs``; counterexamples are listed in enumeration order.
     """
     if k < 1 or max_len < 1:
@@ -574,26 +571,28 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveRe
         raise ValueError(
             f"(k+1)^max_len = {k + 1}^{max_len} words exceed the budget {ENUMERATION_BUDGET}"
         )
-    workers = min(jobs, os.cpu_count() or 1)
+    expected = _word_counts(k, max_len)
+    # the CPUs this process may use: its affinity mask, where the OS has one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, cpus or 1) if sum(expected.values()) >= POOL_MIN_WORDS else 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         shards = _shards(k, max_len, workers)
-        checked = 0
-        by_length: dict[int, int] = {}
-        bad: list[tuple[int, ...]] = []
         with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-            for c, bl, cx in pool.map(_verify_shard, shards):
-                checked += c
-                for length, cnt in bl.items():
-                    by_length[length] = by_length.get(length, 0) + cnt
-                bad.extend(cx)
+            results = list(pool.map(_verify_words, *zip(*shards)))
     else:
-        checked, by_length, bad = _verify_words(k, permissible_words(k, max_len))
-    expected = _word_counts(k, max_len)
+        results = [_verify_words(k, max_len)]
+    by_length: dict[int, int] = {}
+    bad: list[tuple[int, ...]] = []
+    for counts, words in results:
+        for length, cnt in counts.items():
+            by_length[length] = by_length.get(length, 0) + cnt
+        bad.extend(words)
     if by_length != expected:
         raise AssertionError(
             f"incomplete enumeration: words per length {by_length} != {expected}"
         )
     counterexamples = tuple(Seq(k, w).text() for w in sorted(bad))
-    return ExhaustiveReport(k, max_len, checked, dict(sorted(by_length.items())), counterexamples)
+    # by_length equals expected, which lists the lengths in order
+    return ExhaustiveReport(k, max_len, sum(by_length.values()), expected, counterexamples)

@@ -200,14 +200,15 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
 
 
 def _as_fraction(p) -> Fraction:
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, str):
-        return Fraction(p)
+    """p exactly: a rational such as 0.3 or 1/8, or a number; a zero
+    denominator is a ValueError."""
     if isinstance(p, float):
         # use the decimal rendering so 0.3 means 3/10, not its binary expansion
-        return Fraction(repr(p))
-    return Fraction(p)
+        p = repr(p)
+    try:
+        return Fraction(p)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {str(p).strip()!r}") from None
 
 
 @dataclass(frozen=True)
@@ -452,10 +453,10 @@ def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
     from .bounds import max_p
 
     _check_tol(tol)
+    grid = [_as_fraction(p) for p in p_grid]  # a malformed point fails before any solve
     p_star = max_p(k)
     entries = []
-    for p_raw in p_grid:
-        p = _as_fraction(p_raw)
+    for p in grid:
         lp = build_window_lp(k, p, m)
         res = solve_feasibility(lp, tol=tol)
         entries.append(

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -306,6 +307,68 @@ def test_reduce_output_is_pinned(word, k, text_digest, json_digest, monkeypatch)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == text_digest
     assert hashlib.sha256(js.encode()).hexdigest() == json_digest
+
+
+# sha256 of `verify-lemma` stdout in text, JSON and CSV (their version set to
+# VERSION), computed before the pool was chosen by the sweep's word count
+VERIFY_LEMMA_DIGESTS = [
+    (2, 8, 1, "2ef3cfaa3c8ccf28b2bfbee60f5e62b6832ae720be6ad0103f330ae7818f8bd5",
+     "c49bb48c750d0d7f229188b041e3225c5cee1080dcda03f397e60c934fb691f6",
+     "168d6e2d177e715e40156cd6a6a7668ea55172bff86e5c68f361454d69467f42"),
+    (2, 8, 2, "2ef3cfaa3c8ccf28b2bfbee60f5e62b6832ae720be6ad0103f330ae7818f8bd5",
+     "d267c37dc5f6dfa43aaf6272cac85724940452d1d71c8057b06c7c898f6fdf82",
+     "d9353d67948f20f6f34867428b50d1bae88d365e3dfbe74293ab7962e1e8f18f"),
+    (4, 5, 1, "ff7c929d8bbd95786dc9b381e35f2684d262f07b088f06d7482a99f025c8620a",
+     "296160117d8b874c8708c58b9161fbc425a7b4583e2eb55b0bff74647131c67f",
+     "3a2b876806a2ed2f6fa20fa29b405eb3bb5a396388416e3e4cd4f0e3b7a09619"),
+    (4, 5, 2, "ff7c929d8bbd95786dc9b381e35f2684d262f07b088f06d7482a99f025c8620a",
+     "6f455c061e6000a14da82e625ac3904adfd04749294b113de36b7a4250d391d7",
+     "3c5c4213e95d883ef0876970629a564ae27bab35105911f0c8e171ec0aa4a9fa"),
+    (3, 6, 1, "e7183c6955259b1b25b5b30ce2ccdf12c32323026fa96a4cd38abe5161d0ca3d",
+     "9a7bb6d51054f67584d8a6ddeccc2d89934024c531c932b58f39076b7ccf8c3b",
+     "d33d229c136024acb945b7c6ba718219cd1d58ac7b480dcc54e026b3e0365696"),
+    (3, 6, 2, "e7183c6955259b1b25b5b30ce2ccdf12c32323026fa96a4cd38abe5161d0ca3d",
+     "29c17796cd346b25fdb9cd59eef0306c1df0e15293514c17eb4d08e61bd087fa",
+     "97a2a8bfa02a84f261ea5c3e60afe3962625b37ed303a24b74c5919a3378e174"),
+]
+
+
+@pytest.mark.parametrize("k, max_len, jobs, text_digest, json_digest, csv_digest",
+                         VERIFY_LEMMA_DIGESTS)
+def test_verify_lemma_output_is_pinned(k, max_len, jobs, text_digest, json_digest, csv_digest):
+    argv = ["verify-lemma", "--k", str(k), "--max-len", str(max_len), "--jobs", str(jobs)]
+    digests = []
+    for fmt in ("text", "json", "csv"):
+        code, out = run_cli(argv + ["--format", fmt])
+        assert code == 0
+        out = out.replace(f'"version": "{__version__}"', '"version": "VERSION"', 1)
+        out = out.replace(f"# version={__version__}\n", "# version=VERSION\n", 1)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == [text_digest, json_digest, csv_digest]
+
+
+def test_csv_rows_have_the_header_fields(tmp_path):
+    # list items that are records flatten to one row per field, keyed by index
+    word = tmp_path / "word.txt"
+    word.write_text(WORKED_EXAMPLE + "\n")
+    trace = tmp_path / "independent.txt"
+    run_cli(["simulate", "independent", "--k", "2", "--p", "0.4", "--T", "10000",
+             "--seed", "1", "--out", str(trace)])
+    runs = {
+        "pairs.0.symbol": ["weights", "--k", "3", "--in", str(word)],
+        "value": ["bound", "--n", "21"],
+        "residual": ["maxp", "--k", "3"],
+        "gap": ["taylor", "--p", "0.3", "--T", "100"],
+        "violations.0.kind": ["check-trace", "--in", str(trace)],
+        "tests.0.statistic": ["stats", "--in", str(trace), "--p", "0.4"],
+    }
+    for key, argv in runs.items():
+        code, out = run_cli(argv + ["--format", "csv"])
+        assert code in (0, 1), argv
+        rows = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+        assert rows[0] == ["key", "value"], argv
+        assert all(len(row) == 2 for row in rows), argv
+        assert key in [row[0] for row in rows], argv
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,12 @@ FORK_ONLY = pytest.mark.skipif(
 )
 
 
+@pytest.fixture
+def pool_at_any_size(monkeypatch):
+    # these sweeps are far below the pool's break-even; force it so it stays covered
+    monkeypatch.setattr(lemma, "POOL_MIN_WORDS", 0)
+
+
 def any_words(max_k=4, max_len=14):
     return st.integers(1, max_k).flatmap(
         lambda k: st.lists(st.integers(0, k), max_size=max_len).map(
@@ -143,13 +149,14 @@ def test_shards_partition_the_words(k, max_len, jobs):
 @given(st.integers(1, 3), st.integers(1, 5))
 @settings(max_examples=8, deadline=None)
 def test_exhaustive_report_same_at_one_and_two_jobs(k, max_len):
-    assert verify_lemma_exhaustive(k, max_len, jobs=1) == verify_lemma_exhaustive(
-        k, max_len, jobs=2
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lemma, "POOL_MIN_WORDS", 0)
+        parallel = verify_lemma_exhaustive(k, max_len, jobs=2)
+    assert verify_lemma_exhaustive(k, max_len, jobs=1) == parallel
 
 
 @FORK_ONLY
-def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch):
+def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch, pool_at_any_size):
     # fail the step of every word that ends in walker 2, so there are
     # counterexamples to order
     def fake_check(step, before_w):
@@ -162,7 +169,7 @@ def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_sweep_matches_full_chain_oracle(k):
+def test_sweep_matches_full_chain_oracle(k, pool_at_any_size):
     for max_len in range(1, 7):
         oracle = full_chain_sweep(k, max_len)
         for jobs in (1, 2):
@@ -170,7 +177,7 @@ def test_sweep_matches_full_chain_oracle(k):
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
-def test_sweep_reports_exactly_the_words_whose_step_fails(monkeypatch, jobs):
+def test_sweep_reports_exactly_the_words_whose_step_fails(monkeypatch, pool_at_any_size, jobs):
     # a wrong stored weight delta on some words; the chains through them are
     # not blamed, since each word is checked by its own step
     real = lemma.reduce_step
@@ -188,7 +195,7 @@ def test_sweep_reports_exactly_the_words_whose_step_fails(monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
-def test_missing_word_trips_the_completeness_check(monkeypatch, jobs):
+def test_missing_word_trips_the_completeness_check(monkeypatch, pool_at_any_size, jobs):
     real = lemma.permissible_words
 
     def dropping(*args):

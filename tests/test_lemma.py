@@ -1,10 +1,13 @@
+import concurrent.futures
 import dataclasses
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avoidance import lemma
 from avoidance.lemma import (
     COLLAPSE_BLANKS,
     COLLAPSE_WEIGHT_ONE_PAIR,
@@ -331,12 +334,83 @@ def test_exhaustive_no_counterexamples(k, max_len):
     assert report.checked > 0
 
 
-def test_exhaustive_parallel_matches_serial():
+def test_exhaustive_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(lemma, "POOL_MIN_WORDS", 0)
     serial = verify_lemma_exhaustive(2, 6)
     parallel = verify_lemma_exhaustive(2, 6, jobs=3)
     assert parallel.checked == serial.checked
     assert parallel.by_length == serial.by_length
     assert parallel.counterexamples == serial.counterexamples
+
+
+def usable_cpus(monkeypatch, affinity, count=3):
+    """Fake the CPUs: an affinity mask of ``affinity`` CPUs (None: the OS has
+    no mask) on a machine of ``count``."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        mask = set(range(affinity))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every process pool a sweep asks for; its shards run here."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("k, max_len", [(2, 8), (4, 5)])
+@pytest.mark.parametrize("jobs", [2, 8])
+def test_sweep_below_pool_min_words_starts_no_pool(monkeypatch, k, max_len, jobs):
+    # the benchmark's sweeps, on a machine with CPUs to spare
+    assert sum(lemma._word_counts(k, max_len).values()) < lemma.POOL_MIN_WORDS
+    serial = verify_lemma_exhaustive(k, max_len)
+    usable_cpus(monkeypatch, 8, 8)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert verify_lemma_exhaustive(k, max_len, jobs=jobs) == serial
+
+
+@pytest.mark.parametrize(
+    "affinity, jobs, short, pools",
+    [
+        (1, 2, 0, []),  # two CPUs in the machine, one usable
+        (2, 1, 0, []),
+        (2, 2, 0, [2]),
+        (4, 3, 0, [3]),
+        (4, 8, 0, [4]),
+        (None, 8, 0, [3]),  # no affinity mask: the CPU count caps
+        (4, 4, 1, []),  # one word short of the threshold
+    ],
+)
+def test_pool_size_is_jobs_capped_by_the_usable_cpus(
+    monkeypatch, pool_sizes, affinity, jobs, short, pools
+):
+    serial = verify_lemma_exhaustive(2, 6)
+    monkeypatch.setattr(lemma, "POOL_MIN_WORDS", serial.checked + short)
+    usable_cpus(monkeypatch, affinity)
+    assert verify_lemma_exhaustive(2, 6, jobs=jobs) == serial
+    assert pool_sizes == pools
 
 
 def test_exhaustive_budget():

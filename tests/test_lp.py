@@ -160,6 +160,16 @@ def test_rejects_bad_parameters():
         build_window_lp(2, "1.5", 2)
 
 
+def test_zero_denominator_is_a_value_error(monkeypatch):
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        build_window_lp(2, "1/0", 2)
+    # the whole grid is read before the first solve
+    monkeypatch.setattr(lp_module, "solve_feasibility", lambda *a, **kw: pytest.fail("solved"))
+    for grid in (["1/0"], ["0.3", " 3/0"]):
+        with pytest.raises(ValueError, match="zero denominator"):
+            scan_p(2, 2, grid)
+
+
 def test_float_p_means_decimal_not_binary():
     lp = build_window_lp(1, 0.3, 1)
     assert lp.p == Fraction(3, 10)
