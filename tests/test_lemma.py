@@ -394,7 +394,7 @@ def test_sweep_below_pool_min_words_starts_no_pool(monkeypatch, k, max_len, jobs
 @pytest.mark.parametrize(
     "affinity, jobs, short, pools",
     [
-        (1, 2, 0, []),  # two CPUs in the machine, one usable
+        (1, 2, 0, []),  # three CPUs in the machine, one usable
         (2, 1, 0, []),
         (2, 2, 0, [2]),
         (4, 3, 0, [3]),
