@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
-from . import __version__, bounds, lemma, lp, policies, sequences, stats, traces
-from .reporting import frac_text, jsonable, render_csv, render_json, sig12
+from . import __version__, bounds, lemma, lp, policies, reporting, sequences, stats, traces
 
 # the size and probability options each simulate policy reads
 POLICY_OPTIONS = {
@@ -57,14 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify-lemma", "exhaustively check total weight <= blanks")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--max-len", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--jobs", type=int, default=None, help="process cap (default: the usable CPUs)")
 
     sp = add("bound", "walker-count bound ceil(n - ln n)")
     sp.add_argument("--n", type=int, required=True)
 
     sp = add("maxp", "largest p consistent with k walkers")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=bounds.DEFAULT_TOL)
+    sp.add_argument("--tol", type=float, default=None)
 
     sp = add("taylor", "partial sum of p^2 (1-p)^b / b, b = 1..T")
     sp.add_argument("--p", type=float, required=True)
@@ -135,12 +133,12 @@ def _write(ns: argparse.Namespace, text: str) -> None:
 
 def _emit(ns, body: dict, text_lines: list[str], csv_rows=None, csv_columns=None) -> None:
     if ns.format == "json":
-        _write(ns, render_json({**_meta(ns), **body}))
+        _write(ns, reporting.render_json({**_meta(ns), **body}))
     elif ns.format == "csv":
         if csv_rows is None:
             csv_columns = ["key", "value"]
             csv_rows = [{"key": k, "value": v} for k, v in _flatten(body)]
-        _write(ns, render_csv(_meta(ns), csv_columns, csv_rows))
+        _write(ns, reporting.render_csv(_meta(ns), csv_columns, csv_rows))
     else:
         _write(ns, "\n".join(text_lines) + "\n")
 
@@ -154,9 +152,9 @@ def _flatten(body: dict, prefix: str = ""):
             # one row per field of each item, keyed by its index: pairs.0.symbol
             yield from _flatten(dict(enumerate(v)), key + ".")
         elif isinstance(v, (list, tuple)):
-            yield key, " ".join(str(jsonable(x)) for x in v)
+            yield key, " ".join(str(reporting.jsonable(x)) for x in v)
         else:
-            yield key, jsonable(v)
+            yield key, reporting.jsonable(v)
 
 
 def cmd_weights(ns) -> int:
@@ -174,10 +172,12 @@ def cmd_weights(ns) -> int:
             for p in rep.pairs
         ],
     }
-    lines = [f"total {frac_text(rep.total)}", f"blanks {rep.blanks}"]
-    lines += [f"output {i} {frac_text(w)}" for i, w in sorted(rep.per_symbol_output.items())]
+    lines = [f"total {reporting.frac_text(rep.total)}", f"blanks {rep.blanks}"]
     lines += [
-        f"pair {p.symbol} {p.t1} {p.t2} b={p.b} w={frac_text(p.weight)}" for p in rep.pairs
+        f"output {i} {reporting.frac_text(w)}" for i, w in sorted(rep.per_symbol_output.items())
+    ]
+    lines += [
+        f"pair {p.symbol} {p.t1} {p.t2} b={p.b} w={reporting.frac_text(p.weight)}" for p in rep.pairs
     ]
     _emit(ns, body, lines)
     return 0
@@ -197,7 +197,7 @@ def cmd_reduce(ns) -> int:
             "verified": check.ok,
             "certificate": cert_text.splitlines(),
         }
-        _write(ns, render_json({**_meta(ns), **body}))
+        _write(ns, reporting.render_json({**_meta(ns), **body}))
     else:
         _write(ns, cert_text)
     return 0 if check.ok else 1
@@ -233,6 +233,8 @@ def cmd_bound(ns) -> int:
 
 
 def cmd_maxp(ns) -> int:
+    if ns.tol is None:  # resolved here, not at parse time, so parsing runs no layer
+        ns.tol = bounds.DEFAULT_TOL
     p_star = bounds.max_p(ns.k, ns.tol)
     residual = abs(bounds.feasible_pressure(p_star) - 1.0 / ns.k) if ns.k >= 1 else None
     body = {"k": ns.k, "value": p_star, "residual": residual, "tol": ns.tol}
@@ -336,12 +338,12 @@ def cmd_stats(ns) -> int:
         )
         lines += [
             f"blanks {est.blanks}",
-            f"blank_rate {sig12(float(est.blank_rate))}",
-            f"occupancy_rate {sig12(float(est.occupancy_rate))}",
-            f"weight_rate_total {frac_text(est.weight_rate_total)}",
+            f"blank_rate {reporting.sig12(float(est.blank_rate))}",
+            f"occupancy_rate {reporting.sig12(float(est.occupancy_rate))}",
+            f"weight_rate_total {reporting.frac_text(est.weight_rate_total)}",
         ]
         lines += [
-            f"weight_rate {i} {frac_text(w)}" for i, w in sorted(est.weight_rate.items())
+            f"weight_rate {i} {reporting.frac_text(w)}" for i, w in sorted(est.weight_rate.items())
         ]
     body["tests"] = [
         {
@@ -354,8 +356,8 @@ def cmd_stats(ns) -> int:
         for o in report.outcomes
     ]
     lines += [
-        f"test {o.name} walker={o.walker} stat={sig12(o.statistic)} "
-        f"threshold={sig12(o.threshold)} {'pass' if o.passed else 'FAIL'}"
+        f"test {o.name} walker={o.walker} stat={reporting.sig12(o.statistic)} "
+        f"threshold={reporting.sig12(o.threshold)} {'pass' if o.passed else 'FAIL'}"
         for o in report.outcomes
     ]
     _emit(ns, body, lines)
@@ -375,7 +377,7 @@ def cmd_lp_build(ns) -> int:
             "support_zeros": len(inst.zero_vars),
             "mps": mps.splitlines(),
         }
-        _write(ns, render_json({**_meta(ns), **body}))
+        _write(ns, reporting.render_json({**_meta(ns), **body}))
     else:
         _write(ns, mps)
     return 0
@@ -402,12 +404,12 @@ def cmd_lp_scan(ns) -> int:
         "m": report.m,
         "tol": report.tol,
         "entries": [
-            {**row, "p": frac_text(e.p)} for row, e in zip(rows, report.entries)
+            {**row, "p": reporting.frac_text(e.p)} for row, e in zip(rows, report.entries)
         ],
     }
     lines = [
-        f"p={frac_text(e.p)} status={e.status}"
-        + (f" gap={sig12(e.gap)}" if e.gap is not None else "")
+        f"p={reporting.frac_text(e.p)} status={e.status}"
+        + (f" gap={reporting.sig12(e.gap)}" if e.gap is not None else "")
         + f" within_maxp={str(e.within_max_p).lower()}"
         for e in report.entries
     ]

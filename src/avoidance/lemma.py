@@ -540,7 +540,7 @@ def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
     return False
 
 
-def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveReport:
+def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> ExhaustiveReport:
     """Prove total weight <= blanks for every permissible word of length
     1..max_len over {B, 1..k}, by induction on length.
 
@@ -560,12 +560,13 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveRe
     Raises when the raw word count (k+1)^max_len exceeds the enumeration
     budget.  A sweep of at least ``POOL_MIN_WORDS`` words spreads prefix
     shards (see ``_shards``) over up to ``jobs`` processes, at most one per
-    usable CPU; a smaller one runs here.  The report is the same at every
-    ``jobs``; counterexamples are listed in enumeration order.
+    usable CPU, and one per usable CPU when ``jobs`` is None; a smaller one
+    runs here.  The report is the same at every ``jobs``; counterexamples
+    are listed in enumeration order.
     """
     if k < 1 or max_len < 1:
         raise ValueError("need k >= 1 and max_len >= 1")
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     if _power_exceeds(k + 1, max_len, ENUMERATION_BUDGET):
         raise ValueError(
@@ -573,8 +574,8 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int = 1) -> ExhaustiveRe
         )
     expected = _word_counts(k, max_len)
     # the CPUs this process may use: its affinity mask, where the OS has one
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, cpus or 1) if sum(expected.values()) >= POOL_MIN_WORDS else 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) or 1
+    workers = min(jobs or cpus, cpus) if sum(expected.values()) >= POOL_MIN_WORDS else 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

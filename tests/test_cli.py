@@ -672,8 +672,9 @@ def test_word_commands_keep_the_exit_code_contract(text, k, command, data):
 
 
 def test_lemma_and_bounds_commands_load_no_numpy(tmp_path):
-    # the benchmark tracer patches every layer module, so the CLI must still
-    # load all nine eagerly; only numpy waits for a command that builds an array
+    # the benchmark tracer looks every layer module up in sys.modules, so
+    # importing the CLI must still register all nine; the layers are
+    # registered, not run, and numpy waits for a command that builds an array
     word = tmp_path / "word.txt"
     word.write_text(WORKED_EXAMPLE + "\n")
     runs = [
@@ -705,6 +706,91 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n" + "0\n" * len(runs) + "[]\n"
+
+
+LAYERS = ("bounds", "lemma", "lp", "policies", "reporting", "sequences", "stats", "traces")
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
+    (folder / "word.txt").write_text(WORKED_EXAMPLE + "\n")
+    for name, policy in [("binary", ["trivial-k1", "--p", "0.3", "--T", "10000"]),
+                         ("walker", ["walkers", "--n", "6", "--k", "3", "--T", "200"])]:
+        assert main(["simulate", *policy, "--seed", "1", "--out", str(folder / f"{name}.txt")]) == 0
+    return folder
+
+
+# the layers each command executes, in LAYERS order
+EXECUTED_LAYERS = [
+    (["--version"], []),
+    (["weights", "--k", "3", "--in", "word.txt"], ["reporting", "sequences"]),
+    (["weights", "--k", "3", "--in", "word.txt", "--format", "json"], ["reporting", "sequences"]),
+    (["reduce", "--k", "3", "--in", "word.txt"], ["lemma", "sequences"]),
+    (["verify-lemma", "--k", "2", "--max-len", "5"], ["lemma", "sequences"]),
+    (["verify-lemma", "--k", "2", "--max-len", "5", "--format", "csv"],
+     ["lemma", "reporting", "sequences"]),
+    (["bound", "--n", "21"], ["bounds"]),
+    (["maxp", "--k", "3"], ["bounds"]),
+    (["taylor", "--p", "0.3", "--T", "10"], ["bounds"]),
+    (["simulate", "round-robin", "--k", "2", "--T", "10"], ["policies", "sequences", "traces"]),
+    (["check-trace", "--in", "binary.txt"], ["sequences", "traces"]),
+    (["check-trace", "--in", "walker.txt", "--format", "json"], ["reporting", "sequences", "traces"]),
+    (["stats", "--in", "binary.txt", "--p", "0.3"], ["reporting", "sequences", "stats", "traces"]),
+    (["lp-build", "--k", "2", "--p", "1/5", "--m", "3"], ["lp", "sequences"]),
+    (["lp-scan", "--k", "2", "--m", "3", "--grid", "1/5"], ["bounds", "lp", "reporting", "sequences"]),
+]
+
+
+@pytest.mark.parametrize("argv, executed", EXECUTED_LAYERS, ids=[" ".join(a) for a, _ in EXECUTED_LAYERS])
+def test_each_command_executes_only_the_layers_it_calls(cli_inputs, argv, executed):
+    # a registered layer that has not run is still a LazyLoader module; its
+    # class becomes the plain module type once its code has executed
+    code = f"""
+import io, sys, types
+from contextlib import redirect_stdout
+import avoidance.cli
+with redirect_stdout(io.StringIO()):
+    code = avoidance.cli.main({argv!r})
+print(code)
+layers = {LAYERS!r}
+print([m for m in layers if "avoidance." + m not in sys.modules])
+print([m for m in layers if type(sys.modules["avoidance." + m]) is types.ModuleType])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cli_inputs,
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0", "[]", repr(executed)]
+
+
+def test_tracer_wraps_layers_the_cli_has_not_run():
+    # perfbench's tracer patches every layer module it finds in sys.modules,
+    # including those the commands run so far have not executed
+    code = """
+import io, sys
+from contextlib import redirect_stdout
+import avoidance.cli
+from perfbench import tracing
+with redirect_stdout(io.StringIO()):
+    assert avoidance.cli.main(["verify-lemma", "--k", "2", "--max-len", "4", "--jobs", "1"]) == 0
+lp, bounds = sys.modules["avoidance.lp"], sys.modules["avoidance.bounds"]
+rec = tracing.Recorder()
+with tracing.instrumented("avoidance", rec):
+    print(lp.linprog.__wrapped__.__module__, bounds.max_walkers.__wrapped__.__module__)
+    bounds.max_walkers(21)
+print(sorted(name for _, name in rec.spans))
+print(hasattr(lp.linprog, "__wrapped__"), hasattr(bounds.max_walkers, "__wrapped__"))
+"""
+    root = str(Path(SRC).parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, root])},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "avoidance.lp avoidance.bounds\n['bounds.max_walkers']\nFalse False\n"
 
 
 def test_trace_commands_load_no_scipy(tmp_path):
@@ -840,6 +926,20 @@ def test_verify_lemma_rejects_jobs_below_one(jobs, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "jobs" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_lemma_report_does_not_depend_on_the_cpu_count(monkeypatch, fmt):
+    argv = ["verify-lemma", "--k", "2", "--max-len", "5", "--format", fmt]
+    outputs = set()
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        code, out = run_cli(argv)
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    assert "jobs" not in outputs.pop()
 
 
 def test_stats_output_is_independent_of_blas_threads(tmp_path):

@@ -401,6 +401,8 @@ def test_sweep_below_pool_min_words_starts_no_pool(monkeypatch, k, max_len, jobs
         (4, 8, 0, [4]),
         (None, 8, 0, [3]),  # no affinity mask: the CPU count caps
         (4, 4, 1, []),  # one word short of the threshold
+        (4, None, 0, [4]),  # no jobs given: every usable CPU
+        (None, None, 0, [3]),
     ],
 )
 def test_pool_size_is_jobs_capped_by_the_usable_cpus(
