@@ -11,10 +11,15 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "feasible_pressure",
     "max_p",
+    "within_max_p",
     "max_walkers",
     "taylor_partial",
     "WalkerBound",
@@ -62,6 +67,38 @@ def max_p(k: int, tol: float = DEFAULT_TOL) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def within_max_p(k: int, p: Fraction) -> bool:
+    """Whether p(1 - p ln p) <= 1/k, that is p <= max_p(k), decided exactly
+    for a rational p in (0, 1).
+
+    The inequality is ln p >= x with x = (kp - 1)/(kp^2).  When kp >= 1,
+    x >= 0 > ln p.  Otherwise ln p - x is never 0, since e^x is irrational
+    for a rational x != 0, so decimal values of ln p and x, each within
+    a few units of the last digit, separate once the precision is high
+    enough; it doubles until they do.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if k * p >= 1:
+        return False
+    x = (k * p - 1) / (k * p * p)
+    prec = 30 + len(str(x.numerator // x.denominator))  # more digits than x has before the point
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            log_p = ctx.ln(ctx.divide(p.numerator, p.denominator))
+            x_dec = ctx.divide(x.numerator, x.denominator)
+            diff = log_p - x_dec
+            # every step above rounds once, by at most one unit in the
+            # prec-th digit of numbers no larger than 1 + |ln p| + |x|
+            slack = (3 + abs(log_p) + abs(x_dec)).scaleb(2 - prec)
+        if abs(diff) > slack:
+            return diff > 0
+        prec *= 2
 
 
 @dataclass(frozen=True)

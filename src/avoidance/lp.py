@@ -50,8 +50,11 @@ WINDOW_BUDGET = 200_000
 UNKNOWN_MARGIN = 1e-6
 
 # HiGHS's interior-point solver (with crossover) was the fastest measured on
-# the phase-one LPs of k = 2, m = 9 and k = 3, m = 6..7; the dual simplex is
-# the fallback when it ends non-optimal.  The default tolerances (1e-7, 1e-8)
+# the full-window phase-one LPs of k = 2, m = 9 and k = 3, m = 6..7; the dual
+# simplex is the fallback when it ends non-optimal.  On the reversal-orbit
+# systems solved now, the interior point is still faster at k = 2, m = 9
+# (0.48 against 0.81 s), but the dual simplex is faster at k = 3, m = 6
+# (0.017 against 0.046 s at p = 1/10).  The default tolerances (1e-7, 1e-8)
 # exceed the right-hand sides p^m of small p, and a solution that drops those
 # fails the witness re-check at tol = 1e-9.
 SOLVERS = ("ipm", "simplex")
@@ -357,37 +360,100 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
+def _reversal(codes: np.ndarray, base: int, length: int) -> np.ndarray:
+    """sigma on base-``base`` codes of ``length`` digits: reverse the digits
+    and relabel walker i as k+1-i (digit d > 0 becomes base - d); the blank,
+    digit 0, stays.  In base 2 this is bit reversal."""
+    import numpy as np
+
+    out = np.zeros_like(codes)
+    rest = codes
+    for _ in range(length):
+        rest, digit = np.divmod(rest, base)
+        out = out * base + np.where(digit > 0, base - digit, 0)
+    return out
+
+
+def _row_reversal(lp: WindowLP) -> np.ndarray:
+    """sigma on row indices: normalization is fixed, shift row v goes to the
+    shift row of sigma(v) (as minus that row), and faithfulness row
+    (i, pattern) to (k+1-i, reversed pattern)."""
+    import numpy as np
+
+    base, n_pat = lp.k + 1, 1 << lp.m
+    n_shift = base ** (lp.m - 1)
+    faith = np.arange(lp.k * n_pat)
+    walker, pattern = np.divmod(faith, n_pat)
+    return np.concatenate(
+        [
+            [0],
+            1 + _reversal(np.arange(n_shift), base, lp.m - 1),
+            1 + n_shift + (lp.k - 1 - walker) * n_pat + _reversal(pattern, 2, lp.m),
+        ]
+    )
+
+
 def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
     """Decide feasibility with one phase-one LP solve, then re-check independently.
 
+    The full phase-one LP minimizes the L1 equality violation
+    sum_r |A_r q - b_r| over q >= 0 on the permissible windows.  It is
+    invariant under sigma, which reverses a window and relabels walker i as
+    k+1-i: sigma maps permissible windows to permissible ones, and
+    A[sigma r, sigma w] = sign(r) A[r, w] with b[sigma r] = sign(r) b[r],
+    where sign(r) is -1 on shift rows and +1 elsewhere.  So sigma permutes
+    the terms of the objective, and as the objective is convex,
+    (q + sigma q)/2 is no worse than q: some optimum is symmetric.  A
+    symmetric q is one value y per sigma-orbit of windows, and its
+    violation on row sigma r equals that on row r, so its full objective is
+    sum over canonical rows r (one per row orbit) of size(r) |A'_r y - b_r|,
+    where A' sums each orbit's columns and size(r) is the row orbit's size,
+    1 or 2.  Minimizing that is the system solved here, so its optimum, the
+    printed gap, is the full LP's.
+
     The solve (one ``linprog`` call: interior point, then the dual simplex
-    if that ends non-optimal) minimizes the L1 equality violation
-    1'(s+ + s-) subject to A' q + s+ - s- = b' and q, s+, s- >= 0, where
-    A' keeps the permissible windows' columns and drops the rows they leave
-    empty (all with b = 0).  A gap above UNKNOWN_MARGIN is "infeasible".
-    Otherwise the window part of the solution, scattered back to every
-    window, counts as a "feasible" witness only when it re-verifies within
-    ``tol`` against the full system, support zeros included; anything else,
-    a failed solve too, is "unknown".
+    if that ends non-optimal) minimizes size'(s+ + s-) subject to
+    A' y + s+ - s- = b' and y, s+, s- >= 0, over the permissible orbits'
+    columns and the canonical rows they leave nonempty (rows left empty
+    all have b = 0).  A gap above UNKNOWN_MARGIN is "infeasible".
+    Otherwise y spread back as q(w) = y[orbit(w)] counts as a "feasible"
+    witness only when it re-verifies within ``tol`` against the full
+    system, support zeros included, so that verdict never relies on sigma;
+    anything else, a failed solve too, is "unknown".
     """
     _check_tol(tol)
     import numpy as np
 
+    nr = lp.num_rows
     free = np.ones(lp.num_vars, dtype=bool)
     free[list(lp.zero_vars)] = False
-    entry_free = np.repeat(free, np.diff(lp.col_ptr))
-    rows, coef = lp.row_ind[entry_free], lp.coef[entry_free]
-    used = np.bincount(rows, minlength=lp.num_rows) > 0
-    assert not lp.b[~used].any(), "a row with nonzero right-hand side lost every window"
-    nv, nr = int(free.sum()), int(used.sum())
-    col_ptr = np.concatenate([[0], np.cumsum(np.diff(lp.col_ptr)[free])])
-    # one +1 and one -1 slack column per remaining row
-    slack_rows = np.arange(nr)
+    windows = np.flatnonzero(free)
+    # orbits numbered by their smallest window code
+    reps, orbit = np.unique(np.minimum(windows, _reversal(windows, lp.k + 1, lp.m)), return_inverse=True)
+    orbit_of = np.full(lp.num_vars, -1)
+    orbit_of[windows] = orbit
+    row_sigma = _row_reversal(lp)
+    canonical = row_sigma >= np.arange(nr)
+    # orbit column = the sum of its windows' columns, on the canonical rows
+    col = orbit_of[np.repeat(np.arange(lp.num_vars), np.diff(lp.col_ptr))]
+    kept = (col >= 0) & canonical[lp.row_ind]
+    keys, slot = np.unique(col[kept] * nr + lp.row_ind[kept], return_inverse=True)
+    coef = np.bincount(slot, lp.coef[kept])
+    nonzero = coef != 0.0  # a shift row's entries can cancel within an orbit
+    keys, coef = keys[nonzero], coef[nonzero]
+    cols, rows = np.divmod(keys, nr)
+    used = np.bincount(rows, minlength=nr) > 0
+    assert not lp.b[canonical & ~used].any(), "a row with nonzero right-hand side lost every window"
+    nv, n_used = len(reps), int(used.sum())
+    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nv))])
+    # one +1 and one -1 slack column per remaining row, each costing its row orbit's size
+    size = np.where(row_sigma[used] == np.flatnonzero(used), 1.0, 2.0)
+    slack_rows = np.arange(n_used)
     res = linprog(
-        np.concatenate([np.zeros(nv), np.ones(2 * nr)]),
-        np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * nr)]).astype(np.int32),
+        np.concatenate([np.zeros(nv), size, size]),
+        np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * n_used)]).astype(np.int32),
         np.concatenate([(np.cumsum(used) - 1)[rows], slack_rows, slack_rows]).astype(np.int32),
-        np.concatenate([coef, np.ones(nr), -np.ones(nr)]),
+        np.concatenate([coef, np.ones(n_used), -np.ones(n_used)]),
         lp.b[used],
     )
     if res.status != 0:
@@ -396,7 +462,7 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
     if gap > UNKNOWN_MARGIN:
         return FeasibilityResult("infeasible", None, None, gap, tol)
     witness = np.zeros(lp.num_vars)
-    witness[free] = res.x[:nv]
+    witness[windows] = res.x[orbit]
     residual = witness_residual(lp, witness)
     if residual <= tol:
         return FeasibilityResult("feasible", witness, residual, None, tol)
@@ -448,13 +514,13 @@ def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
     """Solve the instance at every grid point; no monotonicity is assumed.
 
     Each entry is annotated with the analytic verdicts p <= max_p(k) (the
-    pressure-bound inversion) and p <= 1/k (the trivial occupancy bound).
+    pressure-bound inversion, decided exactly) and p <= 1/k (the trivial
+    occupancy bound).
     """
-    from .bounds import max_p
+    from .bounds import within_max_p
 
     _check_tol(tol)
     grid = [_as_fraction(p) for p in p_grid]  # a malformed point fails before any solve
-    p_star = max_p(k)
     entries = []
     for p in grid:
         lp = build_window_lp(k, p, m)
@@ -465,7 +531,7 @@ def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
                 status=res.status,
                 residual=res.residual,
                 gap=res.gap,
-                within_max_p=float(p) <= p_star,
+                within_max_p=within_max_p(k, p),
                 within_trivial=p <= Fraction(1, k),
             )
         )

@@ -4,6 +4,7 @@ Deliberately naive, straight-from-the-definition recomputations, kept
 independent of the library's code paths.
 """
 
+import decimal
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +55,15 @@ def brute_permissible(symbols):
     return all(
         not (a != 0 and b != 0 and a > b) for a, b in zip(symbols, symbols[1:])
     )
+
+
+def pressure_within(k, p):
+    """Whether p(1 - p ln p) <= 1/k for a rational p, evaluated as written
+    in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(p.numerator) / p.denominator
+        return d * (1 - d * d.ln()) <= decimal.Decimal(1) / k
 
 
 # the local reduction rules as literal slices, given the symbol i at the
@@ -214,6 +224,30 @@ def two_step_solve(lp, tol=1e-9, unknown_margin=1e-6, options=None):
     assert res.status == 0, res.status
     gap = float(res.fun)
     return ("infeasible" if gap > unknown_margin else "unknown"), gap
+
+
+def full_phase_one_system(lp):
+    """The phase-one LP over every permissible window, as ``linprog``
+    arguments ``(c, col_ptr, row_ind, coef, b)``: minimize 1'(s+ + s-)
+    subject to A' q + s+ - s- = b', where A' keeps the permissible windows'
+    columns and the rows they leave nonempty.  ``solve_feasibility`` solves
+    the reversal-orbit quotient of this system instead."""
+    free = np.ones(lp.num_vars, dtype=bool)
+    free[list(lp.zero_vars)] = False
+    entry_free = np.repeat(free, np.diff(lp.col_ptr))
+    rows, coef = lp.row_ind[entry_free], lp.coef[entry_free]
+    used = np.bincount(rows, minlength=lp.num_rows) > 0
+    assert not lp.b[~used].any(), "a row with nonzero right-hand side lost every window"
+    nv, nr = int(free.sum()), int(used.sum())
+    col_ptr = np.concatenate([[0], np.cumsum(np.diff(lp.col_ptr)[free])])
+    slack_rows = np.arange(nr)
+    return (
+        np.concatenate([np.zeros(nv), np.ones(2 * nr)]),
+        np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * nr)]).astype(np.int32),
+        np.concatenate([(np.cumsum(used) - 1)[rows], slack_rows, slack_rows]).astype(np.int32),
+        np.concatenate([coef, np.ones(nr), -np.ones(nr)]),
+        lp.b[used],
+    )
 
 
 def rowwise_write_trace(tr):

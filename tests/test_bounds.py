@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from avoidance import bounds
-from avoidance.bounds import feasible_pressure, max_p, max_walkers, taylor_partial
+from avoidance.bounds import feasible_pressure, max_p, max_walkers, taylor_partial, within_max_p
+
+from oracles import pressure_within
 
 
 def test_pressure_at_one():
@@ -147,6 +151,34 @@ def test_max_p_tolerance_is_relative(k):
 def test_max_p_stops_at_adjacent_floats():
     # a tolerance below the float spacing near the root must still terminate
     assert max_p(3, tol=1e-300) == pytest.approx(max_p(3), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 20, 1000])
+def test_within_max_p_is_exact_next_to_max_p(k):
+    # max_p is a float bisection: the true root can lie on either side of it
+    p_star = max_p(k)
+    points = [p_star * (1 - 1e-11), p_star * (1 + 1e-11)]
+    points += [math.nextafter(p_star, 0.0), p_star, math.nextafter(p_star, 1.0)]
+    verdicts = [within_max_p(k, Fraction(x)) for x in points]
+    assert verdicts == [pressure_within(k, Fraction(x)) for x in points]
+    assert verdicts[:2] == [True, False]
+
+
+@given(
+    k=st.integers(1, 50),
+    p=st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(999_999, 10**6), max_denominator=10**6),
+)
+def test_within_max_p_matches_the_pressure(k, p):
+    assert within_max_p(k, p) == pressure_within(k, p)
+
+
+def test_within_max_p_edges():
+    assert within_max_p(1, Fraction(999_999, 10**6))
+    assert not within_max_p(2, Fraction(1, 2))  # p = 1/k lies above max_p(k)
+    assert within_max_p(2, Fraction(1, 10**9))
+    for k, p in [(0, Fraction(1, 2)), (2, Fraction(0)), (2, Fraction(1))]:
+        with pytest.raises(ValueError):
+            within_max_p(k, p)
 
 
 def test_taylor_limit_k_half():

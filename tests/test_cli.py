@@ -226,17 +226,19 @@ def test_lp_scan_failed_solve_is_unknown(monkeypatch, capsys):
 
 
 # sha256 of `lp-scan` stdout at the lp-frontier benchmark's points, text and
-# JSON (its version field set to VERSION), computed before the solve called
-# HiGHS's extension directly instead of scipy.optimize.linprog
+# JSON (its version field set to VERSION).  The text digests were computed
+# before the solve called HiGHS's extension directly instead of
+# scipy.optimize.linprog; the JSON ones since the solve runs over reversal
+# orbits, which moved the last digits of the float gaps and residuals
 LP_SCAN_DIGESTS = [
     (3, 6, "1/10", "1d53dddc851d8e142d026ab22986134f80af2eb609cd19fcd0cb2634048cd6a5",
-     "a4a87380de459b8933f91b88b93c0273ce401d5192f2bd91d42594bccdd6f99c"),
+     "b60a0b3ce85a4b52955ec8a31eeb4ecf7cb35d473bee8f084be58b35a1ba5291"),
     (3, 6, "1/5", "5239eb061f3a5d5ae7e1a1cecfb199203eff1336849e7dc6e39c66d4335a890a",
-     "aaafaa74d6c132faa5cf2cc5d21d53e4dc2b9c60ad149b4537174240fe73511d"),
+     "7eef6dd0189eeb58fa8b12124a9ee9fffffa7ae5060d2fc6e137d1d81b5ad97f"),
     (3, 6, "3/10", "ff8f1f455381041b63cf9f06c70a54ce538f246a436fc940ce252fdd46031363",
-     "d1441b12bfae592d2a985c41dcabb8ea59d988caaeaf48ecb2953a86672c994c"),
+     "f00df4dc3d34a5ee4f7abf04752a2974b3c0d652b6ea49ed4331b31206e88d4e"),
     (2, 6, "9/20", "252c95fd70525ed9fb4f0bb488123e36acaf9e3308c29fa71e9f5cf3a223be39",
-     "4b30d18eef88f88e1ed3aec5e12c6de7de0a03a20bcdca07844f21369b0a5250"),
+     "65722d342380b95533006e5e76593a8d38b031315408406b465b981ea37e5dcd"),
 ]
 
 

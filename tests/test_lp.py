@@ -26,7 +26,7 @@ from avoidance.lp import (
     write_mps,
 )
 
-from oracles import brute_window_lp, two_step_solve
+from oracles import brute_window_lp, full_phase_one_system, two_step_solve
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -235,6 +235,99 @@ def test_solve_matches_two_step_solve(k, m, p):
         assert witness_residual(ref, res.witness) <= res.tol
 
 
+def brute_reversal(k, w):
+    """sigma on a window or word: reversed, with walker i relabelled k+1-i."""
+    return tuple(0 if s == 0 else k + 1 - s for s in reversed(w))
+
+
+def brute_row_reversal(k, label):
+    """sigma on a row label, and the sign it puts on the row."""
+    kind, _, rest = label.partition("_")
+    if kind == "shift":
+        v = () if rest == "-" else tuple(0 if c == "B" else int(c) for c in rest)
+        return "shift_" + window_text(brute_reversal(k, v)), -1
+    if kind == "faith":
+        i, pattern = rest.split("_")
+        return f"faith_{k + 1 - int(i)}_{pattern[::-1]}", 1
+    return label, 1
+
+
+@pytest.mark.parametrize("k, m", SMALL_INSTANCES)
+def test_window_lp_is_reversal_invariant(k, m):
+    # the symmetry the orbit solve relies on, on the brute-force system:
+    # A[sigma r, sigma w] = sign(r) A[r, w], with b equal on each row orbit
+    ref = brute_window_lp(k, Fraction(2, 7), m)
+    index = {w: c for c, w in enumerate(ref.windows)}
+    col_sigma = np.array([index[brute_reversal(k, w)] for w in ref.windows])
+    zero = np.zeros(len(ref.windows), dtype=bool)
+    zero[list(ref.zero_vars)] = True
+    assert np.array_equal(zero[col_sigma], zero)  # permissible windows map to permissible ones
+    rows = {label: r for r, label in enumerate(ref.row_labels)}
+    images = [brute_row_reversal(k, label) for label in ref.row_labels]
+    row_sigma = np.array([rows[label] for label, _ in images])
+    sign = np.array([s for _, s in images])
+    A = ref.A.toarray()
+    assert np.array_equal(A[np.ix_(row_sigma, col_sigma)], sign[:, None] * A)
+    assert all(ref.b_exact[row_sigma[r]] == rhs for r, rhs in enumerate(ref.b_exact))
+    # the solver's own sigma is this one
+    lp = build_window_lp(k, Fraction(2, 7), m)
+    assert np.array_equal(lp_module._reversal(np.arange(lp.num_vars), k + 1, m), col_sigma)
+    assert np.array_equal(lp_module._row_reversal(lp), row_sigma)
+
+
+def test_orbit_system_is_about_half_the_full_one():
+    lp = build_window_lp(3, Fraction(1, 5), 6)
+    (c, _, _, _, b), res = phase_one_system(lp)
+    full_c, _, _, _, full_b = full_phase_one_system(lp)
+    assert (len(c) - 2 * len(b), len(b)) == (653, 293)
+    assert (len(full_c) - 2 * len(full_b), len(full_b)) == (1278, 599)
+    assert res.status == "feasible"
+
+
+@pytest.mark.parametrize("k, m, p", [(3, 6, Fraction(3, 10)), (2, 6, Fraction(9, 20)), (2, 3, Fraction(2, 5))])
+def test_orbit_gap_is_the_full_gap(k, m, p):
+    # the size-weighted slacks make the orbit optimum the full phase-one optimum
+    lp = build_window_lp(k, p, m)
+    res = solve_feasibility(lp)
+    full = lp_module.linprog(*full_phase_one_system(lp))
+    assert res.status == "infeasible" and full.status == 0
+    assert res.gap == pytest.approx(full.fun, rel=1e-12)
+
+
+def solve_status(k, p, m):
+    return solve_feasibility(build_window_lp(k, p, m)).status
+
+
+@st.composite
+def near_frontier(draw, instances):
+    """(k, m, p) with p drawn from [1/(2k), 1/k + 1/10], where verdicts turn."""
+    k, m = draw(st.sampled_from(instances))
+    top = min(Fraction(1, k) + Fraction(1, 10), Fraction(999, 1000))
+    return k, m, draw(st.fractions(min_value=Fraction(1, 2 * k), max_value=top, max_denominator=1000))
+
+
+@settings(max_examples=30, deadline=None)
+@given(point=near_frontier([(k, m) for k, m in SMALL_INSTANCES if m >= 2]))
+@example(point=(2, 3, Fraction(382, 1000)))
+@example(point=(3, 3, Fraction(268, 1000)))
+def test_infeasible_window_stays_infeasible_when_longer(point):
+    # a witness at length m marginalizes to one at length m - 1
+    k, m, p = point
+    if solve_status(k, p, m - 1) == "infeasible":
+        assert solve_status(k, p, m) != "feasible"
+
+
+@settings(max_examples=30, deadline=None)
+@given(point=near_frontier([(k, m) for k, m in SMALL_INSTANCES if (k + 2) ** m <= 3125]))
+@example(point=(2, 3, Fraction(348, 1000)))
+@example(point=(3, 2, Fraction(268, 1000)))
+def test_infeasible_walker_count_stays_infeasible_with_one_more(point):
+    # a witness for k + 1 walkers, with walker k + 1 read as a blank, is one for k
+    k, m, p = point
+    if solve_status(k, p, m) == "infeasible":
+        assert solve_status(k + 1, p, m) != "feasible"
+
+
 def phase_one_system(lp):
     """The arguments ``solve_feasibility`` passes to ``lp.linprog``, and its result."""
     calls = []
@@ -274,11 +367,13 @@ def test_linprog_matches_scipy_linprog(k, m, p):
 
 
 def test_simplex_retry_settles_a_failed_interior_point_solve():
-    # highs-ipm ends non-optimal here; the dual simplex retry, inside the same
-    # linprog call, finds a witness that re-verifies
+    # highs-ipm ends non-optimal on the full-window phase-one system here;
+    # the dual simplex retry, inside the same linprog call, solves it
     lp = build_window_lp(2, Fraction(1, 308), 4)
-    system, res = phase_one_system(lp)
+    system = full_phase_one_system(lp)
     assert scipy_linprog("highs-ipm", *system).status != 0
+    assert lp_module.linprog(*system).status == 0
+    res = solve_feasibility(lp)
     assert res.status == "feasible"
     assert res.residual <= res.tol
     assert witness_residual(lp, res.witness) == res.residual
