@@ -14,7 +14,7 @@ executes only the layers it calls, and the re-exports below resolve on use.
 import importlib.util
 import sys
 
-__version__ = "0.4.6"
+__version__ = "0.4.7"
 
 _LAYERS = ("bounds", "lemma", "lp", "policies", "reporting", "sequences", "stats", "traces")
 
@@ -24,7 +24,7 @@ _EXPORTS = {
     "Seq": "sequences",
     "parse_seq": "sequences",
     "is_permissible": "sequences",
-    "total_weight": "sequences",
+    "pair_scan": "sequences",
     "blank_count": "sequences",
     "redistribution": "lemma",
     "reduce_step": "lemma",

@@ -159,25 +159,25 @@ def _flatten(body: dict, prefix: str = ""):
 
 def cmd_weights(ns) -> int:
     seq = sequences.parse_seq(_read_text(ns.infile), ns.k)
-    rep = sequences.total_weight(seq)
+    scan = sequences.pair_scan(seq)
+    total, blanks, outputs = scan.total, sequences.blank_count(seq), scan.outputs()
+    pairs = scan.neighbor_pairs()
     body = {
         "k": seq.k,
         "T": seq.T,
         "permissible": sequences.is_permissible(seq),
-        "total": rep.total,
-        "blanks": rep.blanks,
-        "output": {str(i): w for i, w in sorted(rep.per_symbol_output.items())},
+        "total": total,
+        "blanks": blanks,
+        "output": {str(i): w for i, w in outputs.items()},
         "pairs": [
             {"symbol": p.symbol, "t1": p.t1, "t2": p.t2, "b": p.b, "weight": p.weight}
-            for p in rep.pairs
+            for p in pairs
         ],
     }
-    lines = [f"total {reporting.frac_text(rep.total)}", f"blanks {rep.blanks}"]
+    lines = [f"total {reporting.frac_text(total)}", f"blanks {blanks}"]
+    lines += [f"output {i} {reporting.frac_text(w)}" for i, w in outputs.items()]
     lines += [
-        f"output {i} {reporting.frac_text(w)}" for i, w in sorted(rep.per_symbol_output.items())
-    ]
-    lines += [
-        f"pair {p.symbol} {p.t1} {p.t2} b={p.b} w={reporting.frac_text(p.weight)}" for p in rep.pairs
+        f"pair {p.symbol} {p.t1} {p.t2} b={p.b} w={reporting.frac_text(p.weight)}" for p in pairs
     ]
     _emit(ns, body, lines)
     return 0
@@ -189,11 +189,10 @@ def cmd_reduce(ns) -> int:
     check = lemma.check_certificate(cert)
     cert_text = lemma.certificate_to_text(cert)
     if ns.format == "json":
-        rep = sequences.total_weight(seq)
         body = {
             "steps": len(cert.steps),
-            "total": rep.total,
-            "blanks": rep.blanks,
+            "total": sequences.pair_scan(seq).total,
+            "blanks": sequences.blank_count(seq),
             "verified": check.ok,
             "certificate": cert_text.splitlines(),
         }

@@ -106,21 +106,17 @@ class RedistributionReport:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One edit: ``after`` is ``before`` with the rule applied at the anchor.
-
-    ``pos`` is the 1-based anchor of the edited pattern (rules 1..3);
-    ``symbol`` is the walker involved (rules 2..4, the victim for rule 4).
-    Deltas are after-minus-before values, stored exactly.
+    """One certificate line: ``rule`` applied at ``arg``, the 1-based anchor
+    of the pattern for rules 1..3 and the victim walker for rule 4, as in
+    ``apply_edit``.  Deltas are after-minus-before values, stored exactly.
+    The words are not stored: a checker replays them from the certificate's
+    initial word.
     """
 
     rule: str
-    pos: int | None
-    symbol: int | None
-    before: Seq
-    after: Seq
+    arg: int
     weight_delta: Fraction
     blank_delta: int
-    redistribution: RedistributionReport | None = None
 
 
 @dataclass(frozen=True)
@@ -198,32 +194,6 @@ def _pattern_at(rule: str, syms: tuple[int, ...], pos: int) -> bool:
     return syms[t] != BLANK and syms[t + 1] == BLANK and syms[t + 2] == syms[t]
 
 
-def _anchor_symbol(rule: str, syms: tuple[int, ...], pos: int) -> int | None:
-    """The walker a local step records: the pattern's first symbol, or None
-    for a blank collapse."""
-    return None if rule == COLLAPSE_BLANKS else syms[pos - 1]
-
-
-def _edit_matches(step: ReductionStep) -> str | None:
-    """Check the recorded rule's pattern holds at the anchor; None if it does."""
-    syms = step.before.symbols
-    if step.rule in LOCAL_RULES:
-        arg = step.pos
-        if arg is None or not _pattern_at(step.rule, syms, arg):
-            return f"no {step.rule} pattern at position {arg}"
-        if step.symbol != _anchor_symbol(step.rule, syms, arg):
-            return "recorded symbol does not match the pattern"
-    elif step.rule == DELETE_VICTIM_SYMBOL:
-        arg = step.symbol
-        if arg is None or arg == BLANK or arg not in syms:
-            return f"victim {arg} does not occur"
-    else:
-        return f"unknown rule {step.rule!r}"
-    if apply_edit(step.before, step.rule, arg) != step.after:
-        return "recorded result does not match the edit"
-    return None
-
-
 def _first_local(syms: tuple[int, ...]) -> tuple[str, int] | None:
     """The first local rule in priority order that applies, with its leftmost
     1-based anchor.  The scans inline ``_pattern_at``: this runs once per
@@ -241,7 +211,7 @@ def _first_local(syms: tuple[int, ...]) -> tuple[str, int] | None:
 
 
 def reduce_step(s: Seq) -> ReductionStep:
-    """Apply the first applicable rule in the fixed priority order.
+    """The step of the first applicable rule in the fixed priority order.
 
     Raises on a non-permissible word or a terminal one (no walker symbol and
     no adjacent blanks).  The victim of rule 4 is the smallest walker present
@@ -255,9 +225,7 @@ def reduce_step(s: Seq) -> ReductionStep:
     if local is not None:
         rule, pos = local
         _, wd, bd = LOCAL_RULES[rule]
-        return ReductionStep(
-            rule, pos, _anchor_symbol(rule, syms, pos), s, apply_edit(s, rule, pos), wd, bd
-        )
+        return ReductionStep(rule, pos, wd, bd)
     present = sorted(set(syms) - {BLANK})
     if not present:
         raise ValueError("terminal sequence: no rule applies")
@@ -272,8 +240,7 @@ def reduce_step(s: Seq) -> ReductionStep:
             "no admissible victim; conservation of redistributed weight is broken"
         )
     wd = red.input_of(victim) - red.output_of(victim)
-    after = apply_edit(s, DELETE_VICTIM_SYMBOL, victim)
-    return ReductionStep(DELETE_VICTIM_SYMBOL, None, victim, s, after, wd, 0, red)
+    return ReductionStep(DELETE_VICTIM_SYMBOL, victim, wd, 0)
 
 
 def is_terminal(s: Seq) -> bool:
@@ -293,93 +260,103 @@ def reduce_certificate(s: Seq) -> ReductionCertificate:
     while not is_terminal(cur):
         step = reduce_step(cur)
         steps.append(step)
-        cur = step.after
+        cur = apply_edit(cur, step.rule, step.arg)
     return ReductionCertificate(s, tuple(steps), cur)
 
 
-def _check_step(step: ReductionStep, before_w: int) -> tuple[str | None, PairScan | None]:
-    """Independently re-verify one step with exact arithmetic.
+def _check_step(
+    before: Seq, before_w: int, step: ReductionStep
+) -> tuple[str | None, Seq | None, PairScan | None]:
+    """Independently re-verify one step on ``before`` with exact arithmetic.
 
-    ``before_w`` is the total weight of ``step.before`` as an integer over
-    lcm(1..k).  Recomputes the edit, the weight and blank deltas against the
-    stored ones, the rule's delta contract and, for rule 4, the
-    redistribution tables and the victim's admissibility; then checks the
-    induction premise: ``after`` is a shorter permissible word and
-    dw >= bd, so weight <= blanks for ``after`` implies it for ``before``.
-    Returns the first failure (None if the step checks) and the weight scan
-    of ``step.after`` (None on failure).
+    ``before_w`` is the total weight of ``before`` as an integer over
+    lcm(1..k).  Checks the rule's pattern at the anchor, or that the victim
+    occurs, applies the edit and checks its result with ``_result_failure``.
+    Returns the first failure (None if the step checks), the ``after`` word
+    and its weight scan (both None when the edit does not apply).
     """
-    if len(step.after) >= len(step.before):
-        return "edit does not shorten the sequence", None
-    mismatch = _edit_matches(step)
-    if mismatch is not None:
-        return mismatch, None
-    scan = pair_scan(step.after)
+    if step.rule in LOCAL_RULES and not _pattern_at(step.rule, before.symbols, step.arg):
+        return f"no {step.rule} pattern at position {step.arg}", None, None
+    try:
+        after = apply_edit(before, step.rule, step.arg)
+    except ValueError as exc:  # an absent victim or an unknown rule
+        return str(exc), None, None
+    scan = pair_scan(after)
+    return _result_failure(before, before_w, step, after, scan), after, scan
+
+
+def _result_failure(
+    before: Seq, before_w: int, step: ReductionStep, after: Seq, scan: PairScan
+) -> str | None:
+    """The first failure of an applied step, None if it checks.
+
+    Recomputes the weight and blank deltas against the stored ones, the
+    rule's delta contract and, for rule 4, the redistribution tables and the
+    victim's admissibility; last, the induction premise: ``after`` is a
+    shorter permissible word and dw >= bd, so weight <= blanks for ``after``
+    implies it for ``before``.
+    """
+    if len(after) >= len(before):
+        return "edit does not shorten the sequence"
     den = scan.denominator
     dw = scan.scaled_total - before_w
-    bd = blank_count(step.after) - blank_count(step.before)
+    bd = blank_count(after) - blank_count(before)
     stored = step.weight_delta
     if dw * stored.denominator != stored.numerator * den:
-        return f"stored weight delta {stored} != recomputed {Fraction(dw, den)}", None
+        return f"stored weight delta {stored} != recomputed {Fraction(dw, den)}"
     if bd != step.blank_delta:
-        return f"stored blank delta {step.blank_delta} != recomputed {bd}", None
+        return f"stored blank delta {step.blank_delta} != recomputed {bd}"
     if step.rule in LOCAL_RULES:
         _, want_w, want_b = LOCAL_RULES[step.rule]
         # the local weight deltas are integers
         if dw != want_w.numerator * den or bd != want_b:
-            return f"{step.rule} must have deltas ({want_w}, {want_b})", None
+            return f"{step.rule} must have deltas ({want_w}, {want_b})"
     else:
         try:
-            red = redistribution(step.before)
+            red = redistribution(before)
         except ValueError as exc:
-            return f"redistribution precondition: {exc}", None
+            return f"redistribution precondition: {exc}"
         total = Fraction(before_w, den)
         if sum(red.input.values(), Fraction(0)) != total:
-            return "redistributed inputs do not sum to the total", None
+            return "redistributed inputs do not sum to the total"
         if sum(red.output.values(), Fraction(0)) != total:
-            return "outputs do not sum to the total", None
-        if step.redistribution is not None:
-            if step.redistribution.input != red.input or step.redistribution.output != red.output:
-                return "stored redistribution tables differ", None
-        j = step.symbol
+            return "outputs do not sum to the total"
+        j = step.arg
         if red.input_of(j) < red.output_of(j):
-            return f"victim {j} has input < output, not admissible", None
+            return f"victim {j} has input < output, not admissible"
         if Fraction(dw, den) != red.input_of(j) - red.output_of(j):
-            return "weight delta != input - output of the victim", None
+            return "weight delta != input - output of the victim"
         if bd != 0:
-            return "victim deletion must preserve blanks", None
-    if not is_permissible(step.after):
-        return "result is not permissible", None
+            return "victim deletion must preserve blanks"
+    if not is_permissible(after):
+        return "result is not permissible"
     if dw < bd * den:
-        return "weight falls by more than the blank count", None
-    return None, scan
+        return "weight falls by more than the blank count"
+    return None
 
 
 def check_certificate(cert: ReductionCertificate) -> CheckResult:
     """Independently re-verify a certificate with exact arithmetic.
 
-    Checks every step with ``_check_step``, checks the chain links up from
-    the initial word to a pair-free final word, and confirms the unwound
-    inequality total_weight(initial) <= blank_count(initial).  Each word of
-    the chain is weighed once: a step's ``after`` is the next step's
-    ``before``.
+    Replays the steps from the initial word, checking each with
+    ``_check_step``, checks the replay ends at the final word and that it
+    has no pairs, and confirms the unwound inequality
+    weight(initial) <= blank_count(initial).  Each word of the chain is
+    weighed once.
     """
     if not is_permissible(cert.initial):
         return CheckResult(False, "initial sequence is not permissible")
-    prev = cert.initial
-    scan = pair_scan(prev)
+    cur = cert.initial
+    scan = pair_scan(cur)
     # weights as integers over den = lcm(1..k)
     den = scan.denominator
-    initial_w = prev_w = scan.scaled_total
+    initial_w = scan.scaled_total
     for idx, step in enumerate(cert.steps):
-        if step.before != prev:
-            return CheckResult(False, f"step {idx}: broken chain (before != previous after)")
-        failure, scan = _check_step(step, prev_w)
+        failure, cur, scan = _check_step(cur, scan.scaled_total, step)
         if failure is not None:
             return CheckResult(False, f"step {idx}: {failure}")
-        prev, prev_w = step.after, scan.scaled_total
-    if cert.final != prev:
-        return CheckResult(False, "final sequence does not match the last step")
+    if cert.final != cur:
+        return CheckResult(False, "final sequence does not match the replayed steps")
     if scan.pairs:
         return CheckResult(False, "final sequence still contains neighbor pairs")
     if initial_w > blank_count(cert.initial) * den:
@@ -390,24 +367,23 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
 def certificate_to_text(cert: ReductionCertificate) -> str:
     """Serialize: header "k T", initial line, one line per step, final line.
 
-    Step lines carry the rule name, the anchor position (or victim symbol),
-    the weight delta as num/den, and the blank delta.  Bit-exact for golden
-    tests; intermediate words are reconstructed on parse by replaying edits.
+    A step line is the step itself: the rule name, the anchor position (or
+    victim symbol), the weight delta as num/den, and the blank delta.
+    Bit-exact for golden tests.
     """
     lines = [f"{cert.initial.k} {cert.initial.T}", cert.initial.text()]
     for st in cert.steps:
-        arg = st.symbol if st.rule == DELETE_VICTIM_SYMBOL else st.pos
         wd = st.weight_delta
-        lines.append(f"{st.rule} {arg} {wd.numerator}/{wd.denominator} {st.blank_delta}")
+        lines.append(f"{st.rule} {st.arg} {wd.numerator}/{wd.denominator} {st.blank_delta}")
     lines.append(cert.final.text())
     return "\n".join(lines) + "\n"
 
 
 def certificate_from_text(text: str) -> ReductionCertificate:
-    """Parse and replay a serialized certificate.
+    """Parse a serialized certificate.
 
-    Replaying applies each recorded edit mechanically; judging whether the
-    result is a valid proof is check_certificate's job.
+    Only the syntax is checked here: whether the steps apply to the words
+    they replay, and lead to the final line, is check_certificate's job.
     """
     lines = text.splitlines()
     if len(lines) < 3:
@@ -420,7 +396,6 @@ def certificate_from_text(text: str) -> ReductionCertificate:
     if initial.T != T:
         raise ValueError(f"header says T={T} but initial line has {initial.T} symbols")
     steps = []
-    cur = initial
     for line in lines[2:-1]:
         parts = line.split()
         if len(parts) != 4:
@@ -429,23 +404,11 @@ def certificate_from_text(text: str) -> ReductionCertificate:
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}")
         try:
-            arg = int(arg_s)
             num, den = map(int, wd_s.split("/"))
-            wd = Fraction(num, den)
-            bd = int(bd_s)
+            steps.append(ReductionStep(rule, int(arg_s), Fraction(num, den), int(bd_s)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed step line {line!r}") from exc
-        after = apply_edit(cur, rule, arg)
-        if rule in LOCAL_RULES:
-            pos, symbol = arg, _anchor_symbol(rule, cur.symbols, arg)
-        else:
-            pos, symbol = None, arg
-        steps.append(ReductionStep(rule, pos, symbol, cur, after, wd, bd))
-        cur = after
-    final = parse_seq(lines[-1], k)
-    if final != cur:
-        raise ValueError("final line does not match the replayed steps")
-    return ReductionCertificate(initial, tuple(steps), final)
+    return ReductionCertificate(initial, tuple(steps), parse_seq(lines[-1], k))
 
 
 def permissible_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
@@ -492,7 +455,7 @@ def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
         s = Seq(k, word)
         if is_terminal(s):
             continue
-        failure, _ = _check_step(reduce_step(s), pair_scan(s).scaled_total)
+        failure, _, _ = _check_step(s, pair_scan(s).scaled_total, reduce_step(s))
         if failure is not None:
             bad.append(word)
     return by_length, bad
@@ -545,13 +508,13 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     1..max_len over {B, 1..k}, by induction on length.
 
     Each non-terminal word gets one ``reduce_step``, checked by
-    ``_check_step``: the step is the rule's edit, its stored deltas are the
-    recomputed ones, and it maps the word to a shorter permissible word with
-    dw >= bd.  Every rule's deltas satisfy that: the local rules' in
-    ``LOCAL_RULES``, and (input - output >= 0, 0) for rule 4.  So if the
-    shorter word obeys the inequality, w(before) = w(after) - dw <=
-    blanks(after) - bd = blanks(before).  The base cases, the empty word and
-    a lone blank, have no pairs.  The premise that every shorter word was
+    ``_check_step``: the rule applies at the step's anchor or victim, its
+    stored deltas are the recomputed ones, and its edit maps the word to a
+    shorter permissible word with dw >= bd.  Every rule's deltas satisfy
+    that: the local rules' in ``LOCAL_RULES``, and (input - output >= 0, 0)
+    for rule 4.  So if the shorter word obeys the inequality,
+    w(before) = w(after) - dw <= blanks(after) - bd = blanks(before).  The
+    base cases, the empty word and a lone blank, have no pairs.  The premise that every shorter word was
     checked is asserted: the words counted per length must equal
     ``_word_counts``.  A counterexample is a word whose own step fails its
     check; since ``reduce_step`` is deterministic, every word's certificate

@@ -35,8 +35,6 @@ __all__ = [
     "solve_feasibility",
     "witness_residual",
     "check_witness_exact",
-    "product_witness",
-    "marginalize_witness",
     "scan_p",
     "write_mps",
     "window_text",
@@ -257,18 +255,6 @@ def check_witness_exact(lp: WindowLP, q: list[Fraction]) -> bool:
     return all(s == rhs for s, rhs in zip(sums, lp.b_exact))
 
 
-def product_witness(p: Fraction | str | float, m: int) -> list[Fraction]:
-    """The i.i.d. product distribution over {B,1}^m, exact; a witness for k=1."""
-    p = _as_fraction(p)
-    values = []
-    for w in itertools.product((0, 1), repeat=m):
-        prob = Fraction(1)
-        for s in w:
-            prob *= p if s == 1 else 1 - p
-        values.append(prob)
-    return values
-
-
 HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
@@ -467,25 +453,6 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
     if residual <= tol:
         return FeasibilityResult("feasible", witness, residual, None, tol)
     return FeasibilityResult("unknown", witness, residual, gap, tol)
-
-
-def marginalize_witness(lp: WindowLP, q: np.ndarray) -> np.ndarray:
-    """Drop the last window symbol: q'(v) = sum_y q(v + (y,)).
-
-    The result is aligned with the lexicographic windows of the length m-1
-    instance and inherits every constraint there (within numerical error for
-    float witnesses).
-    """
-    if lp.m < 2:
-        raise ValueError("cannot marginalize a length-1 window instance")
-    import numpy as np
-
-    q = np.asarray(q)
-    index = {w: i for i, w in enumerate(lp.windows)}
-    out = []
-    for v in itertools.product(range(lp.k + 1), repeat=lp.m - 1):
-        out.append(sum(q[index[v + (y,)]] for y in range(lp.k + 1)))
-    return np.array(out)
 
 
 @dataclass(frozen=True)

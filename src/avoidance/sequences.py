@@ -24,13 +24,11 @@ __all__ = [
     "BLANK",
     "Seq",
     "NeighborPair",
-    "WeightReport",
     "PairScan",
     "symbol_text",
     "parse_seq",
     "is_permissible",
     "pair_scan",
-    "total_weight",
     "blank_count",
 ]
 
@@ -93,14 +91,6 @@ class NeighborPair:
     t2: int
     b: int
     weight: Fraction
-
-
-@dataclass(frozen=True)
-class WeightReport:
-    pairs: tuple[NeighborPair, ...]
-    per_symbol_output: dict[int, Fraction]
-    total: Fraction
-    blanks: int
 
 
 def parse_seq(text: str, k: int) -> Seq:
@@ -167,15 +157,6 @@ class PairScan:
     by_b: dict[int, list[int]]
 
     @property
-    def counts(self) -> list[list[int]]:
-        """The full table: ``counts[i][b]`` for every walker i and b = 0..k;
-        row 0 is unused."""
-        table = [[0] * (self.k + 1) for _ in range(self.k + 1)]
-        for i, row in self.by_b.items():
-            table[i][: len(row)] = row
-        return table
-
-    @property
     def denominator(self) -> int:
         """lcm(1..k): every sum of pair weights is an integer over it."""
         return _weight_denominator(self.k)
@@ -237,14 +218,6 @@ def pair_scan(s: Seq) -> PairScan:
         last[sym] = t2
     pairs.sort()
     return PairScan(k, pairs, by_b)
-
-
-def total_weight(s: Seq) -> WeightReport:
-    """Sum all pair weights, exactly, with per-symbol subtotals ("outputs")."""
-    scan = pair_scan(s)
-    return WeightReport(
-        tuple(scan.neighbor_pairs()), scan.outputs(), scan.total, blank_count(s)
-    )
 
 
 def blank_count(s: Seq) -> int:

@@ -76,16 +76,60 @@ LITERAL_PATTERNS = {
 
 
 def literal_local_step(rule, symbols, pos):
-    """The (symbol, after) a local rule records at 1-based anchor ``pos``, or
-    None when its literal pattern does not start there.  The step records the
-    walker (None for "B B") and keeps the pattern's first symbol only."""
+    """The word a local rule leaves at 1-based anchor ``pos``, or None when
+    its literal pattern does not start there.  The edit keeps the pattern's
+    first symbol only."""
     if not 1 <= pos <= len(symbols):
         return None
-    i = symbols[pos - 1]
-    pattern = LITERAL_PATTERNS[rule](i)
+    pattern = LITERAL_PATTERNS[rule](symbols[pos - 1])
     if pattern is None or tuple(symbols[pos - 1 : pos - 1 + len(pattern)]) != pattern:
         return None
-    return i or None, tuple(symbols[:pos]) + tuple(symbols[pos - 1 + len(pattern) :])
+    return tuple(symbols[:pos]) + tuple(symbols[pos - 1 + len(pattern) :])
+
+
+def product_witness(p, m):
+    """The i.i.d. product distribution over {B,1}^m for a rational p, exact
+    and in lexicographic window order; a witness of the k=1 window LP."""
+    values = []
+    for w in itertools.product((0, 1), repeat=m):
+        prob = Fraction(1)
+        for s in w:
+            prob *= p if s == 1 else 1 - p
+        values.append(prob)
+    return values
+
+
+def marginalize_witness(lp, q):
+    """Drop the last window symbol of a window LP's witness:
+    q'(v) = sum_y q(v + (y,)), aligned with the lexicographic windows of the
+    length m-1 instance."""
+    if lp.m < 2:
+        raise ValueError("cannot marginalize a length-1 window instance")
+    q = np.asarray(q)
+    index = {w: i for i, w in enumerate(lp.windows)}
+    out = []
+    for v in itertools.product(range(lp.k + 1), repeat=lp.m - 1):
+        out.append(sum(q[index[v + (y,)]] for y in range(lp.k + 1)))
+    return np.array(out)
+
+
+def replay_certificate(cert):
+    """(before, step, after) for each step of a certificate, the words
+    replayed from its initial word by literal slicing: a local rule keeps its
+    pattern's first symbol and drops the rest, a victim deletion drops every
+    occurrence of the victim."""
+    from avoidance.sequences import Seq
+
+    cur = cert.initial
+    for step in cert.steps:
+        syms = cur.symbols
+        if step.rule in LITERAL_PATTERNS:
+            width = len(LITERAL_PATTERNS[step.rule](1))
+            after = Seq(cur.k, syms[: step.arg] + syms[step.arg - 1 + width :])
+        else:
+            after = Seq(cur.k, tuple(x for x in syms if x != step.arg))
+        yield cur, step, after
+        cur = after
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,10 @@ from avoidance.lemma import (
     check_certificate,
     permissible_words,
     reduce_certificate,
+    redistribution,
     verify_lemma_exhaustive,
 )
-from avoidance.lp import (
-    build_window_lp,
-    check_witness_exact,
-    marginalize_witness,
-    product_witness,
-    solve_feasibility,
-    witness_residual,
-)
+from avoidance.lp import build_window_lp, check_witness_exact, solve_feasibility, witness_residual
 from avoidance.policies import (
     AvoidingWalkers,
     IndependentSites,
@@ -37,9 +31,11 @@ from avoidance.policies import (
     StayingInWaves,
     simulate,
 )
-from avoidance.sequences import Seq, is_permissible, parse_seq, total_weight
+from avoidance.sequences import Seq, blank_count, is_permissible, pair_scan, parse_seq
 from avoidance.stats import empirical_stats, faithfulness_tests, gap_law_chisquare
 from avoidance.traces import check_1avoidance, check_walker_avoidance, encode, project
+
+from oracles import marginalize_witness, product_witness, replay_certificate
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
 CORPUS = ((1, 10), (2, 9), (3, 7))
@@ -63,14 +59,15 @@ def run_cli(args):
 def test_criterion_1_worked_example():
     seq = parse_seq(WORKED_EXAMPLE, 3)
     start = time.perf_counter()
-    rep = total_weight(seq)
+    scan = pair_scan(seq)
+    threes = [p.weight for p in scan.neighbor_pairs() if p.symbol == 3]
+    total, blanks = scan.total, blank_count(seq)
     elapsed = time.perf_counter() - start
-    threes = [p.weight for p in rep.pairs if p.symbol == 3]
     ok = (
         threes == [Fraction(1, 2), Fraction(0), Fraction(1), Fraction(1, 3)]
-        and rep.total == 3
-        and rep.blanks == 5
-        and rep.total <= rep.blanks
+        and total == 3
+        and blanks == 5
+        and total <= blanks
         and elapsed < 1e-3
     )
     criterion(1, "worked example weights 1/2, 0, 1, 1/3; total 3 <= blanks 5",
@@ -97,17 +94,17 @@ def test_criterion_3_certificate_soundness():
             if not check_certificate(cert).ok:
                 all_ok = False
                 break
-            for step in cert.steps:
+            for before, step, _ in replay_certificate(cert):
                 if step.rule != DELETE_VICTIM_SYMBOL:
                     continue
                 victims += 1
-                red = step.redistribution
-                total = total_weight(step.before).total
+                red = redistribution(before)
+                total = pair_scan(before).total
                 if sum(red.input.values(), Fraction(0)) != total:
                     all_ok = False
                 if sum(red.output.values(), Fraction(0)) != total:
                     all_ok = False
-                if red.input_of(step.symbol) < red.output_of(step.symbol):
+                if red.input_of(step.arg) < red.output_of(step.arg):
                     all_ok = False
     # mutation control: a tampered delta must be rejected
     cert = reduce_certificate(parse_seq(WORKED_EXAMPLE, 3))

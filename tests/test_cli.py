@@ -311,6 +311,32 @@ def test_reduce_output_is_pinned(word, k, text_digest, json_digest, monkeypatch)
     assert hashlib.sha256(js.encode()).hexdigest() == json_digest
 
 
+# sha256 of `weights` stdout in text, JSON and CSV (their version set to
+# VERSION), computed before the command read the weight kernel directly
+WEIGHTS_DIGESTS = [
+    (WORKED_EXAMPLE, 3, "38d51ad14f1cb947988f121690ac434e11b492627e6de1632fb239c8bb34cfbd",
+     "3a0931b2d5ee2e3677a7ea431c51c0ddc2f7648ba85847a257594a2896643456",
+     "0d1550cbd5693c1bc1b530aa40d391b1be62293cd1c38a9161b6f881b06a48cf"),
+    (seeded_word(1), 6, "82f74bc800c839c11cb050ee5d1beefa9cee1a815832cadb5b505f8d66eab0d3",
+     "97f7e876804895a6631ea2498a441317f3784bbcb694480b89f033beb2e60387",
+     "48cb59f443102fb8a4fb096560218d6decf6fe8d843baa7f197fc56cbd1dd921"),
+]
+
+
+@pytest.mark.parametrize("word, k, text_digest, json_digest, csv_digest", WEIGHTS_DIGESTS)
+def test_weights_output_is_pinned(word, k, text_digest, json_digest, csv_digest, monkeypatch):
+    argv = ["weights", "--k", str(k), "--in", "-"]
+    digests = []
+    for fmt in ("text", "json", "csv"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(word + "\n"))
+        code, out = run_cli(argv + ["--format", fmt])
+        assert code == 0
+        out = out.replace(f'"version": "{__version__}"', '"version": "VERSION"', 1)
+        out = out.replace(f"# version={__version__}\n", "# version=VERSION\n", 1)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == [text_digest, json_digest, csv_digest]
+
+
 # sha256 of `verify-lemma` stdout in text, JSON and CSV (their version set to
 # VERSION), computed before the pool was chosen by the sweep's word count
 VERIFY_LEMMA_DIGESTS = [

@@ -13,14 +13,14 @@ from avoidance import lemma
 from avoidance.lemma import (
     DELETE_VICTIM_SYMBOL,
     DELETE_ZERO_WEIGHT_PAIR,
+    LOCAL_RULES,
     ReductionStep,
-    apply_edit,
-    check_certificate,
     permissible_words,
+    redistribution,
     reduce_certificate,
     verify_lemma_exhaustive,
 )
-from avoidance.sequences import Seq, pair_scan, total_weight
+from avoidance.sequences import Seq, blank_count, pair_scan
 
 from oracles import (
     LITERAL_PATTERNS,
@@ -30,6 +30,7 @@ from oracles import (
     brute_total_weight,
     full_chain_sweep,
     literal_local_step,
+    replay_certificate,
 )
 
 FORK_ONLY = pytest.mark.skipif(
@@ -91,21 +92,18 @@ def test_kernel_pairs_match_definition(s):
 @given(words_st())
 def test_kernel_counts_outputs_and_totals_match_definition(s):
     scan = pair_scan(s)
-    expected_counts = [[0] * (s.k + 1) for _ in range(s.k + 1)]
+    # a row per walker with a pair, b = 0..min(k, T - 2)
+    expected_counts = {}
     for i, _, _, b in brute_pairs(list(s.symbols), s.k):
-        expected_counts[i][b] += 1
-    assert scan.counts == expected_counts
+        row = expected_counts.setdefault(i, [0] * (min(s.k, s.T - 2) + 1))
+        row[b] += 1
+    assert scan.by_b == expected_counts
 
     total, blanks, per = brute_total_weight(list(s.symbols), s.k)
     assert scan.total == total
     assert Fraction(scan.scaled_total, scan.denominator) == total
-    assert {i: w for i, w in scan.outputs().items() if w} == {
-        i: w for i, w in per.items() if w
-    }
-    rep = total_weight(s)
-    assert rep.total == total
-    assert rep.blanks == blanks
-    assert rep.per_symbol_output == per
+    assert scan.outputs() == per
+    assert blank_count(s) == blanks
 
 
 def test_scan_rows_are_sized_by_the_word():
@@ -120,22 +118,23 @@ def test_scan_rows_are_sized_by_the_word():
 @given(permissible_words_st())
 @settings(max_examples=60, deadline=None)
 def test_redistribution_inputs_match_definition(s):
-    for step in reduce_certificate(s).steps:
+    for before, step, _ in replay_certificate(reduce_certificate(s)):
         if step.rule != DELETE_VICTIM_SYMBOL:
             continue
-        symbols = list(step.before.symbols)
-        assert step.redistribution.input == brute_redistribution(symbols, s.k)
+        symbols = list(before.symbols)
+        red = redistribution(before)
+        assert red.input == brute_redistribution(symbols, s.k)
         _, _, per = brute_total_weight(symbols, s.k)
-        assert step.redistribution.output == per
+        assert red.output == per
 
 
 @given(permissible_words_st())
 @settings(max_examples=60, deadline=None)
 def test_step_deltas_match_definition(s):
     assert brute_permissible(list(s.symbols))
-    for step in reduce_certificate(s).steps:
-        w_before, b_before, _ = brute_total_weight(list(step.before.symbols), s.k)
-        w_after, b_after, _ = brute_total_weight(list(step.after.symbols), s.k)
+    for before, step, after in replay_certificate(reduce_certificate(s)):
+        w_before, b_before, _ = brute_total_weight(list(before.symbols), s.k)
+        w_after, b_after, _ = brute_total_weight(list(after.symbols), s.k)
         assert step.weight_delta == w_after - w_before
         assert step.blank_delta == b_after - b_before
 
@@ -159,8 +158,8 @@ def test_exhaustive_report_same_at_one_and_two_jobs(k, max_len):
 def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch, pool_at_any_size):
     # fail the step of every word that ends in walker 2, so there are
     # counterexamples to order
-    def fake_check(step, before_w):
-        return ("fails" if step.before.symbols[-1] == 2 else None), None
+    def fake_check(before, before_w, step):
+        return ("fails" if before.symbols[-1] == 2 else None), None, None
 
     monkeypatch.setattr(lemma, "_check_step", fake_check)
     expected = tuple(Seq(2, w).text() for w in permissible_words(2, 5) if w[-1] == 2)
@@ -220,33 +219,35 @@ def test_word_counts_match_brute_force():
 
 def test_edit_check_accepts_exactly_the_literal_patterns():
     # every local rule at every anchor of every permissible word with k <= 2
-    # and length <= 6, recording each symbol and the package's own edit: the
-    # check must accept exactly the steps the literal slices describe
+    # and length <= 6, with the rule's own deltas: the step check must accept
+    # exactly the anchors where the literal pattern starts, and replay the
+    # literal slice's word there
     accepted = 0
     for k in (1, 2):
         for word in permissible_words(k, 6):
             before = Seq(k, word)
+            before_w = pair_scan(before).scaled_total
             for rule in LITERAL_PATTERNS:
+                _, wd, bd = LOCAL_RULES[rule]
                 for pos in range(len(word) + 2):
-                    try:
-                        after = apply_edit(before, rule, pos)
-                    except ValueError:
-                        after = before
                     want = literal_local_step(rule, word, pos)
-                    for symbol in (None, *range(k + 1)):
-                        step = ReductionStep(rule, pos, symbol, before, after, Fraction(0), 0)
-                        ok = want == (symbol, after.symbols)
-                        assert (lemma._edit_matches(step) is None) == ok, (rule, word, pos, symbol)
-                        accepted += ok
-    assert accepted > 500
+                    failure, after, _ = lemma._check_step(
+                        before, before_w, ReductionStep(rule, pos, wd, bd)
+                    )
+                    assert (failure is None) == (want is not None), (rule, word, pos, failure)
+                    if want is None:
+                        assert failure == f"no {rule} pattern at position {pos}"
+                    else:
+                        assert after.symbols == want
+                        accepted += 1
+    assert accepted > 1000
 
 
 def test_step_check_rejects_a_non_permissible_result(monkeypatch):
     # (1, 2, 2) -> (2, 1) keeps the zero-weight deletion's deltas (0, 0); with
-    # the edit check out of the way, the induction premise must still fail it
-    monkeypatch.setattr(lemma, "_edit_matches", lambda step: None)
-    step = ReductionStep(
-        DELETE_ZERO_WEIGHT_PAIR, 3, 2, Seq(2, (1, 2, 2)), Seq(2, (2, 1)), Fraction(0), 0
-    )
-    assert lemma._check_step(step, 0) == ("result is not permissible", None)
-
+    # the edit replaced by one that breaks permissibility, the induction
+    # premise must still fail it
+    monkeypatch.setattr(lemma, "apply_edit", lambda s, rule, arg: Seq(2, (2, 1)))
+    step = ReductionStep(DELETE_ZERO_WEIGHT_PAIR, 2, Fraction(0), 0)
+    failure, _, _ = lemma._check_step(Seq(2, (1, 2, 2)), 0, step)
+    assert failure == "result is not permissible"

@@ -14,6 +14,10 @@ from avoidance.lemma import (
     DELETE_VICTIM_SYMBOL,
     DELETE_ZERO_WEIGHT_PAIR,
     ENUMERATION_BUDGET,
+    RULES,
+    CheckResult,
+    ReductionStep,
+    apply_edit,
     certificate_from_text,
     certificate_to_text,
     check_certificate,
@@ -24,9 +28,9 @@ from avoidance.lemma import (
     redistribution,
     verify_lemma_exhaustive,
 )
-from avoidance.sequences import BLANK, Seq, blank_count, pair_scan, parse_seq, total_weight
+from avoidance.sequences import BLANK, Seq, blank_count, pair_scan, parse_seq
 
-from oracles import brute_redistribution
+from oracles import brute_redistribution, replay_certificate
 
 WORKED_EXAMPLE = parse_seq("1 3 B 2 3 3 B 3 B 1 B 2 B 1 3", 3)
 REDUCED_EXAMPLE = parse_seq("1 3 B 2 3 B 1 B 2 B 1 3", 3)
@@ -92,7 +96,7 @@ def test_redistribution_conserves_weight(s):
         red = redistribution(s)
     except ValueError:
         return  # rules 1..3 not exhausted for this draw
-    total = total_weight(s).total
+    total = pair_scan(s).total
     assert sum(red.input.values(), Fraction(0)) == total
     assert sum(red.output.values(), Fraction(0)) == total
     assert red.input == brute_redistribution(list(s.symbols), s.k)
@@ -106,33 +110,28 @@ def test_redistribution_conserves_weight(s):
 
 def test_step_priority_zero_weight_pair():
     step = reduce_step(WORKED_EXAMPLE)
-    assert step.rule == DELETE_ZERO_WEIGHT_PAIR
-    assert step.pos == 5
-    assert step.weight_delta == 0
-    assert step.after.T == 14
+    assert step == ReductionStep(DELETE_ZERO_WEIGHT_PAIR, 5, Fraction(0), 0)
+    assert apply_edit(WORKED_EXAMPLE, step.rule, step.arg).T == 14
 
 
 def test_step_weight_one_collapse():
-    step = reduce_step(parse_seq("1 B 1", 1))
-    assert step.rule == COLLAPSE_WEIGHT_ONE_PAIR
-    assert step.after.symbols == (1,)
-    assert step.weight_delta == -1
-    assert step.blank_delta == -1
+    s = parse_seq("1 B 1", 1)
+    step = reduce_step(s)
+    assert step == ReductionStep(COLLAPSE_WEIGHT_ONE_PAIR, 1, Fraction(-1), -1)
+    assert apply_edit(s, step.rule, step.arg).symbols == (1,)
 
 
 def test_step_victim_deletion():
     step = reduce_step(REDUCED_EXAMPLE)
-    assert step.rule == DELETE_VICTIM_SYMBOL
-    assert step.symbol == 2
-    assert step.weight_delta == Fraction(4, 3) - Fraction(1, 3)
-    assert total_weight(step.after).total == 3
+    assert step == ReductionStep(DELETE_VICTIM_SYMBOL, 2, Fraction(4, 3) - Fraction(1, 3), 0)
+    assert pair_scan(apply_edit(REDUCED_EXAMPLE, step.rule, step.arg)).total == 3
 
 
 def test_step_blank_collapse_first():
-    step = reduce_step(parse_seq("1 B B 1", 1))
-    assert step.rule == COLLAPSE_BLANKS
-    assert step.pos == 2
-    assert step.after.symbols == (1, BLANK, 1)
+    s = parse_seq("1 B B 1", 1)
+    step = reduce_step(s)
+    assert step == ReductionStep(COLLAPSE_BLANKS, 2, Fraction(0), -1)
+    assert apply_edit(s, step.rule, step.arg).symbols == (1, BLANK, 1)
 
 
 def test_step_terminal_raises():
@@ -162,7 +161,7 @@ def test_certificate_trivial_cases():
 def test_certificate_worked_example():
     cert = reduce_certificate(WORKED_EXAMPLE)
     assert check_certificate(cert).ok
-    assert total_weight(cert.initial).total == 3
+    assert pair_scan(cert.initial).total == 3
     assert blank_count(cert.initial) == 5
     assert is_terminal(cert.final)
 
@@ -202,15 +201,13 @@ def test_tampered_weight_delta_rejected():
 def test_tampered_victim_rejected():
     # victim 2 of the reduced example is the only admissible one; forcing
     # victim 1 (input 1/3 < output 5/6) must fail the admissibility check
-    step = reduce_step(REDUCED_EXAMPLE)
-    assert step.symbol == 2
-    forged_after = Seq(3, tuple(x for x in REDUCED_EXAMPLE.symbols if x != 1))
-    forged = dataclasses.replace(
-        step,
-        symbol=1,
-        after=forged_after,
-        weight_delta=total_weight(forged_after).total - total_weight(REDUCED_EXAMPLE).total,
-        redistribution=None,
+    assert reduce_step(REDUCED_EXAMPLE).arg == 2
+    forged_after = apply_edit(REDUCED_EXAMPLE, DELETE_VICTIM_SYMBOL, 1)
+    forged = ReductionStep(
+        DELETE_VICTIM_SYMBOL,
+        1,
+        pair_scan(forged_after).total - pair_scan(REDUCED_EXAMPLE).total,
+        0,
     )
     tail = reduce_certificate(forged_after)
     cert = dataclasses.replace(
@@ -263,11 +260,72 @@ def test_mutation_sweep_every_delta_tamper_rejected():
 def test_random_certificates_round_trip(s):
     cert = reduce_certificate(s)
     assert check_certificate(cert).ok
-    assert check_certificate(certificate_from_text(certificate_to_text(cert))).ok
+    # a step is its line, so the text form parses back to the same value
+    assert certificate_from_text(certificate_to_text(cert)) == cert
     # termination bound: each step strictly shortens
     assert len(cert.steps) <= s.T
-    for step in cert.steps:
-        assert step.after.T < step.before.T
+    for before, _, after in replay_certificate(cert):
+        assert after.T < before.T
+
+
+# (word, k, line number, tampered line, failure): each tampered line
+# parses, so only the checker's replay can reject it
+TAMPERED_LINES = [
+    # an anchor past the word's end
+    ("1 3 B 2 3 3 B 3 B 1 B 2 B 1 3", 3, 2, "DeleteZeroWeightPair 16 0/1 0",
+     "step 0: no DeleteZeroWeightPair pattern at position 16"),
+    ("1 B 1 B 1", 1, 2, "CollapseWeightOnePair 99 -1/1 -1",
+     "step 0: no CollapseWeightOnePair pattern at position 99"),
+    # an absent victim: walker 3 never occurs, and 0 is the blank
+    ("1 B 2 B 1 B 2", 3, 2, "DeleteVictimSymbol 3 0/1 0", "step 0: victim 3 does not occur"),
+    ("1 B 2 B 1 B 2", 3, 2, "DeleteVictimSymbol 0 0/1 0", "step 0: victim 0 does not occur"),
+    # a swapped rule: the pattern is absent at the anchor, or the edit
+    # applies but the deltas are not the new rule's
+    ("1 3 B 2 3 3 B 3 B 1 B 2 B 1 3", 3, 2, "CollapseBlanks 5 0/1 0",
+     "step 0: no CollapseBlanks pattern at position 5"),
+    ("1 3 B 2 3 3 B 3 B 1 B 2 B 1 3", 3, 3, "DeleteZeroWeightPair 5 -1/1 -1",
+     "step 1: no DeleteZeroWeightPair pattern at position 5"),
+    ("1 B 1 2", 2, 2, "DeleteVictimSymbol 1 -1/1 -1",
+     "step 0: stored blank delta -1 != recomputed 0"),
+    # a final word the replay does not reach
+    ("1 B 1 B 1", 1, -1, "B", "final sequence does not match the replayed steps"),
+]
+
+
+@pytest.mark.parametrize("word, k, number, line, failure", TAMPERED_LINES)
+def test_tampered_line_parses_and_fails_the_check(word, k, number, line, failure):
+    lines = certificate_to_text(reduce_certificate(parse_seq(word, k))).splitlines()
+    assert lines[number] != line
+    lines[number] = line
+    res = check_certificate(certificate_from_text("\n".join(lines) + "\n"))
+    assert isinstance(res, CheckResult)
+    assert not res.ok
+    assert res.failure == failure
+
+
+@given(permissible_seqs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_step_line_checks_without_raising(s, data):
+    cert = reduce_certificate(s)
+    if not cert.steps:
+        return
+    idx = data.draw(st.integers(0, len(cert.steps) - 1))
+    step = ReductionStep(
+        data.draw(st.sampled_from(RULES)),
+        data.draw(st.integers(-2, s.T + 2)),
+        data.draw(st.fractions(max_denominator=6)),
+        data.draw(st.integers(-2, 1)),
+    )
+    tampered = dataclasses.replace(cert, steps=cert.steps[:idx] + (step,) + cert.steps[idx + 1 :])
+    text = certificate_to_text(tampered)
+    assert certificate_from_text(text) == tampered
+    res = check_certificate(tampered)
+    assert isinstance(res, CheckResult)
+    if res.ok:
+        # only a line with the same result and deltas can stand in for a step
+        before, real, after = list(replay_certificate(cert))[idx]
+        assert apply_edit(before, step.rule, step.arg) == after
+        assert (step.weight_delta, step.blank_delta) == (real.weight_delta, real.blank_delta)
 
 
 # --------------------------------------------------- victim deletion, pairwise
@@ -279,21 +337,21 @@ def collect_victim_steps(k, max_len):
             continue
         step = reduce_step(s)
         if step.rule == DELETE_VICTIM_SYMBOL:
-            yield step
+            yield s, step, apply_edit(s, step.rule, step.arg)
 
 
 def test_victim_deletion_pair_by_pair_donation():
     interesting = 0
-    for step in collect_victim_steps(3, 7):
-        j = step.symbol
+    for before, step, after in collect_victim_steps(3, 7):
+        j = step.arg
         donated = {
             (sym, t1): amount
-            for sym, t1, recipients, amount in pair_donations(step.before)
+            for sym, t1, recipients, amount in pair_donations(before)
             if j in recipients
         }
-        assert sum(donated.values()) == step.redistribution.input_of(j)
-        before_pairs = [p for p in pair_scan(step.before).neighbor_pairs() if p.symbol != j]
-        after_pairs = pair_scan(step.after).neighbor_pairs()
+        assert sum(donated.values()) == redistribution(before).input_of(j)
+        before_pairs = [p for p in pair_scan(before).neighbor_pairs() if p.symbol != j]
+        after_pairs = pair_scan(after).neighbor_pairs()
         assert len(before_pairs) == len(after_pairs)
         # occurrences of surviving symbols are untouched, so pairs line up in order
         for bp, ap in zip(before_pairs, after_pairs):

@@ -17,8 +17,6 @@ from avoidance.lp import (
     SOLVER_OPTIONS,
     build_window_lp,
     check_witness_exact,
-    marginalize_witness,
-    product_witness,
     scan_p,
     solve_feasibility,
     window_text,
@@ -26,7 +24,13 @@ from avoidance.lp import (
     write_mps,
 )
 
-from oracles import brute_window_lp, full_phase_one_system, two_step_solve
+from oracles import (
+    brute_window_lp,
+    full_phase_one_system,
+    marginalize_witness,
+    product_witness,
+    two_step_solve,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

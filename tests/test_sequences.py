@@ -11,7 +11,6 @@ from avoidance.sequences import (
     is_permissible,
     pair_scan,
     parse_seq,
-    total_weight,
 )
 
 from oracles import brute_permissible, brute_total_weight
@@ -102,22 +101,22 @@ def test_pair_with_one_distinct_between():
 
 
 def test_worked_example_totals():
-    rep = total_weight(parse_seq(WORKED_EXAMPLE, 3))
-    assert rep.total == 3
-    assert rep.blanks == 5
-    assert rep.per_symbol_output[3] == Fraction(11, 6)
+    s = parse_seq(WORKED_EXAMPLE, 3)
+    assert pair_scan(s).total == 3
+    assert blank_count(s) == 5
+    assert pair_scan(s).outputs()[3] == Fraction(11, 6)
 
 
 def test_single_weight_one_pair():
-    rep = total_weight(Seq(1, (1, BLANK, 1)))
-    assert rep.total == 1
-    assert rep.blanks == 1
+    s = Seq(1, (1, BLANK, 1))
+    assert pair_scan(s).total == 1
+    assert blank_count(s) == 1
 
 
 def test_reduced_example_totals():
-    rep = total_weight(parse_seq("1 3 B 2 3 B 1 B 2 B 1 3", 3))
-    assert rep.total == 2
-    assert rep.blanks == 4
+    s = parse_seq("1 3 B 2 3 B 1 B 2 B 1 3", 3)
+    assert pair_scan(s).total == 2
+    assert blank_count(s) == 4
 
 
 @pytest.mark.parametrize(
@@ -130,11 +129,11 @@ def test_blank_count(tokens, k, expected):
 
 @given(seqs())
 def test_totals_match_brute_force(s):
-    rep = total_weight(s)
+    scan = pair_scan(s)
     total, blanks, per = brute_total_weight(list(s.symbols), s.k)
-    assert rep.total == total
-    assert rep.blanks == blanks
-    assert rep.per_symbol_output == per
+    assert scan.total == total
+    assert blank_count(s) == blanks
+    assert scan.outputs() == per
 
 
 @given(seqs())
@@ -163,8 +162,8 @@ def test_weights_are_unit_fractions(s):
 
 @given(seqs())
 def test_total_is_sum_of_outputs(s):
-    rep = total_weight(s)
-    assert rep.total == sum(rep.per_symbol_output.values(), Fraction(0))
+    scan = pair_scan(s)
+    assert scan.total == sum(scan.outputs().values(), Fraction(0))
 
 
 def test_appending_blank_never_decreases_margin():
@@ -174,9 +173,8 @@ def test_appending_blank_never_decreases_margin():
             s = Seq(2, word)
             if not is_permissible(s):
                 continue
-            rep = total_weight(s)
-            ext = total_weight(Seq(2, word + (BLANK,)))
-            assert ext.blanks - ext.total >= rep.blanks - rep.total
+            ext = Seq(2, word + (BLANK,))
+            assert blank_count(ext) - pair_scan(ext).total >= blank_count(s) - pair_scan(s).total
 
 
 def test_inequality_on_permissible_corpus():

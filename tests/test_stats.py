@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from avoidance.policies import IndependentSites, RoundRobin, simulate
-from avoidance.sequences import Seq, pair_scan, parse_seq, total_weight
+from avoidance.sequences import Seq, pair_scan, parse_seq
 from avoidance.stats import (
     _array_pairs,
     _autocorrelation,
@@ -35,7 +35,7 @@ def test_empirical_stats_small_exact():
 
 def test_weight_rate_times_T_is_total_weight():
     est = empirical_stats(FAITHFUL_SEQ, 0.3)
-    assert est.weight_rate_total * est.T == total_weight(FAITHFUL_SEQ).total
+    assert est.weight_rate_total * est.T == pair_scan(FAITHFUL_SEQ).total
 
 
 def test_blank_rate_dominates_weight_rate():
