@@ -14,7 +14,7 @@ executes only the layers it calls, and the re-exports below resolve on use.
 import importlib.util
 import sys
 
-__version__ = "0.4.7"
+__version__ = "0.4.8"
 
 _LAYERS = ("bounds", "lemma", "lp", "policies", "reporting", "sequences", "stats", "traces")
 
@@ -39,7 +39,6 @@ _EXPORTS = {
     "WalkerTrace": "traces",
     "check_1avoidance": "traces",
     "check_walker_avoidance": "traces",
-    "encode": "traces",
     "project": "traces",
     "simulate": "policies",
     "RoundRobin": "policies",

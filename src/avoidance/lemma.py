@@ -10,7 +10,9 @@ applied in a fixed priority:
    redistributed input is at least its output  (weight delta >= 0, blanks 0)
 
 Rules 1..3 are local: ``LOCAL_RULES`` holds each one's pattern width and
-constant deltas.
+constant deltas.  Rule 4 works on integer tables over lcm(1..k):
+``redistribution`` gives what each walker receives, and
+``PairScan.scaled_output`` what it emits.
 
 Unwinding the recorded deltas from the trivial endpoint proves the inequality
 for the initial word; the step list is a certificate an independent checker
@@ -40,7 +42,6 @@ __all__ = [
     "DELETE_ZERO_WEIGHT_PAIR",
     "COLLAPSE_WEIGHT_ONE_PAIR",
     "DELETE_VICTIM_SYMBOL",
-    "RedistributionReport",
     "ReductionStep",
     "ReductionCertificate",
     "CheckResult",
@@ -84,27 +85,6 @@ POOL_MIN_WORDS = 6_000
 
 
 @dataclass(frozen=True)
-class RedistributionReport:
-    """Weight redistribution over a word with no rule-1..3 pattern left.
-
-    Every pair has b >= 2 distinct symbols between its endpoints, one of
-    them a blank, so it donates 1/(b(b-1)) to each of the b - 1 distinct
-    walker symbols in between.  ``input`` maps a walker to what it receives,
-    ``output`` to the summed weight of its own pairs; both sum to the total
-    weight, so some walker has input >= output.
-    """
-
-    input: dict[int, Fraction]
-    output: dict[int, Fraction]
-
-    def input_of(self, j: int) -> Fraction:
-        return self.input.get(j, Fraction(0))
-
-    def output_of(self, j: int) -> Fraction:
-        return self.output.get(j, Fraction(0))
-
-
-@dataclass(frozen=True)
 class ReductionStep:
     """One certificate line: ``rule`` applied at ``arg``, the 1-based anchor
     of the pattern for rules 1..3 and the victim walker for rule 4, as in
@@ -135,21 +115,20 @@ class CheckResult:
         return self.ok
 
 
-def redistribution(s: Seq) -> RedistributionReport:
-    """Donate each pair's weight to the distinct walker symbols between it.
+def redistribution(scan: PairScan) -> dict[int, int]:
+    """What each walker receives when every pair donates its weight to the
+    distinct walker symbols between its endpoints, times ``scan.denominator``.
 
-    Requires a permissible word with rules 1..3 exhausted, i.e. every pair
-    has b >= 2 and a blank between its endpoints (so exactly b - 1 distinct
-    walkers receive 1/(b(b-1)) each, summing to the pair's weight 1/b).
-    A pair never donates to its own symbol: that symbol cannot occur
-    strictly between the pair's endpoints.
+    Requires the scan of a permissible word with rules 1..3 exhausted: every
+    pair has b >= 2 and a blank between its endpoints, so exactly b - 1
+    distinct walkers receive 1/(b(b-1)) each, summing to the pair's weight
+    1/b.  A pair never donates to its own symbol: that symbol cannot occur
+    strictly between the pair's endpoints.  A walker's output, the summed
+    weight of its own pairs, is ``scan.scaled_output``.
     """
-    if not is_permissible(s):
-        raise ValueError("sequence is not permissible")
-    scan = pair_scan(s)
     # b and b - 1 are coprime and at most k, so b(b-1) divides lcm(1..k)
     den = scan.denominator
-    scaled_inp: dict[int, int] = {}
+    received: dict[int, int] = {}
     for sym, t1, t2, between in scan.pairs:
         b = between.bit_count()
         if b <= 1:
@@ -161,9 +140,8 @@ def redistribution(s: Seq) -> RedistributionReport:
         share = den // (b * (b - 1))
         for r in range(1, between.bit_length()):
             if between >> r & 1:
-                scaled_inp[r] = scaled_inp.get(r, 0) + share
-    inp = {r: Fraction(scaled_inp[r], den) for r in sorted(scaled_inp)}
-    return RedistributionReport(inp, scan.outputs())
+                received[r] = received.get(r, 0) + share
+    return received
 
 
 def apply_edit(s: Seq, rule: str, arg: int) -> Seq:
@@ -216,7 +194,9 @@ def reduce_step(s: Seq) -> ReductionStep:
     Raises on a non-permissible word or a terminal one (no walker symbol and
     no adjacent blanks).  The victim of rule 4 is the smallest walker present
     whose redistributed input is at least its output; one always exists since
-    inputs and outputs both sum to the total weight.
+    inputs and outputs both sum to the total weight.  Its weight delta is
+    input - output: deleting it drops its own pairs, and each pair that
+    spanned it gains what it donated to the victim.
     """
     if not is_permissible(s):
         raise ValueError("sequence is not permissible")
@@ -229,18 +209,13 @@ def reduce_step(s: Seq) -> ReductionStep:
     present = sorted(set(syms) - {BLANK})
     if not present:
         raise ValueError("terminal sequence: no rule applies")
-    red = redistribution(s)
-    victim = None
+    scan = pair_scan(s)
+    received = redistribution(scan)
     for j in present:
-        if red.input_of(j) >= red.output_of(j):
-            victim = j
-            break
-    if victim is None:
-        raise AssertionError(
-            "no admissible victim; conservation of redistributed weight is broken"
-        )
-    wd = red.input_of(victim) - red.output_of(victim)
-    return ReductionStep(DELETE_VICTIM_SYMBOL, victim, wd, 0)
+        gain = received.get(j, 0) - scan.scaled_output(j)
+        if gain >= 0:
+            return ReductionStep(DELETE_VICTIM_SYMBOL, j, Fraction(gain, scan.denominator), 0)
+    raise AssertionError("no admissible victim; conservation of redistributed weight is broken")
 
 
 def is_terminal(s: Seq) -> bool:
@@ -265,15 +240,15 @@ def reduce_certificate(s: Seq) -> ReductionCertificate:
 
 
 def _check_step(
-    before: Seq, before_w: int, step: ReductionStep
+    before: Seq, before_scan: PairScan, step: ReductionStep
 ) -> tuple[str | None, Seq | None, PairScan | None]:
     """Independently re-verify one step on ``before`` with exact arithmetic.
 
-    ``before_w`` is the total weight of ``before`` as an integer over
-    lcm(1..k).  Checks the rule's pattern at the anchor, or that the victim
-    occurs, applies the edit and checks its result with ``_result_failure``.
-    Returns the first failure (None if the step checks), the ``after`` word
-    and its weight scan (both None when the edit does not apply).
+    ``before_scan`` is the weight scan of ``before``.  Checks the rule's
+    pattern at the anchor, or that the victim occurs, applies the edit and
+    checks its result with ``_result_failure``.  Returns the first failure
+    (None if the step checks), the ``after`` word and its weight scan (both
+    None when the edit does not apply).
     """
     if step.rule in LOCAL_RULES and not _pattern_at(step.rule, before.symbols, step.arg):
         return f"no {step.rule} pattern at position {step.arg}", None, None
@@ -282,52 +257,40 @@ def _check_step(
     except ValueError as exc:  # an absent victim or an unknown rule
         return str(exc), None, None
     scan = pair_scan(after)
-    return _result_failure(before, before_w, step, after, scan), after, scan
+    return _result_failure(before, before_scan, step, after, scan), after, scan
 
 
 def _result_failure(
-    before: Seq, before_w: int, step: ReductionStep, after: Seq, scan: PairScan
+    before: Seq, before_scan: PairScan, step: ReductionStep, after: Seq, scan: PairScan
 ) -> str | None:
     """The first failure of an applied step, None if it checks.
 
-    Recomputes the weight and blank deltas against the stored ones, the
-    rule's delta contract and, for rule 4, the redistribution tables and the
-    victim's admissibility; last, the induction premise: ``after`` is a
-    shorter permissible word and dw >= bd, so weight <= blanks for ``after``
-    implies it for ``before``.
+    Recomputes the weight and blank deltas against the stored ones, in
+    integers over lcm(1..k); a matched local pattern forces its rule's
+    deltas, so the stored ones are the table's.  For rule 4 it checks the
+    redistribution precondition and the victim's admissibility (input >=
+    output) on the integer tables.  Last, the induction premise: ``after`` is
+    a shorter permissible word and dw >= bd, so weight <= blanks for
+    ``after`` implies it for ``before``.
     """
     if len(after) >= len(before):
         return "edit does not shorten the sequence"
     den = scan.denominator
-    dw = scan.scaled_total - before_w
+    dw = scan.scaled_total - before_scan.scaled_total
     bd = blank_count(after) - blank_count(before)
     stored = step.weight_delta
     if dw * stored.denominator != stored.numerator * den:
         return f"stored weight delta {stored} != recomputed {Fraction(dw, den)}"
     if bd != step.blank_delta:
         return f"stored blank delta {step.blank_delta} != recomputed {bd}"
-    if step.rule in LOCAL_RULES:
-        _, want_w, want_b = LOCAL_RULES[step.rule]
-        # the local weight deltas are integers
-        if dw != want_w.numerator * den or bd != want_b:
-            return f"{step.rule} must have deltas ({want_w}, {want_b})"
-    else:
+    if step.rule == DELETE_VICTIM_SYMBOL:
         try:
-            red = redistribution(before)
+            received = redistribution(before_scan)
         except ValueError as exc:
             return f"redistribution precondition: {exc}"
-        total = Fraction(before_w, den)
-        if sum(red.input.values(), Fraction(0)) != total:
-            return "redistributed inputs do not sum to the total"
-        if sum(red.output.values(), Fraction(0)) != total:
-            return "outputs do not sum to the total"
         j = step.arg
-        if red.input_of(j) < red.output_of(j):
+        if received.get(j, 0) < before_scan.scaled_output(j):
             return f"victim {j} has input < output, not admissible"
-        if Fraction(dw, den) != red.input_of(j) - red.output_of(j):
-            return "weight delta != input - output of the victim"
-        if bd != 0:
-            return "victim deletion must preserve blanks"
     if not is_permissible(after):
         return "result is not permissible"
     if dw < bd * den:
@@ -352,7 +315,7 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
     den = scan.denominator
     initial_w = scan.scaled_total
     for idx, step in enumerate(cert.steps):
-        failure, cur, scan = _check_step(cur, scan.scaled_total, step)
+        failure, cur, scan = _check_step(cur, scan, step)
         if failure is not None:
             return CheckResult(False, f"step {idx}: {failure}")
     if cert.final != cur:
@@ -455,7 +418,7 @@ def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
         s = Seq(k, word)
         if is_terminal(s):
             continue
-        failure, _, _ = _check_step(s, pair_scan(s).scaled_total, reduce_step(s))
+        failure, _, _ = _check_step(s, pair_scan(s), reduce_step(s))
         if failure is not None:
             bad.append(word)
     return by_length, bad
@@ -509,16 +472,17 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
 
     Each non-terminal word gets one ``reduce_step``, checked by
     ``_check_step``: the rule applies at the step's anchor or victim, its
-    stored deltas are the recomputed ones, and its edit maps the word to a
-    shorter permissible word with dw >= bd.  Every rule's deltas satisfy
-    that: the local rules' in ``LOCAL_RULES``, and (input - output >= 0, 0)
-    for rule 4.  So if the shorter word obeys the inequality,
-    w(before) = w(after) - dw <= blanks(after) - bd = blanks(before).  The
-    base cases, the empty word and a lone blank, have no pairs.  The premise that every shorter word was
-    checked is asserted: the words counted per length must equal
-    ``_word_counts``.  A counterexample is a word whose own step fails its
-    check; since ``reduce_step`` is deterministic, every word's certificate
-    checks exactly when every word's first step does.
+    stored deltas are the recomputed ones, a victim is admissible, and its
+    edit maps the word to a shorter permissible word with dw >= bd.  Every
+    rule's deltas satisfy that: the local rules' in ``LOCAL_RULES``, and
+    (input - output >= 0, 0) for rule 4.  So if the shorter word obeys the
+    inequality, w(before) = w(after) - dw <= blanks(after) - bd =
+    blanks(before).  The base cases, the empty word and a lone blank, have
+    no pairs.  The premise that every shorter word was checked is asserted:
+    the words counted per length must equal ``_word_counts``.  A
+    counterexample is a word whose own step fails its check; since
+    ``reduce_step`` is deterministic, every word's certificate checks
+    exactly when every word's first step does.
 
     Raises when the raw word count (k+1)^max_len exceeds the enumeration
     budget.  A sweep of at least ``POOL_MIN_WORDS`` words spreads prefix

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .sequences import Seq, _scales, _weight_denominator
+from .sequences import _scales, _weight_denominator
 from .traces import CouplingTrace
 
 if TYPE_CHECKING:
@@ -63,28 +63,19 @@ class EmpiricalStats:
     weight_rate_total: Fraction
 
 
-def empirical_stats(s: Seq | np.ndarray, p: float, k: int | None = None) -> EmpiricalStats:
+def empirical_stats(symbols: np.ndarray, p: float, k: int) -> EmpiricalStats:
     """Compute the estimators for a symbol sequence claiming parameter p.
 
-    ``s`` is a Seq or a 1-d integer array of symbols (0 the blank), such as
-    ``traces.symbol_array`` returns; an array needs ``k``.
+    ``symbols`` is a 1-d integer array over 0..k (0 the blank), such as
+    ``traces.symbol_array`` returns.
     """
     import numpy as np
 
-    if isinstance(s, Seq):
-        if k is None:
-            k = s.k
-        elif k != s.k:
-            raise ValueError(f"k={k} does not match the sequence's k={s.k}")
-        x = np.array(s.symbols, dtype=np.int64)
-    else:
-        if k is None:
-            raise ValueError("a symbol array needs k")
-        x = np.asarray(s)
-        if x.ndim != 1:
-            raise ValueError("a symbol array must be 1-d")
-        if x.size and (x.min() < 0 or x.max() > k):
-            raise ValueError(f"symbols must lie in 0..{k}")
+    x = np.asarray(symbols)
+    if x.ndim != 1:
+        raise ValueError("a symbol array must be 1-d")
+    if x.size and (x.min() < 0 or x.max() > k):
+        raise ValueError(f"symbols must lie in 0..{k}")
     T = x.size
     if T < 1:
         raise ValueError("sequence must be nonempty")

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .sequences import Seq
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -26,7 +24,6 @@ __all__ = [
     "check_1avoidance",
     "check_walker_avoidance",
     "symbol_array",
-    "encode",
     "project",
     "write_trace",
     "read_trace",
@@ -206,11 +203,6 @@ def symbol_array(tr: CouplingTrace) -> np.ndarray:
         t = int(np.argmax(sums > 1)) + 1
         raise ValueError(f"row {t} has {int(sums[t - 1])} ones; cannot encode")
     return tr.rows @ np.arange(1, tr.k + 1, dtype=np.int64)
-
-
-def encode(tr: CouplingTrace) -> Seq:
-    """Map rows to symbols: the index of the single 1, or blank for all-zero."""
-    return Seq(tr.k, tuple(symbol_array(tr).tolist()))
 
 
 def project(tr: WalkerTrace, v: int) -> CouplingTrace:

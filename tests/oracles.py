@@ -294,6 +294,15 @@ def full_phase_one_system(lp):
     )
 
 
+def trace_word(tr):
+    """A coupling trace's rows as a word: ``traces.symbol_array`` held as a
+    Seq, for the checks that take words."""
+    from avoidance.sequences import Seq
+    from avoidance.traces import symbol_array
+
+    return Seq(tr.k, tuple(symbol_array(tr).tolist()))
+
+
 def rowwise_write_trace(tr):
     """The trace text format, one row at a time."""
     from avoidance.traces import WalkerTrace

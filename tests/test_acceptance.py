@@ -33,9 +33,9 @@ from avoidance.policies import (
 )
 from avoidance.sequences import Seq, blank_count, is_permissible, pair_scan, parse_seq
 from avoidance.stats import empirical_stats, faithfulness_tests, gap_law_chisquare
-from avoidance.traces import check_1avoidance, check_walker_avoidance, encode, project
+from avoidance.traces import check_1avoidance, check_walker_avoidance, project, symbol_array
 
-from oracles import marginalize_witness, product_witness, replay_certificate
+from oracles import marginalize_witness, product_witness, replay_certificate, trace_word
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
 CORPUS = ((1, 10), (2, 9), (3, 7))
@@ -94,17 +94,19 @@ def test_criterion_3_certificate_soundness():
             if not check_certificate(cert).ok:
                 all_ok = False
                 break
-            for before, step, _ in replay_certificate(cert):
+            for before, step, after in replay_certificate(cert):
                 if step.rule != DELETE_VICTIM_SYMBOL:
                     continue
                 victims += 1
-                red = redistribution(before)
-                total = pair_scan(before).total
-                if sum(red.input.values(), Fraction(0)) != total:
+                # integer tables over lcm(1..k): the inputs conserve the
+                # weight, the victim is admissible, and its deletion changes
+                # the weight by input - output
+                scan = pair_scan(before)
+                received = redistribution(scan)
+                gain = received.get(step.arg, 0) - scan.scaled_output(step.arg)
+                if sum(received.values()) != scan.scaled_total or gain < 0:
                     all_ok = False
-                if sum(red.output.values(), Fraction(0)) != total:
-                    all_ok = False
-                if red.input_of(step.arg) < red.output_of(step.arg):
+                if pair_scan(after).scaled_total - scan.scaled_total != gain:
                     all_ok = False
     # mutation control: a tampered delta must be rejected
     cert = reduce_certificate(parse_seq(WORKED_EXAMPLE, 3))
@@ -139,8 +141,7 @@ def test_criterion_5_simulator_statistics():
     p, T, seed = 0.3, 10**6, 2024
     start = time.perf_counter()
     trace = simulate(IndependentSites(1, p), T, seed)
-    seq = encode(trace)
-    est = empirical_stats(seq, p)
+    est = empirical_stats(symbol_array(trace), p, 1)
     _, pvalue, _ = gap_law_chisquare(est.gap_histogram[1], p)
     elapsed = time.perf_counter() - start
     sigma = math.sqrt(p * (1 - p) / T)
@@ -194,7 +195,7 @@ def test_criterion_7_projection_and_waves():
             failures += 1
             continue
         proj = project(trace, 1)
-        if not check_1avoidance(proj).ok or not is_permissible(encode(proj)):
+        if not check_1avoidance(proj).ok or not is_permissible(trace_word(proj)):
             failures += 1
     n, T = 5, 10**6
     waves_trace = simulate(StayingInWaves(AvoidingWalkers(n, 1)), T, seed=77)

@@ -761,9 +761,9 @@ EXECUTED_LAYERS = [
     (["bound", "--n", "21"], ["bounds"]),
     (["maxp", "--k", "3"], ["bounds"]),
     (["taylor", "--p", "0.3", "--T", "10"], ["bounds"]),
-    (["simulate", "round-robin", "--k", "2", "--T", "10"], ["policies", "sequences", "traces"]),
-    (["check-trace", "--in", "binary.txt"], ["sequences", "traces"]),
-    (["check-trace", "--in", "walker.txt", "--format", "json"], ["reporting", "sequences", "traces"]),
+    (["simulate", "round-robin", "--k", "2", "--T", "10"], ["policies", "traces"]),
+    (["check-trace", "--in", "binary.txt"], ["traces"]),
+    (["check-trace", "--in", "walker.txt", "--format", "json"], ["reporting", "traces"]),
     (["stats", "--in", "binary.txt", "--p", "0.3"], ["reporting", "sequences", "stats", "traces"]),
     (["lp-build", "--k", "2", "--p", "1/5", "--m", "3"], ["lp", "sequences"]),
     (["lp-scan", "--k", "2", "--m", "3", "--grid", "1/5"], ["bounds", "lp", "reporting", "sequences"]),

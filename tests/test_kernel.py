@@ -122,10 +122,12 @@ def test_redistribution_inputs_match_definition(s):
         if step.rule != DELETE_VICTIM_SYMBOL:
             continue
         symbols = list(before.symbols)
-        red = redistribution(before)
-        assert red.input == brute_redistribution(symbols, s.k)
+        scan = pair_scan(before)
+        den = scan.denominator
+        received = {j: Fraction(v, den) for j, v in redistribution(scan).items()}
+        assert received == brute_redistribution(symbols, s.k)
         _, _, per = brute_total_weight(symbols, s.k)
-        assert red.output == per
+        assert {j: Fraction(scan.scaled_output(j), den) for j in per} == per
 
 
 @given(permissible_words_st())
@@ -158,7 +160,7 @@ def test_exhaustive_report_same_at_one_and_two_jobs(k, max_len):
 def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch, pool_at_any_size):
     # fail the step of every word that ends in walker 2, so there are
     # counterexamples to order
-    def fake_check(before, before_w, step):
+    def fake_check(before, before_scan, step):
         return ("fails" if before.symbols[-1] == 2 else None), None, None
 
     monkeypatch.setattr(lemma, "_check_step", fake_check)
@@ -226,13 +228,13 @@ def test_edit_check_accepts_exactly_the_literal_patterns():
     for k in (1, 2):
         for word in permissible_words(k, 6):
             before = Seq(k, word)
-            before_w = pair_scan(before).scaled_total
+            before_scan = pair_scan(before)
             for rule in LITERAL_PATTERNS:
                 _, wd, bd = LOCAL_RULES[rule]
                 for pos in range(len(word) + 2):
                     want = literal_local_step(rule, word, pos)
                     failure, after, _ = lemma._check_step(
-                        before, before_w, ReductionStep(rule, pos, wd, bd)
+                        before, before_scan, ReductionStep(rule, pos, wd, bd)
                     )
                     assert (failure is None) == (want is not None), (rule, word, pos, failure)
                     if want is None:
@@ -249,5 +251,6 @@ def test_step_check_rejects_a_non_permissible_result(monkeypatch):
     # premise must still fail it
     monkeypatch.setattr(lemma, "apply_edit", lambda s, rule, arg: Seq(2, (2, 1)))
     step = ReductionStep(DELETE_ZERO_WEIGHT_PAIR, 2, Fraction(0), 0)
-    failure, _, _ = lemma._check_step(Seq(2, (1, 2, 2)), 0, step)
+    before = Seq(2, (1, 2, 2))
+    failure, _, _ = lemma._check_step(before, pair_scan(before), step)
     assert failure == "result is not permissible"

@@ -54,22 +54,39 @@ def permissible_seqs(max_k=3, max_len=9):
 
 # ---------------------------------------------------------------- redistribution
 
+def as_fractions(table, den):
+    """An integer table over ``den`` as exact rationals."""
+    return {j: Fraction(v, den) for j, v in table.items()}
+
+
 def test_redistribution_reduced_example():
-    red = redistribution(REDUCED_EXAMPLE)
-    assert red.input == {1: Fraction(1, 3), 2: Fraction(4, 3), 3: Fraction(1, 3)}
-    assert red.output == {1: Fraction(5, 6), 2: Fraction(1, 3), 3: Fraction(5, 6)}
-    assert sum(red.input.values()) == sum(red.output.values()) == 2
+    scan = pair_scan(REDUCED_EXAMPLE)
+    received = redistribution(scan)
+    assert as_fractions(received, scan.denominator) == {
+        1: Fraction(1, 3), 2: Fraction(4, 3), 3: Fraction(1, 3)
+    }
+    outputs = {j: scan.scaled_output(j) for j in (1, 2, 3)}
+    assert as_fractions(outputs, scan.denominator) == {
+        1: Fraction(5, 6), 2: Fraction(1, 3), 3: Fraction(5, 6)
+    }
+    assert sum(received.values()) == sum(outputs.values()) == 2 * scan.denominator
 
 
 def test_redistribution_single_pair():
-    red = redistribution(parse_seq("1 B 2 B 1", 2))
-    assert red.input == {2: Fraction(1, 2)}
-    assert red.output == {1: Fraction(1, 2)}
+    scan = pair_scan(parse_seq("1 B 2 B 1", 2))
+    assert as_fractions(redistribution(scan), scan.denominator) == {2: Fraction(1, 2)}
+    assert Fraction(scan.scaled_output(1), scan.denominator) == Fraction(1, 2)
 
 
 def test_redistribution_rejects_low_b():
-    with pytest.raises(ValueError):
-        redistribution(parse_seq("1 B 1", 1))
+    with pytest.raises(ValueError, match="has b=1; rules 1..3 are not exhausted"):
+        redistribution(pair_scan(parse_seq("1 B 1", 1)))
+
+
+def test_redistribution_rejects_a_pair_without_a_blank():
+    # only a non-permissible word has such a pair with b >= 2
+    with pytest.raises(ValueError, match=r"pair \(1,4\) has no blank between its endpoints"):
+        redistribution(pair_scan(Seq(3, (1, 2, 3, 1))))
 
 
 def pair_donations(s):
@@ -87,23 +104,23 @@ def test_redistribution_never_donates_to_own_symbol():
         assert sym not in recipients
         for r in recipients:
             received[r] = received.get(r, 0) + amount
-    assert received == redistribution(REDUCED_EXAMPLE).input
+    scan = pair_scan(REDUCED_EXAMPLE)
+    assert received == as_fractions(redistribution(scan), scan.denominator)
 
 
 @given(permissible_seqs())
 def test_redistribution_conserves_weight(s):
+    scan = pair_scan(s)
     try:
-        red = redistribution(s)
+        received = redistribution(scan)
     except ValueError:
         return  # rules 1..3 not exhausted for this draw
-    total = pair_scan(s).total
-    assert sum(red.input.values(), Fraction(0)) == total
-    assert sum(red.output.values(), Fraction(0)) == total
-    assert red.input == brute_redistribution(list(s.symbols), s.k)
+    assert sum(received.values()) == scan.scaled_total
+    assert as_fractions(received, scan.denominator) == brute_redistribution(list(s.symbols), s.k)
     # averaging: some present symbol receives at least what it emits
     present = sorted(set(s.symbols) - {BLANK})
     if present:
-        assert any(red.input_of(j) >= red.output_of(j) for j in present)
+        assert any(received.get(j, 0) >= scan.scaled_output(j) for j in present)
 
 
 # ---------------------------------------------------------------- single steps
@@ -287,6 +304,14 @@ TAMPERED_LINES = [
      "step 1: no DeleteZeroWeightPair pattern at position 5"),
     ("1 B 1 2", 2, 2, "DeleteVictimSymbol 1 -1/1 -1",
      "step 0: stored blank delta -1 != recomputed 0"),
+    # a victim deleted, with the right deltas, from a word that rules 1..3
+    # still reduce: a pair with b = 0, and one with b = 1
+    ("1 1", 2, 2, "DeleteVictimSymbol 1 0/1 0",
+     "step 0: redistribution precondition: pair (1,2) of symbol 1 has b=0; "
+     "rules 1..3 are not exhausted"),
+    ("1 B 1", 1, 2, "DeleteVictimSymbol 1 -1/1 0",
+     "step 0: redistribution precondition: pair (1,3) of symbol 1 has b=1; "
+     "rules 1..3 are not exhausted"),
     # a final word the replay does not reach
     ("1 B 1 B 1", 1, -1, "B", "final sequence does not match the replayed steps"),
 ]
@@ -349,7 +374,14 @@ def test_victim_deletion_pair_by_pair_donation():
             for sym, t1, recipients, amount in pair_donations(before)
             if j in recipients
         }
-        assert sum(donated.values()) == redistribution(before).input_of(j)
+        scan = pair_scan(before)
+        received = redistribution(scan)
+        assert sum(donated.values()) == Fraction(received.get(j, 0), scan.denominator)
+        # the rule-4 identity: deleting the victim changes the weight by its
+        # input - output, which is the step's stored delta
+        gain = received.get(j, 0) - scan.scaled_output(j)
+        assert pair_scan(after).scaled_total - scan.scaled_total == gain
+        assert step.weight_delta == Fraction(gain, scan.denominator)
         before_pairs = [p for p in pair_scan(before).neighbor_pairs() if p.symbol != j]
         after_pairs = pair_scan(after).neighbor_pairs()
         assert len(before_pairs) == len(after_pairs)

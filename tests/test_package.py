@@ -1,6 +1,7 @@
 """The package's public names, which resolve from layer modules that run on
 first use: each check starts a fresh interpreter, where no layer has run."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -59,3 +60,11 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=rf"^module 'avoidance' has no attribute '{name}'$"):
         getattr(avoidance, name)
     assert not hasattr(avoidance, name)
+
+
+@pytest.mark.parametrize("layer", avoidance._LAYERS)
+def test_every_name_in_a_layers_all_is_defined(layer):
+    # perfbench's tracer reads every name in each layer's __all__, so a stale
+    # entry would stop every traced run
+    module = importlib.import_module(f"avoidance.{layer}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

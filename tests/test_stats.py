@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from avoidance.policies import IndependentSites, RoundRobin, simulate
-from avoidance.sequences import Seq, pair_scan, parse_seq
+from avoidance.sequences import Seq, blank_count, pair_scan
 from avoidance.stats import (
     _array_pairs,
     _autocorrelation,
@@ -15,16 +15,16 @@ from avoidance.stats import (
     faithfulness_tests,
     gap_law_chisquare,
 )
-from avoidance.traces import CouplingTrace, encode, symbol_array
-from oracles import brute_pairs
+from avoidance.traces import CouplingTrace, symbol_array
+from oracles import brute_pairs, trace_word
 
 FAITHFUL = simulate(IndependentSites(1, 0.3), 10**6, seed=2024)
-FAITHFUL_SEQ = encode(FAITHFUL)
+FAITHFUL_SYMBOLS = symbol_array(FAITHFUL)
 
 
 def test_empirical_stats_small_exact():
-    s = parse_seq("1 B 1 B B 1", 1)
-    est = empirical_stats(s, 0.5)
+    # the word "1 B 1 B B 1"
+    est = empirical_stats(np.array([1, 0, 1, 0, 0, 1]), 0.5, 1)
     assert est.blanks == 3
     assert est.blank_rate == Fraction(1, 2)
     assert est.occupancy_rate == Fraction(1, 2)
@@ -34,17 +34,17 @@ def test_empirical_stats_small_exact():
 
 
 def test_weight_rate_times_T_is_total_weight():
-    est = empirical_stats(FAITHFUL_SEQ, 0.3)
-    assert est.weight_rate_total * est.T == pair_scan(FAITHFUL_SEQ).total
+    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
+    assert est.weight_rate_total * est.T == pair_scan(trace_word(FAITHFUL)).total
 
 
 def test_blank_rate_dominates_weight_rate():
-    est = empirical_stats(FAITHFUL_SEQ, 0.3)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
     assert est.blank_rate >= est.weight_rate_total
 
 
 def test_faithful_k1_rates():
-    est = empirical_stats(FAITHFUL_SEQ, 0.3)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
     p = 0.3
     sigma = math.sqrt(p * (1 - p) / est.T)
     assert abs(float(est.blank_rate) - 0.7) < 3 * sigma
@@ -58,19 +58,19 @@ def test_weight_rate_dominates_series_partial_sums():
     # finite-T form of the asymptotic lower bound on the per-walker weight rate
     from avoidance.bounds import taylor_partial
 
-    est = empirical_stats(FAITHFUL_SEQ, 0.3)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
     assert float(est.weight_rate[1]) >= taylor_partial(0.3, 10**4) - 0.005
 
 
 def test_gap_law_chisquare_accepts_faithful():
-    est = empirical_stats(FAITHFUL_SEQ, 0.3)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
     stat, pvalue, dof = gap_law_chisquare(est.gap_histogram[1], 0.3)
     assert dof >= 5
     assert pvalue > 1e-3
 
 
 def test_gap_law_chisquare_rejects_wrong_p():
-    est = empirical_stats(FAITHFUL_SEQ, 0.3)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
     _, pvalue, _ = gap_law_chisquare(est.gap_histogram[1], 0.5)
     assert pvalue < 1e-6
 
@@ -81,8 +81,10 @@ def test_gap_law_needs_data():
 
 
 def test_empirical_stats_k_mismatch():
-    with pytest.raises(ValueError):
-        empirical_stats(FAITHFUL_SEQ, 0.3, k=2)
+    # a two-walker trace's symbols read as if it had one walker
+    symbols = symbol_array(simulate(RoundRobin(2), 100, seed=0))
+    with pytest.raises(ValueError, match=r"symbols must lie in 0\.\.1"):
+        empirical_stats(symbols, 0.3, 1)
 
 
 def test_faithfulness_accepts_genuine_source():
@@ -172,20 +174,30 @@ def test_array_pairs_match_pair_scan_and_brute_force(case):
 @settings(max_examples=200, deadline=None)
 @given(case=SYMBOL_ARRAYS)
 def test_empirical_stats_of_an_array_equal_those_of_the_word(case):
+    # the rates times T are the word's blank count and exact weights
     k, x = case
     assume(x.size)
-    assert empirical_stats(x, 0.3, k) == empirical_stats(Seq(k, tuple(x.tolist())), 0.3)
+    est = empirical_stats(x, 0.3, k)
+    word = Seq(k, tuple(x.tolist()))
+    scan = pair_scan(word)
+    assert est.blanks == blank_count(word)
+    assert est.weight_rate_total * est.T == scan.total
+    outputs = scan.outputs()
+    assert {i: r * est.T for i, r in est.weight_rate.items()} == {
+        i: outputs.get(i, Fraction(0)) for i in range(1, k + 1)
+    }
 
 
 def test_empirical_stats_of_the_trace_symbols():
-    est = empirical_stats(symbol_array(FAITHFUL), 0.3, 1)
-    assert est == empirical_stats(FAITHFUL_SEQ, 0.3)
+    # a word's symbol tuple gives the same stats as the trace's array
+    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
+    assert est == empirical_stats(trace_word(FAITHFUL).symbols, 0.3, 1)
 
 
 @pytest.mark.parametrize(
     "x, k, message",
     [
-        (np.array([0, 1]), None, "needs k"),
+        (np.array([0, 1]), 0, "0..0"),
         (np.array([[0, 1]]), 1, "1-d"),
         (np.array([0, 2]), 1, "0..1"),
         (np.array([-1, 0]), 1, "0..1"),

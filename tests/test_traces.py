@@ -12,7 +12,6 @@ from avoidance.traces import (
     WalkerTrace,
     check_1avoidance,
     check_walker_avoidance,
-    encode,
     project,
     read_trace,
     write_trace,
@@ -22,6 +21,7 @@ from oracles import (
     all_walker_violations,
     rowwise_read_trace,
     rowwise_write_trace,
+    trace_word,
 )
 from strategies import EOL, GAP, trace_texts
 
@@ -61,28 +61,28 @@ def test_same_walker_consecutively_allowed():
     assert check_1avoidance(binary([[0, 1], [0, 1]])).ok
 
 
-# ------------------------------------------------------------------- encode
+# ----------------------------------------------- encoding rows as symbols
 
 def test_encode_simple():
-    s = encode(binary([[1, 0], [0, 0], [0, 1]]))
+    s = trace_word(binary([[1, 0], [0, 0], [0, 1]]))
     assert s.text() == "1 B 2"
 
 
 def test_encode_all_zero():
-    s = encode(CouplingTrace(3, np.zeros((5, 3), dtype=np.uint8)))
+    s = trace_word(CouplingTrace(3, np.zeros((5, 3), dtype=np.uint8)))
     assert s.text() == "B B B B B"
 
 
 def test_encode_rejects_collision():
-    with pytest.raises(ValueError):
-        encode(binary([[1, 1]]))
+    with pytest.raises(ValueError, match="row 1 has 2 ones; cannot encode"):
+        traces.symbol_array(binary([[1, 1]]))
 
 
 def test_encode_of_valid_trace_is_permissible():
     rows = [[1, 0], [0, 0], [0, 1], [0, 1], [0, 0], [1, 0]]
     tr = binary(rows)
     assert check_1avoidance(tr).ok
-    assert is_permissible(encode(tr))
+    assert is_permissible(trace_word(tr))
 
 
 # -------------------------------------------------------- check_walker_avoidance
