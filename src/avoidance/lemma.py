@@ -10,9 +10,9 @@ applied in a fixed priority:
    redistributed input is at least its output  (weight delta >= 0, blanks 0)
 
 Rules 1..3 are local: ``LOCAL_RULES`` holds each one's pattern width and
-constant deltas.  Rule 4 works on integer tables over lcm(1..k):
-``redistribution`` gives what each walker receives, and
-``PairScan.scaled_output`` what it emits.
+constant deltas.  Rule 4 works on integer tables over a word's weight unit,
+lcm(1..min(k, T - 2)): ``redistribution`` gives what each walker receives,
+and ``PairScan.scaled_output`` what it emits.
 
 Unwinding the recorded deltas from the trivial endpoint proves the inequality
 for the initial word; the step list is a certificate an independent checker
@@ -126,7 +126,7 @@ def redistribution(scan: PairScan) -> dict[int, int]:
     strictly between the pair's endpoints.  A walker's output, the summed
     weight of its own pairs, is ``scan.scaled_output``.
     """
-    # b and b - 1 are coprime and at most k, so b(b-1) divides lcm(1..k)
+    # b and b - 1 are coprime and at most max_b, so b(b-1) divides lcm(1..max_b)
     den = scan.denominator
     received: dict[int, int] = {}
     for sym, t1, t2, between in scan.pairs:
@@ -138,9 +138,11 @@ def redistribution(scan: PairScan) -> dict[int, int]:
         if not between & (1 << BLANK):
             raise ValueError(f"pair ({t1},{t2}) has no blank between its endpoints")
         share = den // (b * (b - 1))
-        for r in range(1, between.bit_length()):
-            if between >> r & 1:
-                received[r] = received.get(r, 0) + share
+        rest = between & ~(1 << BLANK)  # the walkers between, by their set bits
+        while rest:
+            r = (rest & -rest).bit_length() - 1  # the lowest set bit
+            received[r] = received.get(r, 0) + share
+            rest &= rest - 1
     return received
 
 
@@ -266,17 +268,18 @@ def _result_failure(
     """The first failure of an applied step, None if it checks.
 
     Recomputes the weight and blank deltas against the stored ones, in
-    integers over lcm(1..k); a matched local pattern forces its rule's
-    deltas, so the stored ones are the table's.  For rule 4 it checks the
-    redistribution precondition and the victim's admissibility (input >=
-    output) on the integer tables.  Last, the induction premise: ``after`` is
-    a shorter permissible word and dw >= bd, so weight <= blanks for
-    ``after`` implies it for ``before``.
+    integers over ``before``'s weight unit, which the shorter ``after``'s
+    divides; a matched local pattern forces its rule's deltas, so the stored
+    ones are the table's.  For rule 4 it checks the redistribution
+    precondition and the victim's admissibility (input >= output) on the
+    integer tables.  Last, the induction premise: ``after`` is a shorter
+    permissible word and dw >= bd, so weight <= blanks for ``after`` implies
+    it for ``before``.
     """
     if len(after) >= len(before):
         return "edit does not shorten the sequence"
-    den = scan.denominator
-    dw = scan.scaled_total - before_scan.scaled_total
+    den = before_scan.denominator
+    dw = scan.scaled_total * (den // scan.denominator) - before_scan.scaled_total
     bd = blank_count(after) - blank_count(before)
     stored = step.weight_delta
     if dw * stored.denominator != stored.numerator * den:
@@ -311,7 +314,7 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
         return CheckResult(False, "initial sequence is not permissible")
     cur = cert.initial
     scan = pair_scan(cur)
-    # weights as integers over den = lcm(1..k)
+    # the initial word's weight as an integer over its unit lcm(1..min(k, T - 2))
     den = scan.denominator
     initial_w = scan.scaled_total
     for idx, step in enumerate(cert.steps):

@@ -8,14 +8,16 @@ adjacent pair).  All weights are exact rationals: the central inequality
 (total weight <= blank count) can be tight, so float tolerances are unusable.
 
 Every weight comes from one kernel, ``pair_scan``, which counts pairs per
-(walker, b) in integers.  Since b <= k, a sum of weights is an integer over
-lcm(1..k); rationals are built only where a result leaves the kernel.
+(walker, b) in integers.  In a word of length T, b <= n = min(k, T - 2), so
+a sum of its weights is an integer over lcm(1..n), the unit ``weight_scale(n)``
+gives; rationals are built only where a result leaves the kernel.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +31,8 @@ __all__ = [
     "parse_seq",
     "is_permissible",
     "pair_scan",
+    "weight_scale",
+    "scaled_weight",
     "blank_count",
 ]
 
@@ -121,21 +125,16 @@ def is_permissible(s: Seq) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _unit_weight(b: int) -> Fraction:
-    """The weight 1/b of a pair with b distinct symbols between, 0 when b = 0."""
-    return Fraction(1, b) if b else Fraction(0)
+def weight_scale(n: int) -> tuple[int, tuple[int, ...]]:
+    """The integer weights of pairs with b <= n: the unit lcm(1..n), and the
+    weight 1/b times it for b = 0..n, with 0 for b = 0."""
+    den = math.lcm(*range(1, n + 1))
+    return den, (0,) + tuple(den // b for b in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _weight_denominator(k: int) -> int:
-    return math.lcm(*range(1, k + 1))
-
-
-@lru_cache(maxsize=None)
-def _scales(k: int) -> tuple[int, ...]:
-    """lcm(1..k) / b for b = 0..k, with 0 for b = 0: the integer weights."""
-    den = _weight_denominator(k)
-    return (0,) + tuple(den // b for b in range(1, k + 1))
+def scaled_weight(counts: Iterable[int], n: int) -> int:
+    """The summed weight of ``counts[b]`` pairs for b = 0..n, times lcm(1..n)."""
+    return sum(map(operator.mul, counts, weight_scale(n)[1]))
 
 
 @dataclass(frozen=True)
@@ -147,23 +146,24 @@ class PairScan:
     symbols strictly between t1 and t2 (bit 0 the blank), so the pair's b is
     ``between.bit_count()``.  ``by_b[i][b]`` is the number of pairs of walker
     i with that b, for each walker with at least one pair; a row is only as
-    long as the word allows, since b <= min(k, T - 2).  Weights are integers
-    over ``denominator``; ``outputs`` and ``total`` are their exact rational
-    values.
+    long as the word allows, since b <= ``max_b`` = min(k, T - 2).  Weights
+    are integers over ``denominator``, lcm(1..max_b); ``outputs`` and
+    ``total`` are their exact rational values.
     """
 
     k: int
     pairs: list[tuple[int, int, int, int]]
     by_b: dict[int, list[int]]
+    max_b: int
 
     @property
     def denominator(self) -> int:
-        """lcm(1..k): every sum of pair weights is an integer over it."""
-        return _weight_denominator(self.k)
+        """lcm(1..max_b): every sum of the word's pair weights is an integer over it."""
+        return weight_scale(self.max_b)[0]
 
     def scaled_output(self, i: int) -> int:
         """Walker i's summed pair weight times ``denominator``."""
-        return sum(map(operator.mul, self.by_b.get(i, ()), _scales(self.k)))
+        return scaled_weight(self.by_b.get(i, ()), self.max_b)
 
     @property
     def scaled_total(self) -> int:
@@ -184,40 +184,37 @@ class PairScan:
         pairs = []
         for sym, t1, t2, between in self.pairs:
             b = between.bit_count()
-            pairs.append(NeighborPair(sym, t1, t2, b, _unit_weight(b)))
+            pairs.append(NeighborPair(sym, t1, t2, b, Fraction(1, b) if b else Fraction(0)))
         return pairs
 
 
 def pair_scan(s: Seq) -> PairScan:
-    """Find every neighbor pair and its b in one pass, O(T*k).
+    """Find every neighbor pair and its b in one pass, O(T*d) for d distinct symbols.
 
-    The pass keeps the last position of each symbol.  When walker i recurs at
-    t2 after t1, the symbols strictly between are exactly those last seen
-    after t1; i itself was last seen at t1, so it is never among them.  Only
-    walkers that pair get a row of counts, so a short word costs O(T*k), not
-    O(k^2).
+    The pass keeps the last position of each symbol seen so far.  When walker
+    i recurs at t2 after t1, the symbols strictly between are exactly those
+    last seen after t1; i itself was last seen at t1, so it is never among
+    them.  Only walkers that pair get a row of counts, min(k, T - 2) + 1 wide.
     """
-    k = s.k
-    width = min(k, len(s.symbols) - 2) + 1  # the largest b, plus one
-    last = [0] * (k + 1)  # 1-based last position of each symbol, 0 if unseen
+    max_b = max(min(s.k, len(s.symbols) - 2), 0)
+    last: dict[int, int] = {}  # 1-based last position of each symbol seen
     by_b: dict[int, list[int]] = {}
     pairs = []
     for t2, sym in enumerate(s.symbols, start=1):
-        if sym != BLANK:
+        if sym != BLANK and sym in last:
             t1 = last[sym]
-            if t1:
-                between = 0
-                for x, tx in enumerate(last):
-                    if tx > t1:
-                        between |= 1 << x
-                row = by_b.get(sym)
-                if row is None:
-                    row = by_b[sym] = [0] * width
-                row[between.bit_count()] += 1
-                pairs.append((sym, t1, t2, between))
+            between = 0
+            for x, tx in last.items():
+                if tx > t1:
+                    between |= 1 << x
+            row = by_b.get(sym)
+            if row is None:
+                row = by_b[sym] = [0] * (max_b + 1)
+            row[between.bit_count()] += 1
+            pairs.append((sym, t1, t2, between))
         last[sym] = t2
     pairs.sort()
-    return PairScan(k, pairs, by_b)
+    return PairScan(s.k, pairs, by_b, max_b)
 
 
 def blank_count(s: Seq) -> int:

@@ -11,12 +11,11 @@ fixed-length windows.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .sequences import _scales, _weight_denominator
+from .sequences import scaled_weight, weight_scale
 from .traces import CouplingTrace
 
 if TYPE_CHECKING:
@@ -81,7 +80,8 @@ def empirical_stats(symbols: np.ndarray, p: float, k: int) -> EmpiricalStats:
         raise ValueError("sequence must be nonempty")
     sym, t1, t2, b = _array_pairs(x, k)
     blanks = T - int(np.count_nonzero(x))
-    scales, den = _scales(k), _weight_denominator(k)
+    max_b = int(b.max()) if b.size else 0
+    den = weight_scale(max_b)[0]
     gap_hist: dict[int, dict[int, int]] = {}
     weight_rate: dict[int, Fraction] = {}
     scaled_total = 0
@@ -90,7 +90,7 @@ def empirical_stats(symbols: np.ndarray, p: float, k: int) -> EmpiricalStats:
         mine = slice(ends[i - 1], ends[i])
         gaps = np.bincount(t2[mine] - t1[mine])
         gap_hist[i] = {int(g): int(gaps[g]) for g in np.flatnonzero(gaps)}
-        scaled = sum(map(operator.mul, np.bincount(b[mine]).tolist(), scales))
+        scaled = scaled_weight(np.bincount(b[mine]).tolist(), max_b)
         weight_rate[i] = Fraction(scaled, den) / T
         scaled_total += scaled
     return EmpiricalStats(

@@ -98,15 +98,15 @@ def test_criterion_3_certificate_soundness():
                 if step.rule != DELETE_VICTIM_SYMBOL:
                     continue
                 victims += 1
-                # integer tables over lcm(1..k): the inputs conserve the
-                # weight, the victim is admissible, and its deletion changes
-                # the weight by input - output
+                # integer tables over the word's weight unit: the inputs
+                # conserve the weight, the victim is admissible, and its
+                # deletion changes the weight by input - output
                 scan = pair_scan(before)
                 received = redistribution(scan)
                 gain = received.get(step.arg, 0) - scan.scaled_output(step.arg)
                 if sum(received.values()) != scan.scaled_total or gain < 0:
                     all_ok = False
-                if pair_scan(after).scaled_total - scan.scaled_total != gain:
+                if pair_scan(after).total - scan.total != Fraction(gain, scan.denominator):
                     all_ok = False
     # mutation control: a tampered delta must be rejected
     cert = reduce_certificate(parse_seq(WORKED_EXAMPLE, 3))

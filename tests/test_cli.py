@@ -181,6 +181,18 @@ def test_weights_reads_stdin(monkeypatch):
     assert "total 1/1" in out
 
 
+def test_weights_text_does_not_depend_on_the_alphabet_size(monkeypatch):
+    # the weight unit is sized by the word, so a million walkers cost no
+    # lcm(1..10^6) table
+    outs = []
+    for k in ("2", "1000000"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 B 1\n"))
+        code, out = run_cli(["weights", "--k", k, "--in", "-"])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == "total 1/1\nblanks 1\noutput 1 1/1\npair 1 1 3 b=1 w=1/1\n"
+
+
 def test_lp_build_writes_mps(tmp_path):
     out_path = tmp_path / "inst.mps"
     code, _ = run_cli(

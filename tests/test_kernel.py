@@ -3,6 +3,7 @@ against the brute-force definitions in oracles.py."""
 
 import dataclasses
 import itertools
+import math
 import multiprocessing
 from fractions import Fraction
 
@@ -15,12 +16,21 @@ from avoidance.lemma import (
     DELETE_ZERO_WEIGHT_PAIR,
     LOCAL_RULES,
     ReductionStep,
+    check_certificate,
     permissible_words,
     redistribution,
     reduce_certificate,
     verify_lemma_exhaustive,
 )
-from avoidance.sequences import Seq, blank_count, pair_scan
+from avoidance.sequences import (
+    BLANK,
+    Seq,
+    blank_count,
+    pair_scan,
+    parse_seq,
+    scaled_weight,
+    weight_scale,
+)
 
 from oracles import (
     LITERAL_PATTERNS,
@@ -113,6 +123,48 @@ def test_scan_rows_are_sized_by_the_word():
     assert scan.by_b == {5: [0, 1, 0, 0], 7: [1, 0, 0, 0]}
     assert scan.outputs() == {5: Fraction(1), 7: Fraction(0)}
     assert scan.total == 1
+    # the weight unit is lcm(1..min(k, T - 2)), not lcm(1..k)
+    assert scan.denominator == 6
+
+
+def test_weight_scale_is_the_unit_and_the_scaled_weights():
+    assert weight_scale(0) == (1, (0,))
+    assert weight_scale(4) == (12, (0, 12, 6, 4, 3))
+    # one adjacent pair, one pair at each b = 1..3, two at b = 4, over lcm(1..4)
+    assert scaled_weight([1, 1, 1, 1, 2], 4) == 12 + 6 + 4 + 2 * 3
+    assert scaled_weight([], 4) == 0
+
+
+BIG_K = 10**6
+
+
+def shifted(s, k=BIG_K):
+    """``s`` over k walkers, walker i relabelled k - s.k + i: the order of the
+    walkers is kept, and with it every pair's b and every reduction step."""
+    return Seq(k, tuple(BLANK if x == BLANK else x + k - s.k for x in s.symbols))
+
+
+def test_scan_over_a_million_walkers_is_sized_by_the_word():
+    s = parse_seq("1 3 B 2 3 3 B 3 B 1 B 2 B 1 3", 3)
+    small, big = pair_scan(s), pair_scan(shifted(s))
+    assert small.denominator == 6
+    assert big.denominator == math.lcm(*range(1, s.T - 1))  # b <= T - 2 = 13
+    assert big.total == small.total
+    assert big.outputs() == {i + BIG_K - 3: w for i, w in small.outputs().items()}
+    assert [p.b for p in big.neighbor_pairs()] == [p.b for p in small.neighbor_pairs()]
+
+
+@pytest.mark.parametrize("text", ["1 2 B 1 2", "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"])
+def test_certificate_with_victims_near_a_million_walkers(text):
+    s = parse_seq(text, 3)
+    cert, big = reduce_certificate(s), reduce_certificate(shifted(s))
+    victims = [st.arg for st in big.steps if st.rule == DELETE_VICTIM_SYMBOL]
+    assert victims and min(victims) > BIG_K - 3
+    assert big.steps == tuple(
+        dataclasses.replace(st, arg=st.arg + BIG_K - 3) if st.rule == DELETE_VICTIM_SYMBOL else st
+        for st in cert.steps
+    )
+    assert check_certificate(big).ok
 
 
 @given(permissible_words_st())

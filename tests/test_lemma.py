@@ -378,12 +378,16 @@ def test_victim_deletion_pair_by_pair_donation():
         received = redistribution(scan)
         assert sum(donated.values()) == Fraction(received.get(j, 0), scan.denominator)
         # the rule-4 identity: deleting the victim changes the weight by its
-        # input - output, which is the step's stored delta
+        # input - output, which is the step's stored delta; the shorter
+        # word's weight unit divides the longer one's
         gain = received.get(j, 0) - scan.scaled_output(j)
-        assert pair_scan(after).scaled_total - scan.scaled_total == gain
+        after_scan = pair_scan(after)
+        assert scan.denominator % after_scan.denominator == 0
+        dw = after_scan.scaled_total * (scan.denominator // after_scan.denominator)
+        assert dw - scan.scaled_total == gain
         assert step.weight_delta == Fraction(gain, scan.denominator)
         before_pairs = [p for p in pair_scan(before).neighbor_pairs() if p.symbol != j]
-        after_pairs = pair_scan(after).neighbor_pairs()
+        after_pairs = after_scan.neighbor_pairs()
         assert len(before_pairs) == len(after_pairs)
         # occurrences of surviving symbols are untouched, so pairs line up in order
         for bp, ap in zip(before_pairs, after_pairs):

@@ -56,7 +56,7 @@ def test_reexports_are_the_layers_own_objects():
 
 @pytest.mark.parametrize("name", ["no_such_name", "DEFAULT_TOL", "_scales"])
 def test_unknown_name_raises_attribute_error(name):
-    # DEFAULT_TOL and _scales exist in layers but are not re-exported
+    # DEFAULT_TOL exists in a layer but is not re-exported; no layer has _scales
     with pytest.raises(AttributeError, match=rf"^module 'avoidance' has no attribute '{name}'$"):
         getattr(avoidance, name)
     assert not hasattr(avoidance, name)
