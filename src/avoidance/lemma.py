@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .sequences import (
     BLANK,
@@ -35,6 +36,8 @@ from .sequences import (
     is_permissible,
     pair_scan,
     parse_seq,
+    scaled_total_weight,
+    weight_scale,
 )
 
 __all__ = [
@@ -74,6 +77,9 @@ LOCAL_RULES = {
 
 RULES = (*LOCAL_RULES, DELETE_VICTIM_SYMBOL)
 
+# each local rule's place in the priority order
+_RANK = {rule: i for i, rule in enumerate(LOCAL_RULES)}
+
 ENUMERATION_BUDGET = 10_000_000
 
 # a parallel sweep cuts at least this many shards per process, so uneven
@@ -81,7 +87,7 @@ ENUMERATION_BUDGET = 10_000_000
 SHARDS_PER_JOB = 8
 
 # a sweep of fewer words runs in one process: a pool saves it no wall time
-POOL_MIN_WORDS = 6_000
+POOL_MIN_WORDS = 25_000
 
 
 @dataclass(frozen=True)
@@ -153,11 +159,11 @@ def apply_edit(s: Seq, rule: str, arg: int) -> Seq:
         width = LOCAL_RULES[rule][0]
         if not 1 <= arg <= len(syms) - width + 1:
             raise ValueError(f"anchor {arg} out of range for length {len(syms)}")
-        return Seq(s.k, syms[:arg] + syms[arg + width - 1 :])
+        return Seq._unchecked(s.k, syms[:arg] + syms[arg + width - 1 :])
     if rule == DELETE_VICTIM_SYMBOL:
         if arg == BLANK or arg not in syms:
             raise ValueError(f"victim {arg} does not occur")
-        return Seq(s.k, tuple(x for x in syms if x != arg))
+        return Seq._unchecked(s.k, tuple(x for x in syms if x != arg))
     raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -176,8 +182,7 @@ def _pattern_at(rule: str, syms: tuple[int, ...], pos: int) -> bool:
 
 def _first_local(syms: tuple[int, ...]) -> tuple[str, int] | None:
     """The first local rule in priority order that applies, with its leftmost
-    1-based anchor.  The scans inline ``_pattern_at``: this runs once per
-    word of an exhaustive sweep."""
+    1-based anchor.  The scans inline ``_pattern_at``."""
     for t in range(len(syms) - 1):
         if syms[t] == BLANK and syms[t + 1] == BLANK:
             return COLLAPSE_BLANKS, t + 1
@@ -188,6 +193,31 @@ def _first_local(syms: tuple[int, ...]) -> tuple[str, int] | None:
         if syms[t] != BLANK and syms[t + 1] == BLANK and syms[t + 2] == syms[t]:
             return COLLAPSE_WEIGHT_ONE_PAIR, t + 1
     return None
+
+
+@lru_cache(maxsize=1024)
+def _local_step(rule: str, pos: int) -> ReductionStep:
+    """A local rule's step at the 1-based anchor ``pos``, with the rule's
+    constant deltas; cached, since a sweep takes each one many times."""
+    _, wd, bd = LOCAL_RULES[rule]
+    return ReductionStep(rule, pos, wd, bd)
+
+
+def _pick_step(s: Seq, local: tuple[str, int] | None) -> ReductionStep:
+    """The step ``reduce_step`` takes on the permissible word ``s``, whose
+    first local pattern is ``local`` (as ``_first_local`` finds it)."""
+    if local is not None:
+        return _local_step(*local)
+    present = sorted(set(s.symbols) - {BLANK})
+    if not present:
+        raise ValueError("terminal sequence: no rule applies")
+    scan = pair_scan(s)
+    received = redistribution(scan)
+    for j in present:
+        gain = received.get(j, 0) - scan.scaled_output(j)
+        if gain >= 0:
+            return ReductionStep(DELETE_VICTIM_SYMBOL, j, Fraction(gain, scan.denominator), 0)
+    raise AssertionError("no admissible victim; conservation of redistributed weight is broken")
 
 
 def reduce_step(s: Seq) -> ReductionStep:
@@ -202,22 +232,7 @@ def reduce_step(s: Seq) -> ReductionStep:
     """
     if not is_permissible(s):
         raise ValueError("sequence is not permissible")
-    syms = s.symbols
-    local = _first_local(syms)
-    if local is not None:
-        rule, pos = local
-        _, wd, bd = LOCAL_RULES[rule]
-        return ReductionStep(rule, pos, wd, bd)
-    present = sorted(set(syms) - {BLANK})
-    if not present:
-        raise ValueError("terminal sequence: no rule applies")
-    scan = pair_scan(s)
-    received = redistribution(scan)
-    for j in present:
-        gain = received.get(j, 0) - scan.scaled_output(j)
-        if gain >= 0:
-            return ReductionStep(DELETE_VICTIM_SYMBOL, j, Fraction(gain, scan.denominator), 0)
-    raise AssertionError("no admissible victim; conservation of redistributed weight is broken")
+    return _pick_step(s, _first_local(s.symbols))
 
 
 def is_terminal(s: Seq) -> bool:
@@ -241,16 +256,30 @@ def reduce_certificate(s: Seq) -> ReductionCertificate:
     return ReductionCertificate(s, tuple(steps), cur)
 
 
+def _max_b(k: int, length: int) -> int:
+    """n = min(k, length - 2), at least 0: no pair of a word of at most
+    ``length`` symbols has b > n, so its weight is an integer over lcm(1..n)."""
+    return max(min(k, length - 2), 0)
+
+
 def _check_step(
-    before: Seq, before_scan: PairScan, step: ReductionStep
-) -> tuple[str | None, Seq | None, PairScan | None]:
+    before: Seq, step: ReductionStep, weight: int, n: int, blanks: int
+) -> tuple[str | None, Seq | None, int | None]:
     """Independently re-verify one step on ``before`` with exact arithmetic.
 
-    ``before_scan`` is the weight scan of ``before``.  Checks the rule's
-    pattern at the anchor, or that the victim occurs, applies the edit and
-    checks its result with ``_result_failure``.  Returns the first failure
-    (None if the step checks), the ``after`` word and its weight scan (both
-    None when the edit does not apply).
+    ``weight`` is ``before``'s total weight times lcm(1..n), for an n at
+    least ``_max_b`` of its length, and ``blanks`` its blank count.
+
+    Checks the rule's pattern at the anchor, or that the victim occurs, and
+    that the edit shortens the word.  Weighs the result afresh over the same
+    unit, which its own divides, and checks the stored weight and blank
+    deltas against the recomputed ones; a matched local pattern forces its
+    rule's deltas, so the stored ones are the table's.  For rule 4 it scans
+    ``before`` and checks the redistribution precondition and the victim's
+    admissibility (input >= output) on the integer tables.  Last, the induction premise: the result
+    is a shorter permissible word and dw >= bd, so weight <= blanks for it
+    implies the same for ``before``.  Returns the first failure, or None
+    with the result and its weight over lcm(1..n).
     """
     if step.rule in LOCAL_RULES and not _pattern_at(step.rule, before.symbols, step.arg):
         return f"no {step.rule} pattern at position {step.arg}", None, None
@@ -258,47 +287,31 @@ def _check_step(
         after = apply_edit(before, step.rule, step.arg)
     except ValueError as exc:  # an absent victim or an unknown rule
         return str(exc), None, None
-    scan = pair_scan(after)
-    return _result_failure(before, before_scan, step, after, scan), after, scan
-
-
-def _result_failure(
-    before: Seq, before_scan: PairScan, step: ReductionStep, after: Seq, scan: PairScan
-) -> str | None:
-    """The first failure of an applied step, None if it checks.
-
-    Recomputes the weight and blank deltas against the stored ones, in
-    integers over ``before``'s weight unit, which the shorter ``after``'s
-    divides; a matched local pattern forces its rule's deltas, so the stored
-    ones are the table's.  For rule 4 it checks the redistribution
-    precondition and the victim's admissibility (input >= output) on the
-    integer tables.  Last, the induction premise: ``after`` is a shorter
-    permissible word and dw >= bd, so weight <= blanks for ``after`` implies
-    it for ``before``.
-    """
-    if len(after) >= len(before):
-        return "edit does not shorten the sequence"
-    den = before_scan.denominator
-    dw = scan.scaled_total * (den // scan.denominator) - before_scan.scaled_total
-    bd = blank_count(after) - blank_count(before)
+    if len(after.symbols) >= len(before.symbols):
+        return "edit does not shorten the sequence", None, None
+    den = weight_scale(n)[0]
+    after_weight = scaled_total_weight(after, n)
+    dw = after_weight - weight
+    bd = blank_count(after) - blanks
     stored = step.weight_delta
     if dw * stored.denominator != stored.numerator * den:
-        return f"stored weight delta {stored} != recomputed {Fraction(dw, den)}"
+        return f"stored weight delta {stored} != recomputed {Fraction(dw, den)}", None, None
     if bd != step.blank_delta:
-        return f"stored blank delta {step.blank_delta} != recomputed {bd}"
+        return f"stored blank delta {step.blank_delta} != recomputed {bd}", None, None
     if step.rule == DELETE_VICTIM_SYMBOL:
+        scan = pair_scan(before)
         try:
-            received = redistribution(before_scan)
+            received = redistribution(scan)
         except ValueError as exc:
-            return f"redistribution precondition: {exc}"
+            return f"redistribution precondition: {exc}", None, None
         j = step.arg
-        if received.get(j, 0) < before_scan.scaled_output(j):
-            return f"victim {j} has input < output, not admissible"
+        if received.get(j, 0) < scan.scaled_output(j):
+            return f"victim {j} has input < output, not admissible", None, None
     if not is_permissible(after):
-        return "result is not permissible"
+        return "result is not permissible", None, None
     if dw < bd * den:
-        return "weight falls by more than the blank count"
-    return None
+        return "weight falls by more than the blank count", None, None
+    return None, after, after_weight
 
 
 def check_certificate(cert: ReductionCertificate) -> CheckResult:
@@ -308,24 +321,24 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
     ``_check_step``, checks the replay ends at the final word and that it
     has no pairs, and confirms the unwound inequality
     weight(initial) <= blank_count(initial).  Each word of the chain is
-    weighed once.
+    weighed once, over the initial word's unit lcm(1..min(k, T - 2)), which
+    every shorter word's divides; a victim deletion also scans its word for
+    the redistribution.
     """
-    if not is_permissible(cert.initial):
-        return CheckResult(False, "initial sequence is not permissible")
     cur = cert.initial
-    scan = pair_scan(cur)
-    # the initial word's weight as an integer over its unit lcm(1..min(k, T - 2))
-    den = scan.denominator
-    initial_w = scan.scaled_total
+    if not is_permissible(cur):
+        return CheckResult(False, "initial sequence is not permissible")
+    n = _max_b(cur.k, len(cur))
+    weight = initial_w = scaled_total_weight(cur, n)
     for idx, step in enumerate(cert.steps):
-        failure, cur, scan = _check_step(cur, scan, step)
+        failure, cur, weight = _check_step(cur, step, weight, n, blank_count(cur))
         if failure is not None:
             return CheckResult(False, f"step {idx}: {failure}")
     if cert.final != cur:
         return CheckResult(False, "final sequence does not match the replayed steps")
-    if scan.pairs:
+    if pair_scan(cur).pairs:
         return CheckResult(False, "final sequence still contains neighbor pairs")
-    if initial_w > blank_count(cert.initial) * den:
+    if initial_w > blank_count(cert.initial) * weight_scale(n)[0]:
         return CheckResult(False, "unwound inequality fails: total weight > blanks")
     return CheckResult(True)
 
@@ -410,19 +423,89 @@ class ExhaustiveReport:
         return not self.counterexamples
 
 
+def _extend(state: tuple, sym: int, t: int, scale: tuple[int, ...]) -> tuple:
+    """The carried state of a word of length t - 1 with ``sym`` appended.
+
+    A state is (weight, blanks, last, local): the total weight over the
+    sweep's unit, with ``scale`` each b's pair weight over it; the blank
+    count; each symbol's last 1-based position; the first local pattern as
+    ``_first_local`` gives it.  Appending closes at most one pair, the new
+    symbol's with its last occurrence, and the symbols strictly between are
+    those last seen after it, as in ``pair_scan``.  A new local pattern ends
+    at t, so its anchor lies right of every older one: it is first only when
+    its rule comes earlier in the priority order.  O(d) for d distinct
+    symbols.
+    """
+    weight, blanks, last, local = state
+    t1 = last.get(sym)
+    new = None
+    if sym == BLANK:
+        blanks += 1
+        if t1 == t - 1:
+            new = (COLLAPSE_BLANKS, t1)
+    elif t1 is not None:
+        b = 0
+        for tx in last.values():
+            if tx > t1:
+                b += 1
+        weight += scale[b]
+        if b == 0:
+            new = (DELETE_ZERO_WEIGHT_PAIR, t1)
+        elif t1 == t - 2 and last.get(BLANK) == t - 1:
+            new = (COLLAPSE_WEIGHT_ONE_PAIR, t1)
+    if new is not None and (local is None or _RANK[new[0]] < _RANK[local[0]]):
+        local = new
+    last = last.copy()
+    last[sym] = t
+    return weight, blanks, last, local
+
+
+def _carried_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
+    """Yield ``(word, weight, blanks, local)`` for each word of
+    ``permissible_words(k, max_len, prefix)``: its total weight times
+    lcm(1..n), the one unit of the sweep for n = ``_max_b(k, max_len)``, its
+    blank count and its first local pattern.
+
+    Each word's state extends its parent's by one symbol (``_extend``).  The
+    words come depth first, a word before its extensions, so the parent of
+    a word of length d is the last word of length d - 1 yielded; its state
+    waits at depth d - 1 of the path.  The prefix's own ancestors are not
+    yielded, and are extended here first.
+    """
+    scale = weight_scale(_max_b(k, max_len))[1]
+    path: list = [None] * (max_len + 1)
+    path[0] = (0, 0, {}, None)
+    for t in range(1, len(prefix)):
+        path[t] = _extend(path[t - 1], prefix[t - 1], t, scale)
+    for word in permissible_words(k, max_len, prefix):
+        t = len(word)
+        state = path[t] = _extend(path[t - 1], word[-1], t, scale)
+        yield word, state[0], state[1], state[3]
+
+
 def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
     """Check the first reduction step of each word under ``prefix``; the
     counterexamples are the words whose step fails.  A terminal word has no
-    step: it has no pairs, so it holds the inequality outright."""
+    step: it has no pairs, so it holds the inequality outright.
+
+    A word's weight, blank count and first local pattern are carried down
+    from its parent (``_carried_words``).  The carried weight is the word's
+    weight exactly: the parent's pairs are the word's pairs but the one its
+    last symbol closes, and that pair's b is read off the same last-position
+    map ``pair_scan`` keeps.  Only the shorter word the step leaves is
+    weighed afresh, and the step check compares the two: a wrong carried
+    weight fails it, since the stored delta of a local rule is a constant
+    and that of rule 4 comes from a fresh scan of the word.
+    """
+    n = _max_b(k, max_len)
     by_length: dict[int, int] = {}
     bad: list[tuple[int, ...]] = []
-    for word in permissible_words(k, max_len, prefix):
+    for word, weight, blanks, local in _carried_words(k, max_len, prefix):
         by_length[len(word)] = by_length.get(len(word), 0) + 1
-        s = Seq(k, word)
+        s = Seq._unchecked(k, word)
         if is_terminal(s):
             continue
-        failure, _, _ = _check_step(s, pair_scan(s), reduce_step(s))
-        if failure is not None:
+        if _check_step(s, _pick_step(s, local), weight, n, blanks)[0] is not None:
             bad.append(word)
     return by_length, bad
 
@@ -473,19 +556,23 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     """Prove total weight <= blanks for every permissible word of length
     1..max_len over {B, 1..k}, by induction on length.
 
-    Each non-terminal word gets one ``reduce_step``, checked by
-    ``_check_step``: the rule applies at the step's anchor or victim, its
-    stored deltas are the recomputed ones, a victim is admissible, and its
-    edit maps the word to a shorter permissible word with dw >= bd.  Every
-    rule's deltas satisfy that: the local rules' in ``LOCAL_RULES``, and
-    (input - output >= 0, 0) for rule 4.  So if the shorter word obeys the
-    inequality, w(before) = w(after) - dw <= blanks(after) - bd =
-    blanks(before).  The base cases, the empty word and a lone blank, have
-    no pairs.  The premise that every shorter word was checked is asserted:
-    the words counted per length must equal ``_word_counts``.  A
-    counterexample is a word whose own step fails its check; since
-    ``reduce_step`` is deterministic, every word's certificate checks
-    exactly when every word's first step does.
+    Each non-terminal word gets the step ``reduce_step`` takes
+    (``_pick_step``), checked by ``_check_step``: the rule applies at the
+    step's anchor or victim, its stored deltas are the recomputed ones, a
+    victim is admissible, and its edit maps the word to a shorter
+    permissible word with dw >= bd.  Every rule's deltas satisfy that: the
+    local rules' in ``LOCAL_RULES``, and (input - output >= 0, 0) for rule
+    4.  So if the shorter word obeys the inequality, w(before) = w(after) -
+    dw <= blanks(after) - bd = blanks(before).  Here w(before) and
+    blanks(before) are carried down the enumeration, not rescanned: a word
+    has exactly its parent's pairs plus the one its last symbol may close,
+    so its carried weight is its weight (``_verify_words``), and dw is
+    recomputed from a fresh weighing of the shorter word.  The base cases,
+    the empty word and a lone blank, have no pairs.  The premise that every
+    shorter word was checked is asserted: the words counted per length must
+    equal ``_word_counts``.  A counterexample is a word whose own step fails
+    its check; since ``reduce_step`` is deterministic, every word's
+    certificate checks exactly when every word's first step does.
 
     Raises when the raw word count (k+1)^max_len exceeds the enumeration
     budget.  A sweep of at least ``POOL_MIN_WORDS`` words spreads prefix

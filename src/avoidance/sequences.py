@@ -8,9 +8,10 @@ adjacent pair).  All weights are exact rationals: the central inequality
 (total weight <= blank count) can be tight, so float tolerances are unusable.
 
 Every weight comes from one kernel, ``pair_scan``, which counts pairs per
-(walker, b) in integers.  In a word of length T, b <= n = min(k, T - 2), so
-a sum of its weights is an integer over lcm(1..n), the unit ``weight_scale(n)``
-gives; rationals are built only where a result leaves the kernel.
+(walker, b) in integers; ``scaled_total_weight`` is its pass with only the
+total kept.  In a word of length T, b <= n = min(k, T - 2), so a sum of its
+weights is an integer over lcm(1..n), the unit ``weight_scale(n)`` gives;
+rationals are built only where a result leaves the kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "parse_seq",
     "is_permissible",
     "pair_scan",
+    "scaled_total_weight",
     "weight_scale",
     "scaled_weight",
     "blank_count",
@@ -62,6 +64,16 @@ class Seq:
             if min(self.symbols) < 0 or max(self.symbols) > self.k:
                 bad = next(s for s in self.symbols if not 0 <= s <= self.k)
                 raise ValueError(f"symbol {bad} outside alphabet {{B, 1..{self.k}}}")
+
+    @classmethod
+    def _unchecked(cls, k: int, symbols: tuple[int, ...]) -> Seq:
+        """A word whose symbols are known to lie in {B, 1..k}, built without
+        the range check: a subsequence of a checked word's symbols, or an
+        enumerated word."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "k", k)
+        object.__setattr__(s, "symbols", symbols)
+        return s
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -137,7 +149,7 @@ def scaled_weight(counts: Iterable[int], n: int) -> int:
     return sum(map(operator.mul, counts, weight_scale(n)[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairScan:
     """The weight kernel's result for one word.
 
@@ -215,6 +227,27 @@ def pair_scan(s: Seq) -> PairScan:
         last[sym] = t2
     pairs.sort()
     return PairScan(s.k, pairs, by_b, max_b)
+
+
+def scaled_total_weight(s: Seq, n: int) -> int:
+    """The total weight of ``s`` times lcm(1..n), for n >= min(k, T - 2).
+
+    ``pair_scan``'s pass, keeping only the running sum: a walker's recurrence
+    adds the weight of the b symbols last seen since its previous occurrence.
+    """
+    scale = weight_scale(n)[1]
+    last: dict[int, int] = {}  # last position of each symbol seen
+    total = 0
+    for t2, sym in enumerate(s.symbols):
+        t1 = last.get(sym)
+        if t1 is not None and sym != BLANK:
+            b = 0
+            for tx in last.values():
+                if tx > t1:
+                    b += 1
+            total += scale[b]
+        last[sym] = t2
+    return total
 
 
 def blank_count(s: Seq) -> int:

@@ -1,6 +1,8 @@
-"""Hypothesis strategies shared by the trace-reader and CLI tests."""
+"""Hypothesis strategies shared by the trace-reader, CLI and kernel tests."""
 
 from hypothesis import strategies as st
+
+from avoidance.sequences import Seq
 
 # tokens that int() reads oddly or rejects, and values past int64
 JUNK = st.sampled_from(
@@ -70,3 +72,21 @@ def word_texts(draw):
     """Text near the word format: tokens joined by assorted Unicode whitespace."""
     tokens = draw(st.lists(WORD_TOKENS, max_size=24))
     return "".join(draw(WORD_GAPS) + token for token in tokens) + draw(WORD_GAPS)
+
+
+def _make_permissible(k, xs):
+    # a walker below the previous walker becomes a blank
+    word = []
+    for x in xs:
+        prev = word[-1] if word else 0
+        word.append(0 if x and prev and x < prev else x)
+    return Seq(k, tuple(word))
+
+
+def permissible_words_st(max_k=4, max_len=14):
+    """Permissible words over {B, 1..k} for k <= ``max_k``, the empty word included."""
+    return st.integers(1, max_k).flatmap(
+        lambda k: st.lists(st.integers(0, k), max_size=max_len).map(
+            lambda xs: _make_permissible(k, xs)
+        )
+    )

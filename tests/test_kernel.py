@@ -28,6 +28,7 @@ from avoidance.sequences import (
     blank_count,
     pair_scan,
     parse_seq,
+    scaled_total_weight,
     scaled_weight,
     weight_scale,
 )
@@ -42,6 +43,7 @@ from oracles import (
     literal_local_step,
     replay_certificate,
 )
+from strategies import permissible_words_st
 
 FORK_ONLY = pytest.mark.skipif(
     multiprocessing.get_context().get_start_method() != "fork",
@@ -59,23 +61,6 @@ def any_words(max_k=4, max_len=14):
     return st.integers(1, max_k).flatmap(
         lambda k: st.lists(st.integers(0, k), max_size=max_len).map(
             lambda xs: Seq(k, tuple(xs))
-        )
-    )
-
-
-def _make_permissible(k, xs):
-    # a walker below the previous walker becomes a blank
-    word = []
-    for x in xs:
-        prev = word[-1] if word else 0
-        word.append(0 if x and prev and x < prev else x)
-    return Seq(k, tuple(word))
-
-
-def permissible_words_st(max_k=4, max_len=14):
-    return st.integers(1, max_k).flatmap(
-        lambda k: st.lists(st.integers(0, k), max_size=max_len).map(
-            lambda xs: _make_permissible(k, xs)
         )
     )
 
@@ -114,6 +99,17 @@ def test_kernel_counts_outputs_and_totals_match_definition(s):
     assert Fraction(scan.scaled_total, scan.denominator) == total
     assert scan.outputs() == per
     assert blank_count(s) == blanks
+
+
+@given(words_st(), st.integers(0, 3))
+def test_total_only_pass_matches_kernel_and_definition(s, extra):
+    # over the word's own unit and over a coarser one, as a longer word's
+    scan = pair_scan(s)
+    n = scan.max_b + extra
+    den = weight_scale(n)[0]
+    scaled = scaled_total_weight(s, n)
+    assert scaled == scan.scaled_total * (den // scan.denominator)
+    assert Fraction(scaled, den) == brute_total_weight(list(s.symbols), s.k)[0]
 
 
 def test_scan_rows_are_sized_by_the_word():
@@ -193,6 +189,50 @@ def test_step_deltas_match_definition(s):
         assert step.blank_delta == b_after - b_before
 
 
+@pytest.mark.parametrize("k, max_len", [(1, 10), (2, 8), (3, 6), (4, 5)])
+def test_carried_state_matches_a_fresh_scan(k, max_len):
+    # every word of the whole sweep and of every shard of a two-process one,
+    # whose prefixes' own states are carried before their first word
+    checked = 0
+    for shard in [(k, max_len, ()), *lemma._shards(k, max_len, 2)]:
+        den = weight_scale(lemma._max_b(*shard[:2]))[0]
+        for word, weight, blanks, local in lemma._carried_words(*shard):
+            s = Seq(k, word)
+            scan = pair_scan(s)
+            assert den % scan.denominator == 0
+            assert weight == scan.scaled_total * (den // scan.denominator), word
+            assert blanks == blank_count(s), word
+            assert local == lemma._first_local(word), word
+            checked += 1
+    assert checked == 2 * sum(lemma._word_counts(k, max_len).values())
+
+
+def literal_first_local(word):
+    """The first local rule in priority order whose literal pattern occurs,
+    with its leftmost anchor, or None."""
+    for rule in LITERAL_PATTERNS:
+        for pos in range(1, len(word) + 1):
+            if literal_local_step(rule, word, pos) is not None:
+                return rule, pos
+    return None
+
+
+@given(permissible_words_st())
+@settings(max_examples=200, deadline=None)
+def test_carried_state_matches_definition(s):
+    # the word as a one-word sweep under itself as prefix: its state is
+    # carried through each of its prefixes in turn
+    if not s.symbols:
+        return
+    T = len(s)
+    (word, weight, blanks, local), = lemma._carried_words(s.k, T, s.symbols)
+    total, want_blanks, _ = brute_total_weight(list(s.symbols), s.k)
+    assert word == s.symbols
+    assert Fraction(weight, weight_scale(lemma._max_b(s.k, T))[0]) == total
+    assert blanks == want_blanks
+    assert local == literal_first_local(s.symbols)
+
+
 @pytest.mark.parametrize("k, max_len, jobs", [(1, 7, 2), (2, 6, 2), (3, 5, 3), (2, 3, 2)])
 def test_shards_partition_the_words(k, max_len, jobs):
     sharded = [w for shard in lemma._shards(k, max_len, jobs) for w in permissible_words(*shard)]
@@ -212,7 +252,7 @@ def test_exhaustive_report_same_at_one_and_two_jobs(k, max_len):
 def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch, pool_at_any_size):
     # fail the step of every word that ends in walker 2, so there are
     # counterexamples to order
-    def fake_check(before, before_scan, step):
+    def fake_check(before, step, weight, n, blanks):
         return ("fails" if before.symbols[-1] == 2 else None), None, None
 
     monkeypatch.setattr(lemma, "_check_step", fake_check)
@@ -233,15 +273,15 @@ def test_sweep_matches_full_chain_oracle(k, pool_at_any_size):
 def test_sweep_reports_exactly_the_words_whose_step_fails(monkeypatch, pool_at_any_size, jobs):
     # a wrong stored weight delta on some words; the chains through them are
     # not blamed, since each word is checked by its own step
-    real = lemma.reduce_step
+    real = lemma._pick_step
 
-    def tampered(s):
-        step = real(s)
+    def tampered(s, local):
+        step = real(s, local)
         if sum(s.symbols) % 4 == 1:
             return dataclasses.replace(step, weight_delta=step.weight_delta + Fraction(1, 2))
         return step
 
-    monkeypatch.setattr(lemma, "reduce_step", tampered)
+    monkeypatch.setattr(lemma, "_pick_step", tampered)
     expected = tuple(Seq(2, w).text() for w in permissible_words(2, 6) if sum(w) % 4 == 1)
     assert expected
     assert verify_lemma_exhaustive(2, 6, jobs=jobs).counterexamples == expected
@@ -271,6 +311,12 @@ def test_word_counts_match_brute_force():
             assert lemma._word_counts(k, max_len) == expected
 
 
+def check_step(before, step):
+    """The step checker on ``before``, weighed by ``pair_scan``."""
+    scan = pair_scan(before)
+    return lemma._check_step(before, step, scan.scaled_total, scan.max_b, blank_count(before))
+
+
 def test_edit_check_accepts_exactly_the_literal_patterns():
     # every local rule at every anchor of every permissible word with k <= 2
     # and length <= 6, with the rule's own deltas: the step check must accept
@@ -280,14 +326,11 @@ def test_edit_check_accepts_exactly_the_literal_patterns():
     for k in (1, 2):
         for word in permissible_words(k, 6):
             before = Seq(k, word)
-            before_scan = pair_scan(before)
             for rule in LITERAL_PATTERNS:
                 _, wd, bd = LOCAL_RULES[rule]
                 for pos in range(len(word) + 2):
                     want = literal_local_step(rule, word, pos)
-                    failure, after, _ = lemma._check_step(
-                        before, before_scan, ReductionStep(rule, pos, wd, bd)
-                    )
+                    failure, after, _ = check_step(before, ReductionStep(rule, pos, wd, bd))
                     assert (failure is None) == (want is not None), (rule, word, pos, failure)
                     if want is None:
                         assert failure == f"no {rule} pattern at position {pos}"
@@ -303,6 +346,5 @@ def test_step_check_rejects_a_non_permissible_result(monkeypatch):
     # premise must still fail it
     monkeypatch.setattr(lemma, "apply_edit", lambda s, rule, arg: Seq(2, (2, 1)))
     step = ReductionStep(DELETE_ZERO_WEIGHT_PAIR, 2, Fraction(0), 0)
-    before = Seq(2, (1, 2, 2))
-    failure, _, _ = lemma._check_step(before, pair_scan(before), step)
+    failure, _, _ = check_step(Seq(2, (1, 2, 2)), step)
     assert failure == "result is not permissible"
