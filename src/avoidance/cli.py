@@ -158,10 +158,13 @@ def _flatten(body: dict, prefix: str = ""):
 
 
 def cmd_weights(ns) -> int:
+    from fractions import Fraction  # loaded with sequences; kept out of start-up
+
     seq = sequences.parse_seq(_read_text(ns.infile), ns.k)
     scan = sequences.pair_scan(seq)
     total, blanks, outputs = scan.total, sequences.blank_count(seq), scan.outputs()
-    pairs = scan.neighbor_pairs()
+    den, scale = sequences.weight_scale(scan.max_b)
+    pairs = [(i, t1, t2, b, Fraction(scale[b], den)) for i, t1, t2, b in scan.pairs]
     body = {
         "k": seq.k,
         "T": seq.T,
@@ -170,15 +173,12 @@ def cmd_weights(ns) -> int:
         "blanks": blanks,
         "output": {str(i): w for i, w in outputs.items()},
         "pairs": [
-            {"symbol": p.symbol, "t1": p.t1, "t2": p.t2, "b": p.b, "weight": p.weight}
-            for p in pairs
+            {"symbol": i, "t1": t1, "t2": t2, "b": b, "weight": w} for i, t1, t2, b, w in pairs
         ],
     }
     lines = [f"total {reporting.frac_text(total)}", f"blanks {blanks}"]
     lines += [f"output {i} {reporting.frac_text(w)}" for i, w in outputs.items()]
-    lines += [
-        f"pair {p.symbol} {p.t1} {p.t2} b={p.b} w={reporting.frac_text(p.weight)}" for p in pairs
-    ]
+    lines += [f"pair {i} {t1} {t2} b={b} w={reporting.frac_text(w)}" for i, t1, t2, b, w in pairs]
     _emit(ns, body, lines)
     return 0
 
@@ -402,9 +402,7 @@ def cmd_lp_scan(ns) -> int:
         "k": report.k,
         "m": report.m,
         "tol": report.tol,
-        "entries": [
-            {**row, "p": reporting.frac_text(e.p)} for row, e in zip(rows, report.entries)
-        ],
+        "entries": rows,
     }
     lines = [
         f"p={reporting.frac_text(e.p)} status={e.status}"

@@ -12,7 +12,7 @@ applied in a fixed priority:
 Rules 1..3 are local: ``LOCAL_RULES`` holds each one's pattern width and
 constant deltas.  Rule 4 works on integer tables over a word's weight unit,
 lcm(1..min(k, T - 2)): ``redistribution`` gives what each walker receives,
-and ``PairScan.scaled_output`` what it emits.
+and ``PairScan.scaled_outputs`` what each emits.
 
 Unwinding the recorded deltas from the trivial endpoint proves the inequality
 for the initial word; the step list is a certificate an independent checker
@@ -130,25 +130,28 @@ def redistribution(scan: PairScan) -> dict[int, int]:
     distinct walkers receive 1/(b(b-1)) each, summing to the pair's weight
     1/b.  A pair never donates to its own symbol: that symbol cannot occur
     strictly between the pair's endpoints.  A walker's output, the summed
-    weight of its own pairs, is ``scan.scaled_output``.
+    weight of its own pairs, is in ``scan.scaled_outputs()``.
+
+    The symbols between a pair are read from ``scan.symbols[t1 : t2 - 1]``.
+    A walker's pairs tile the span from its first occurrence to its last,
+    so the slices cost O(T*d) in all for d distinct symbols, as the scan.
     """
     # b and b - 1 are coprime and at most max_b, so b(b-1) divides lcm(1..max_b)
     den = scan.denominator
+    syms = scan.symbols
     received: dict[int, int] = {}
-    for sym, t1, t2, between in scan.pairs:
-        b = between.bit_count()
+    for sym, t1, t2, b in scan.pairs:
         if b <= 1:
             raise ValueError(
                 f"pair ({t1},{t2}) of symbol {sym} has b={b}; rules 1..3 are not exhausted"
             )
-        if not between & (1 << BLANK):
+        between = set(syms[t1 : t2 - 1])
+        if BLANK not in between:
             raise ValueError(f"pair ({t1},{t2}) has no blank between its endpoints")
+        between.remove(BLANK)
         share = den // (b * (b - 1))
-        rest = between & ~(1 << BLANK)  # the walkers between, by their set bits
-        while rest:
-            r = (rest & -rest).bit_length() - 1  # the lowest set bit
+        for r in between:
             received[r] = received.get(r, 0) + share
-            rest &= rest - 1
     return received
 
 
@@ -213,8 +216,9 @@ def _pick_step(s: Seq, local: tuple[str, int] | None) -> ReductionStep:
         raise ValueError("terminal sequence: no rule applies")
     scan = pair_scan(s)
     received = redistribution(scan)
+    outputs = scan.scaled_outputs()
     for j in present:
-        gain = received.get(j, 0) - scan.scaled_output(j)
+        gain = received.get(j, 0) - outputs.get(j, 0)
         if gain >= 0:
             return ReductionStep(DELETE_VICTIM_SYMBOL, j, Fraction(gain, scan.denominator), 0)
     raise AssertionError("no admissible victim; conservation of redistributed weight is broken")
@@ -305,7 +309,7 @@ def _check_step(
         except ValueError as exc:
             return f"redistribution precondition: {exc}", None, None
         j = step.arg
-        if received.get(j, 0) < scan.scaled_output(j):
+        if received.get(j, 0) < scan.scaled_outputs().get(j, 0):
             return f"victim {j} has input < output, not admissible", None, None
     if not is_permissible(after):
         return "result is not permissible", None, None

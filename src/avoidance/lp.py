@@ -37,7 +37,6 @@ __all__ = [
     "check_witness_exact",
     "scan_p",
     "write_mps",
-    "window_text",
     "WINDOW_BUDGET",
 ]
 
@@ -63,7 +62,7 @@ SOLVER_OPTIONS = {
 }
 
 
-def window_text(w: tuple[int, ...]) -> str:
+def _window_text(w: tuple[int, ...]) -> str:
     return "".join(symbol_text(s) for s in w) if w else "-"
 
 
@@ -517,7 +516,7 @@ def write_mps(lp: WindowLP) -> str:
         row_names.append(name)
         lines.append(f" E {name}")
     lines.append("COLUMNS")
-    var_names = [f"W_{window_text(w)}" for w in lp.windows]
+    var_names = [f"W_{_window_text(w)}" for w in lp.windows]
     rows, cols, coefs = lp.entries()
     lines += [f"    {var_names[c]} {row_names[r]} {v}" for r, c, v in zip(rows, cols, coefs)]
     lines.append("RHS")

@@ -7,10 +7,11 @@ is 1/b, where b counts the distinct symbols strictly between them (0 for an
 adjacent pair).  All weights are exact rationals: the central inequality
 (total weight <= blank count) can be tight, so float tolerances are unusable.
 
-Every weight comes from one kernel, ``pair_scan``, which counts pairs per
-(walker, b) in integers; ``scaled_total_weight`` is its pass with only the
-total kept.  In a word of length T, b <= n = min(k, T - 2), so a sum of its
-weights is an integer over lcm(1..n), the unit ``weight_scale(n)`` gives;
+Every weight comes from one kernel, ``pair_scan``, which records each pair
+once, as (symbol, t1, t2, b); ``scaled_total_weight`` is its pass with only
+the total kept.  In a word of length T, b <= n = min(k, T - 2), so a sum of
+its weights is an integer over lcm(1..n), and ``weight_scale(n)`` gives that
+unit and each b's weight over it, the one place the 1/b rule is written;
 rationals are built only where a result leaves the kernel.
 """
 
@@ -26,7 +27,6 @@ from functools import lru_cache
 __all__ = [
     "BLANK",
     "Seq",
-    "NeighborPair",
     "PairScan",
     "symbol_text",
     "parse_seq",
@@ -93,22 +93,6 @@ class Seq:
         return f"Seq(k={self.k}, T={self.T}, '{shown}')"
 
 
-@dataclass(frozen=True)
-class NeighborPair:
-    """Two successive occurrences t1 < t2 of the same walker symbol.
-
-    ``b`` is the number of distinct alphabet elements strictly between the
-    occurrences (the blank counts as one element); the weight is 1/b, or 0
-    for an adjacent pair (b = 0).
-    """
-
-    symbol: int
-    t1: int
-    t2: int
-    b: int
-    weight: Fraction
-
-
 def parse_seq(text: str, k: int) -> Seq:
     """Parse whitespace-separated tokens ("B" or a walker index in 1..k)."""
     if k < 1:
@@ -153,19 +137,17 @@ def scaled_weight(counts: Iterable[int], n: int) -> int:
 class PairScan:
     """The weight kernel's result for one word.
 
-    ``pairs`` holds ``(symbol, t1, t2, between)`` for every neighbor pair,
-    ordered by (symbol, t1); ``between`` is the bit set of the distinct
-    symbols strictly between t1 and t2 (bit 0 the blank), so the pair's b is
-    ``between.bit_count()``.  ``by_b[i][b]`` is the number of pairs of walker
-    i with that b, for each walker with at least one pair; a row is only as
-    long as the word allows, since b <= ``max_b`` = min(k, T - 2).  Weights
-    are integers over ``denominator``, lcm(1..max_b); ``outputs`` and
-    ``total`` are their exact rational values.
+    ``symbols`` is the word's own symbol tuple.  ``pairs`` holds
+    ``(symbol, t1, t2, b)`` for every neighbor pair, ordered by (symbol, t1),
+    where b counts the distinct symbols strictly between t1 and t2.  A
+    pair's weight is ``weight_scale(max_b)[1][b]`` over ``denominator``,
+    lcm(1..max_b): b <= ``max_b`` = min(k, T - 2).  ``scaled_outputs`` and
+    ``scaled_total`` sum those integers in one pass over the pairs;
+    ``outputs`` and ``total`` are their exact rational values.
     """
 
-    k: int
+    symbols: tuple[int, ...]
     pairs: list[tuple[int, int, int, int]]
-    by_b: dict[int, list[int]]
     max_b: int
 
     @property
@@ -173,31 +155,29 @@ class PairScan:
         """lcm(1..max_b): every sum of the word's pair weights is an integer over it."""
         return weight_scale(self.max_b)[0]
 
-    def scaled_output(self, i: int) -> int:
-        """Walker i's summed pair weight times ``denominator``."""
-        return scaled_weight(self.by_b.get(i, ()), self.max_b)
+    def scaled_outputs(self) -> dict[int, int]:
+        """Each walker's summed pair weight times ``denominator``, for every
+        walker with at least one pair, in walker order."""
+        scale = weight_scale(self.max_b)[1]
+        out: dict[int, int] = {}
+        for sym, _, _, b in self.pairs:
+            out[sym] = out.get(sym, 0) + scale[b]
+        return out
 
     @property
     def scaled_total(self) -> int:
         """The word's total weight times ``denominator``."""
-        return sum(map(self.scaled_output, self.by_b))
+        scale = weight_scale(self.max_b)[1]
+        return sum(scale[b] for _, _, _, b in self.pairs)
 
     def outputs(self) -> dict[int, Fraction]:
         """Per-walker summed weights, for every walker with at least one pair."""
         den = self.denominator
-        return {i: Fraction(self.scaled_output(i), den) for i in sorted(self.by_b)}
+        return {i: Fraction(w, den) for i, w in self.scaled_outputs().items()}
 
     @property
     def total(self) -> Fraction:
         return Fraction(self.scaled_total, self.denominator)
-
-    def neighbor_pairs(self) -> list[NeighborPair]:
-        """The pairs as ``NeighborPair`` records with their exact weights."""
-        pairs = []
-        for sym, t1, t2, between in self.pairs:
-            b = between.bit_count()
-            pairs.append(NeighborPair(sym, t1, t2, b, Fraction(1, b) if b else Fraction(0)))
-        return pairs
 
 
 def pair_scan(s: Seq) -> PairScan:
@@ -206,27 +186,21 @@ def pair_scan(s: Seq) -> PairScan:
     The pass keeps the last position of each symbol seen so far.  When walker
     i recurs at t2 after t1, the symbols strictly between are exactly those
     last seen after t1; i itself was last seen at t1, so it is never among
-    them.  Only walkers that pair get a row of counts, min(k, T - 2) + 1 wide.
+    them.
     """
-    max_b = max(min(s.k, len(s.symbols) - 2), 0)
     last: dict[int, int] = {}  # 1-based last position of each symbol seen
-    by_b: dict[int, list[int]] = {}
     pairs = []
     for t2, sym in enumerate(s.symbols, start=1):
         if sym != BLANK and sym in last:
             t1 = last[sym]
-            between = 0
-            for x, tx in last.items():
+            b = 0
+            for tx in last.values():
                 if tx > t1:
-                    between |= 1 << x
-            row = by_b.get(sym)
-            if row is None:
-                row = by_b[sym] = [0] * (max_b + 1)
-            row[between.bit_count()] += 1
-            pairs.append((sym, t1, t2, between))
+                    b += 1
+            pairs.append((sym, t1, t2, b))
         last[sym] = t2
     pairs.sort()
-    return PairScan(s.k, pairs, by_b, max_b)
+    return PairScan(s.symbols, pairs, max(min(s.k, len(s.symbols) - 2), 0))
 
 
 def scaled_total_weight(s: Seq, n: int) -> int:

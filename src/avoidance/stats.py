@@ -106,9 +106,9 @@ def empirical_stats(symbols: np.ndarray, p: float, k: int) -> EmpiricalStats:
 
 
 def _array_pairs(x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """The neighbor pairs of a symbol array as arrays (symbol, t1, t2, b),
-    ordered by (symbol, t1), times 1-based: ``sequences.pair_scan`` in
-    whole-array passes, O(T*k).
+    """The neighbor pairs of a symbol array: the same (symbol, t1, t2, b)
+    records as ``sequences.pair_scan``, ordered by (symbol, t1) with 1-based
+    times, as arrays, in whole-array passes, O(T*k).
 
     With 0-based occurrences u1 < u2 of a walker, symbol s lies strictly
     between them iff its first occurrence at or after u1 + 1 comes before u2.

@@ -31,7 +31,14 @@ from avoidance.policies import (
     StayingInWaves,
     simulate,
 )
-from avoidance.sequences import Seq, blank_count, is_permissible, pair_scan, parse_seq
+from avoidance.sequences import (
+    Seq,
+    blank_count,
+    is_permissible,
+    pair_scan,
+    parse_seq,
+    weight_scale,
+)
 from avoidance.stats import empirical_stats, faithfulness_tests, gap_law_chisquare
 from avoidance.traces import check_1avoidance, check_walker_avoidance, project, symbol_array
 
@@ -60,7 +67,8 @@ def test_criterion_1_worked_example():
     seq = parse_seq(WORKED_EXAMPLE, 3)
     start = time.perf_counter()
     scan = pair_scan(seq)
-    threes = [p.weight for p in scan.neighbor_pairs() if p.symbol == 3]
+    den, scale = weight_scale(scan.max_b)
+    threes = [Fraction(scale[b], den) for i, _, _, b in scan.pairs if i == 3]
     total, blanks = scan.total, blank_count(seq)
     elapsed = time.perf_counter() - start
     ok = (
@@ -103,7 +111,7 @@ def test_criterion_3_certificate_soundness():
                 # deletion changes the weight by input - output
                 scan = pair_scan(before)
                 received = redistribution(scan)
-                gain = received.get(step.arg, 0) - scan.scaled_output(step.arg)
+                gain = received.get(step.arg, 0) - scan.scaled_outputs().get(step.arg, 0)
                 if sum(received.values()) != scan.scaled_total or gain < 0:
                     all_ok = False
                 if pair_scan(after).total - scan.total != Fraction(gain, scan.denominator):

@@ -69,34 +69,43 @@ def words_st():
     return st.one_of(any_words(), permissible_words_st())
 
 
+BIG_K = 10**6
+
+
+def shifted(s, k=BIG_K):
+    """``s`` over k walkers, walker i relabelled k - s.k + i: the order of the
+    walkers is kept, and with it every pair's b and every reduction step."""
+    return Seq(k, tuple(BLANK if x == BLANK else x + k - s.k for x in s.symbols))
+
+
+def relabelled(pairs, s, k=BIG_K):
+    """Pair records of ``s`` with their symbols relabelled as ``shifted`` does."""
+    return [(i + k - s.k, t1, t2, b) for i, t1, t2, b in pairs]
+
+
 @given(words_st())
 def test_kernel_pairs_match_definition(s):
     scan = pair_scan(s)
-    assert [(i, t1, t2, between.bit_count()) for i, t1, t2, between in scan.pairs] == (
-        brute_pairs(list(s.symbols), s.k)
-    )
-    for _, t1, t2, between in scan.pairs:
-        window = set(s.symbols[t1 : t2 - 1])
-        assert between == sum(1 << x for x in window)
-    pairs = pair_scan(s).neighbor_pairs()
-    for p, (i, t1, t2, b) in zip(pairs, brute_pairs(list(s.symbols), s.k)):
-        assert (p.symbol, p.t1, p.t2, p.b) == (i, t1, t2, b)
-        assert p.weight == (Fraction(1, b) if b else 0)
+    want = brute_pairs(list(s.symbols), s.k)
+    assert scan.pairs == want
+    assert scan.symbols is s.symbols
+    # relabelling near a million walkers moves the symbols and keeps every b
+    assert pair_scan(shifted(s)).pairs == relabelled(want, s)
 
 
 @given(words_st())
 def test_kernel_counts_outputs_and_totals_match_definition(s):
     scan = pair_scan(s)
-    # a row per walker with a pair, b = 0..min(k, T - 2)
-    expected_counts = {}
-    for i, _, _, b in brute_pairs(list(s.symbols), s.k):
-        row = expected_counts.setdefault(i, [0] * (min(s.k, s.T - 2) + 1))
-        row[b] += 1
-    assert scan.by_b == expected_counts
+    # b <= min(k, T - 2), the bound the weight unit is sized by
+    assert scan.max_b == max(min(s.k, s.T - 2), 0)
+    assert all(b <= scan.max_b for *_, b in scan.pairs)
 
     total, blanks, per = brute_total_weight(list(s.symbols), s.k)
+    den = scan.denominator
     assert scan.total == total
-    assert Fraction(scan.scaled_total, scan.denominator) == total
+    assert Fraction(scan.scaled_total, den) == total
+    assert {i: Fraction(w, den) for i, w in scan.scaled_outputs().items()} == per
+    assert list(scan.scaled_outputs()) == sorted(per)
     assert scan.outputs() == per
     assert blank_count(s) == blanks
 
@@ -113,10 +122,12 @@ def test_total_only_pass_matches_kernel_and_definition(s, extra):
 
 
 def test_scan_rows_are_sized_by_the_word():
-    # b <= min(k, T - 2), and only walkers with a pair get a row, so a short
-    # word over a huge alphabet costs no k x k table
+    # b <= min(k, T - 2), and only walkers with a pair get an output, so a
+    # short word over a huge alphabet costs no k x k table
     scan = pair_scan(Seq(3000, (5, 0, 5, 7, 7)))
-    assert scan.by_b == {5: [0, 1, 0, 0], 7: [1, 0, 0, 0]}
+    assert scan.pairs == [(5, 1, 3, 1), (7, 4, 5, 0)]
+    assert scan.max_b == 3
+    assert scan.scaled_outputs() == {5: 6, 7: 0}
     assert scan.outputs() == {5: Fraction(1), 7: Fraction(0)}
     assert scan.total == 1
     # the weight unit is lcm(1..min(k, T - 2)), not lcm(1..k)
@@ -131,15 +142,6 @@ def test_weight_scale_is_the_unit_and_the_scaled_weights():
     assert scaled_weight([], 4) == 0
 
 
-BIG_K = 10**6
-
-
-def shifted(s, k=BIG_K):
-    """``s`` over k walkers, walker i relabelled k - s.k + i: the order of the
-    walkers is kept, and with it every pair's b and every reduction step."""
-    return Seq(k, tuple(BLANK if x == BLANK else x + k - s.k for x in s.symbols))
-
-
 def test_scan_over_a_million_walkers_is_sized_by_the_word():
     s = parse_seq("1 3 B 2 3 3 B 3 B 1 B 2 B 1 3", 3)
     small, big = pair_scan(s), pair_scan(shifted(s))
@@ -147,7 +149,7 @@ def test_scan_over_a_million_walkers_is_sized_by_the_word():
     assert big.denominator == math.lcm(*range(1, s.T - 1))  # b <= T - 2 = 13
     assert big.total == small.total
     assert big.outputs() == {i + BIG_K - 3: w for i, w in small.outputs().items()}
-    assert [p.b for p in big.neighbor_pairs()] == [p.b for p in small.neighbor_pairs()]
+    assert big.pairs == relabelled(small.pairs, s)
 
 
 @pytest.mark.parametrize("text", ["1 2 B 1 2", "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"])
@@ -175,7 +177,21 @@ def test_redistribution_inputs_match_definition(s):
         received = {j: Fraction(v, den) for j, v in redistribution(scan).items()}
         assert received == brute_redistribution(symbols, s.k)
         _, _, per = brute_total_weight(symbols, s.k)
-        assert {j: Fraction(scan.scaled_output(j), den) for j in per} == per
+        assert {j: Fraction(v, den) for j, v in scan.scaled_outputs().items()} == per
+
+
+@given(permissible_words_st())
+@settings(max_examples=60, deadline=None)
+def test_redistribution_of_a_shifted_word_matches_definition(s):
+    # the between symbols are read from the word, so symbols near a million
+    # receive what the definition gives their unshifted labels
+    for before, step, _ in replay_certificate(reduce_certificate(s)):
+        if step.rule != DELETE_VICTIM_SYMBOL:
+            continue
+        scan = pair_scan(shifted(before))
+        received = {j: Fraction(v, scan.denominator) for j, v in redistribution(scan).items()}
+        want = brute_redistribution(list(before.symbols), s.k)
+        assert received == {j + BIG_K - s.k: w for j, w in want.items()}
 
 
 @given(permissible_words_st())

@@ -65,7 +65,7 @@ def test_redistribution_reduced_example():
     assert as_fractions(received, scan.denominator) == {
         1: Fraction(1, 3), 2: Fraction(4, 3), 3: Fraction(1, 3)
     }
-    outputs = {j: scan.scaled_output(j) for j in (1, 2, 3)}
+    outputs = scan.scaled_outputs()
     assert as_fractions(outputs, scan.denominator) == {
         1: Fraction(5, 6), 2: Fraction(1, 3), 3: Fraction(5, 6)
     }
@@ -75,7 +75,7 @@ def test_redistribution_reduced_example():
 def test_redistribution_single_pair():
     scan = pair_scan(parse_seq("1 B 2 B 1", 2))
     assert as_fractions(redistribution(scan), scan.denominator) == {2: Fraction(1, 2)}
-    assert Fraction(scan.scaled_output(1), scan.denominator) == Fraction(1, 2)
+    assert as_fractions(scan.scaled_outputs(), scan.denominator) == {1: Fraction(1, 2)}
 
 
 def test_redistribution_rejects_low_b():
@@ -91,11 +91,15 @@ def test_redistribution_rejects_a_pair_without_a_blank():
 
 def pair_donations(s):
     """(symbol, t1, recipients, amount) per pair: the pair donates amount
-    1/(b(b-1)) to each walker symbol in its ``between`` bit set."""
-    for sym, t1, _, between in pair_scan(s).pairs:
-        b = between.bit_count()
-        recipients = [r for r in range(1, between.bit_length()) if between >> r & 1]
+    1/(b(b-1)) to each walker symbol strictly between its endpoints."""
+    for sym, t1, t2, b in pair_scan(s).pairs:
+        recipients = set(s.symbols[t1 : t2 - 1]) - {BLANK}
         yield sym, t1, recipients, Fraction(1, b * (b - 1))
+
+
+def unit_weight(b):
+    """A pair's weight by the definition: 1/b, or 0 for an adjacent pair."""
+    return Fraction(1, b) if b else Fraction(0)
 
 
 def test_redistribution_never_donates_to_own_symbol():
@@ -120,7 +124,8 @@ def test_redistribution_conserves_weight(s):
     # averaging: some present symbol receives at least what it emits
     present = sorted(set(s.symbols) - {BLANK})
     if present:
-        assert any(received.get(j, 0) >= scan.scaled_output(j) for j in present)
+        outputs = scan.scaled_outputs()
+        assert any(received.get(j, 0) >= outputs.get(j, 0) for j in present)
 
 
 # ---------------------------------------------------------------- single steps
@@ -380,20 +385,20 @@ def test_victim_deletion_pair_by_pair_donation():
         # the rule-4 identity: deleting the victim changes the weight by its
         # input - output, which is the step's stored delta; the shorter
         # word's weight unit divides the longer one's
-        gain = received.get(j, 0) - scan.scaled_output(j)
+        gain = received.get(j, 0) - scan.scaled_outputs().get(j, 0)
         after_scan = pair_scan(after)
         assert scan.denominator % after_scan.denominator == 0
         dw = after_scan.scaled_total * (scan.denominator // after_scan.denominator)
         assert dw - scan.scaled_total == gain
         assert step.weight_delta == Fraction(gain, scan.denominator)
-        before_pairs = [p for p in pair_scan(before).neighbor_pairs() if p.symbol != j]
-        after_pairs = after_scan.neighbor_pairs()
+        before_pairs = [p for p in scan.pairs if p[0] != j]
+        after_pairs = after_scan.pairs
         assert len(before_pairs) == len(after_pairs)
         # occurrences of surviving symbols are untouched, so pairs line up in order
-        for bp, ap in zip(before_pairs, after_pairs):
-            assert bp.symbol == ap.symbol
-            gain = ap.weight - bp.weight
-            assert gain == donated.get((bp.symbol, bp.t1), Fraction(0))
+        for (sym, t1, _, b_before), (after_sym, _, _, b_after) in zip(before_pairs, after_pairs):
+            assert sym == after_sym
+            gain = unit_weight(b_after) - unit_weight(b_before)
+            assert gain == donated.get((sym, t1), Fraction(0))
         if donated:
             interesting += 1
     assert interesting >= 10

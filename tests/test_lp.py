@@ -19,7 +19,7 @@ from avoidance.lp import (
     check_witness_exact,
     scan_p,
     solve_feasibility,
-    window_text,
+    _window_text,
     witness_residual,
     write_mps,
 )
@@ -38,7 +38,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def test_instance_shape_k1_m2():
     lp = build_window_lp(1, "0.3", 2)
     assert lp.num_vars == 4
-    assert [window_text(w) for w in lp.windows] == ["BB", "B1", "1B", "11"]
+    assert [_window_text(w) for w in lp.windows] == ["BB", "B1", "1B", "11"]
     # 1 normalization + 2 shifts + 1 * 2^2 faithfulness rows
     assert lp.num_rows == 1 + 2 + 4
     assert lp.zero_vars == ()
@@ -61,7 +61,7 @@ def test_m1_faithfulness_forces_occupancies():
     lp = build_window_lp(2, "0.3", 1)
     res = solve_feasibility(lp)
     assert res.status == "feasible"
-    q = {window_text(w): v for w, v in zip(lp.windows, res.witness)}
+    q = {_window_text(w): v for w, v in zip(lp.windows, res.witness)}
     assert q["1"] == pytest.approx(0.3, abs=1e-9)
     assert q["2"] == pytest.approx(0.3, abs=1e-9)
     assert q["B"] == pytest.approx(0.4, abs=1e-9)
@@ -249,7 +249,7 @@ def brute_row_reversal(k, label):
     kind, _, rest = label.partition("_")
     if kind == "shift":
         v = () if rest == "-" else tuple(0 if c == "B" else int(c) for c in rest)
-        return "shift_" + window_text(brute_reversal(k, v)), -1
+        return "shift_" + _window_text(brute_reversal(k, v)), -1
     if kind == "faith":
         i, pattern = rest.split("_")
         return f"faith_{k + 1 - int(i)}_{pattern[::-1]}", 1

@@ -3,6 +3,7 @@ first use: each check starts a fresh interpreter, where no layer has run."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import avoidance
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def fresh(code: str) -> str:
@@ -68,3 +70,10 @@ def test_every_name_in_a_layers_all_is_defined(layer):
     # entry would stop every traced run
     module = importlib.import_module(f"avoidance.{layer}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_pyproject_version_is_the_package_version():
+    # read with a regex: Python 3.10, which pyproject.toml allows, has no tomllib
+    text = (ROOT / "pyproject.toml").read_text()
+    version = re.search(r'^version\s*=\s*"([^"]+)"', text, re.M).group(1)
+    assert version == avoidance.__version__

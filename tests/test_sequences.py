@@ -11,6 +11,7 @@ from avoidance.sequences import (
     is_permissible,
     pair_scan,
     parse_seq,
+    weight_scale,
 )
 
 from oracles import brute_permissible, brute_total_weight
@@ -77,11 +78,18 @@ def test_is_permissible(tokens, k, expected):
     assert is_permissible(parse_seq(tokens, k)) is expected
 
 
+def pair_weights(s):
+    """Each pair record of ``s`` with its weight read off the scale table."""
+    scan = pair_scan(s)
+    den, scale = weight_scale(scan.max_b)
+    return [(i, t1, t2, b, Fraction(scale[b], den)) for i, t1, t2, b in scan.pairs]
+
+
 def test_worked_example_pairs_of_symbol_three():
     s = parse_seq(WORKED_EXAMPLE, 3)
-    threes = [p for p in pair_scan(s).neighbor_pairs() if p.symbol == 3]
-    assert [(p.t1, p.t2) for p in threes] == [(2, 5), (5, 6), (6, 8), (8, 15)]
-    assert [p.weight for p in threes] == [
+    threes = [p for p in pair_weights(s) if p[0] == 3]
+    assert [(t1, t2) for _, t1, t2, _, _ in threes] == [(2, 5), (5, 6), (6, 8), (8, 15)]
+    assert [w for *_, w in threes] == [
         Fraction(1, 2),
         Fraction(0),
         Fraction(1),
@@ -90,14 +98,11 @@ def test_worked_example_pairs_of_symbol_three():
 
 
 def test_single_occurrence_has_no_pair():
-    assert pair_scan(Seq(1, (1,))).neighbor_pairs() == []
+    assert pair_scan(Seq(1, (1,))).pairs == []
 
 
 def test_pair_with_one_distinct_between():
-    pairs = pair_scan(Seq(2, (1, 2, 1))).neighbor_pairs()
-    assert len(pairs) == 1
-    p = pairs[0]
-    assert (p.t1, p.t2, p.b, p.weight) == (1, 3, 1, Fraction(1))
+    assert pair_weights(Seq(2, (1, 2, 1))) == [(1, 1, 3, 1, Fraction(1))]
 
 
 def test_worked_example_totals():
@@ -143,21 +148,21 @@ def test_permissibility_matches_brute_force(s):
 
 @given(seqs())
 def test_pairs_partition_occurrences(s):
-    pairs = pair_scan(s).neighbor_pairs()
+    pairs = pair_scan(s).pairs
     for i in set(s.symbols) - {BLANK}:
         m = s.symbols.count(i)
-        assert sum(1 for p in pairs if p.symbol == i) == m - 1
-    assert [(p.symbol, p.t1) for p in pairs] == sorted((p.symbol, p.t1) for p in pairs)
+        assert sum(1 for p in pairs if p[0] == i) == m - 1
+    assert [p[:2] for p in pairs] == sorted(p[:2] for p in pairs)
 
 
 @given(seqs())
 def test_weights_are_unit_fractions(s):
-    for p in pair_scan(s).neighbor_pairs():
-        assert 0 <= p.b <= s.k
-        if p.b == 0:
-            assert p.weight == 0 and p.t2 == p.t1 + 1
+    for _, t1, t2, b, w in pair_weights(s):
+        assert 0 <= b <= s.k
+        if b == 0:
+            assert w == 0 and t2 == t1 + 1
         else:
-            assert p.weight == Fraction(1, p.b)
+            assert w == Fraction(1, b)
 
 
 @given(seqs())
