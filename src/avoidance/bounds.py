@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -101,8 +100,7 @@ def within_max_p(k: int, p: Fraction) -> bool:
         prec *= 2
 
 
-@dataclass(frozen=True)
-class WalkerBound:
+class WalkerBound(NamedTuple):
     """ceil(n - ln n), exact, plus the float quantities n - ln n and
     n^2 / (n + ln n)."""
 

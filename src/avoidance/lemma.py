@@ -24,9 +24,9 @@ passes from the shorter word up to the longer one, by induction on length.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .sequences import (
     BLANK,
@@ -90,8 +90,7 @@ SHARDS_PER_JOB = 8
 POOL_MIN_WORDS = 25_000
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One certificate line: ``rule`` applied at ``arg``, the 1-based anchor
     of the pattern for rules 1..3 and the victim walker for rule 4, as in
     ``apply_edit``.  Deltas are after-minus-before values, stored exactly.
@@ -105,15 +104,13 @@ class ReductionStep:
     blank_delta: int
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     initial: Seq
     steps: tuple[ReductionStep, ...]
     final: Seq
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     failure: str | None = None
 
@@ -414,8 +411,7 @@ def permissible_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
             stack.append(word + (BLANK,))
 
 
-@dataclass(frozen=True)
-class ExhaustiveReport:
+class ExhaustiveReport(NamedTuple):
     k: int
     max_len: int
     checked: int
@@ -487,10 +483,30 @@ def _carried_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
         yield word, state[0], state[1], state[3]
 
 
-def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
-    """Check the first reduction step of each word under ``prefix``; the
-    counterexamples are the words whose step fails.  A terminal word has no
-    step: it has no pairs, so it holds the inequality outright.
+def _is_canonical(word: tuple[int, ...], k: int) -> bool:
+    """Whether ``word`` <= its reversal image sigma(word) in tuple order.
+
+    sigma reverses a word over {B, 1..k} and relabels walker i as k + 1 - i,
+    keeping the blank.  The symbols are compared from both ends, so the test
+    stops at the first difference, most often at the first symbol.
+    """
+    j = len(word)
+    for a in word:
+        j -= 1
+        b = word[j]
+        if b != BLANK:
+            b = k + 1 - b
+        if a != b:
+            return a < b
+    return True
+
+
+def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = (), every: bool = False):
+    """Check the first reduction step of each word under ``prefix`` that is
+    canonical (``_is_canonical``), or of every word when ``every`` is set;
+    the counterexamples are the checked words whose step fails.  Every word
+    is counted in ``by_length``.  A terminal word has no step: it has no
+    pairs, so it holds the inequality outright.
 
     A word's weight, blank count and first local pattern are carried down
     from its parent (``_carried_words``).  The carried weight is the word's
@@ -506,6 +522,8 @@ def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
     bad: list[tuple[int, ...]] = []
     for word, weight, blanks, local in _carried_words(k, max_len, prefix):
         by_length[len(word)] = by_length.get(len(word), 0) + 1
+        if not (every or _is_canonical(word, k)):
+            continue
         s = Seq._unchecked(k, word)
         if is_terminal(s):
             continue
@@ -556,6 +574,19 @@ def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
     return False
 
 
+def _sweep(k: int, max_len: int, workers: int, every: bool) -> list:
+    """``_verify_words``' (by_length, bad) results over all words: in this
+    process when ``workers`` is 1, else over prefix shards in a pool of at
+    most ``workers`` processes."""
+    if workers == 1:
+        return [_verify_words(k, max_len, (), every)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    shards = _shards(k, max_len, workers)
+    with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
+        return list(pool.map(_verify_words, *zip(*shards), [every] * len(shards)))
+
+
 def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> ExhaustiveReport:
     """Prove total weight <= blanks for every permissible word of length
     1..max_len over {B, 1..k}, by induction on length.
@@ -573,10 +604,22 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     so its carried weight is its weight (``_verify_words``), and dw is
     recomputed from a fresh weighing of the shorter word.  The base cases,
     the empty word and a lone blank, have no pairs.  The premise that every
-    shorter word was checked is asserted: the words counted per length must
-    equal ``_word_counts``.  A counterexample is a word whose own step fails
-    its check; since ``reduce_step`` is deterministic, every word's
-    certificate checks exactly when every word's first step does.
+    shorter word was enumerated is asserted: the words counted per length
+    must equal ``_word_counts``.
+
+    Only the canonical words, those with w <= sigma(w) (``_is_canonical``),
+    have their step checked.  That proves the inequality for every word:
+    sigma, reversal with walker i relabelled k + 1 - i, maps a permissible
+    word to a permissible word of the same length, since an adjacent pair
+    a <= b of walkers becomes k + 1 - b <= k + 1 - a.  It maps the pairs of
+    walker i to those of k + 1 - i and each pair's between set onto the
+    relabelled one, so it keeps every b, the total weight and the blank
+    count.  And sigma is an involution, so each non-canonical word is the
+    image of a canonical word of its length, whose check proves the
+    inequality for both.  When a canonical step fails, the sweep is run
+    again checking every word, so the counterexamples are exactly the words
+    whose own step fails; since ``reduce_step`` is deterministic, every
+    word's certificate checks exactly when every word's first step does.
 
     Raises when the raw word count (k+1)^max_len exceeds the enumeration
     budget.  A sweep of at least ``POOL_MIN_WORDS`` words spreads prefix
@@ -597,14 +640,10 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     # the CPUs this process may use: its affinity mask, where the OS has one
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) or 1
     workers = min(jobs or cpus, cpus) if sum(expected.values()) >= POOL_MIN_WORDS else 1
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        shards = _shards(k, max_len, workers)
-        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-            results = list(pool.map(_verify_words, *zip(*shards)))
-    else:
-        results = [_verify_words(k, max_len)]
+    results = _sweep(k, max_len, workers, every=False)
+    if any(words for _, words in results):
+        # some canonical word's step failed: list every word whose own step fails
+        results = _sweep(k, max_len, workers, every=True)
     by_length: dict[int, int] = {}
     bad: list[tuple[int, ...]] = []
     for counts, words in results:

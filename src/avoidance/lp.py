@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import Frozen
 from .sequences import symbol_text
 
 if TYPE_CHECKING:
@@ -66,8 +65,7 @@ def _window_text(w: tuple[int, ...]) -> str:
     return "".join(symbol_text(s) for s in w) if w else "-"
 
 
-@dataclass(frozen=True)
-class WindowLP:
+class WindowLP(Frozen):
     """Equality system A q = b over window frequencies q >= 0.
 
     Rows: one normalization row, one shift-consistency row per length m-1
@@ -83,17 +81,28 @@ class WindowLP:
     package itself reads only the column arrays.
     """
 
-    k: int
-    p: Fraction
-    m: int
-    windows: tuple[tuple[int, ...], ...]
-    col_ptr: np.ndarray
-    row_ind: np.ndarray
-    coef: np.ndarray
-    b: np.ndarray
-    b_exact: tuple[Fraction, ...]
-    row_labels: tuple[str, ...]
-    zero_vars: tuple[int, ...]
+    __slots__ = (
+        "k", "p", "m", "windows", "col_ptr", "row_ind", "coef", "b", "b_exact",
+        "row_labels", "zero_vars", "_A",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        p: Fraction,
+        m: int,
+        windows: tuple[tuple[int, ...], ...],
+        col_ptr: np.ndarray,
+        row_ind: np.ndarray,
+        coef: np.ndarray,
+        b: np.ndarray,
+        b_exact: tuple[Fraction, ...],
+        row_labels: tuple[str, ...],
+        zero_vars: tuple[int, ...],
+    ) -> None:
+        fields = (k, p, m, windows, col_ptr, row_ind, coef, b, b_exact, row_labels, zero_vars, None)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     @property
     def num_vars(self) -> int:
@@ -103,12 +112,15 @@ class WindowLP:
     def num_rows(self) -> int:
         return len(self.row_labels)
 
-    @cached_property
+    @property
     def A(self) -> sparse.csr_matrix:
-        from scipy import sparse
+        if self._A is None:
+            from scipy import sparse
 
-        shape = (self.num_rows, self.num_vars)
-        return sparse.csc_matrix((self.coef, self.row_ind, self.col_ptr), shape=shape).tocsr()
+            shape = (self.num_rows, self.num_vars)
+            A = sparse.csc_matrix((self.coef, self.row_ind, self.col_ptr), shape=shape).tocsr()
+            object.__setattr__(self, "_A", A)
+        return self._A
 
     def entries(self) -> tuple[list[int], list[int], list[int]]:
         """(row, column, integer coefficient) lists of A's nonzeros, column by column."""
@@ -211,8 +223,7 @@ def _as_fraction(p) -> Fraction:
         raise ValueError(f"zero denominator in {str(p).strip()!r}") from None
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """status "feasible" carries a re-checked witness; "infeasible" carries the
     phase-one gap (minimal L1 equality violation); near-boundary numerics
     downgrade to "unknown" rather than over-claim."""
@@ -454,8 +465,7 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
     return FeasibilityResult("unknown", witness, residual, gap, tol)
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     p: Fraction
     status: str
     residual: float | None
@@ -464,8 +474,7 @@ class ScanEntry:
     within_trivial: bool
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     k: int
     m: int
     tol: float

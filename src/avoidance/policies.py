@@ -13,9 +13,9 @@ no-collision discipline but make no claim about marginals.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
+from ._record import Frozen
 from .traces import CouplingTrace, WalkerTrace
 
 if TYPE_CHECKING:
@@ -30,20 +30,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RoundRobin:
+class RoundRobin(Frozen):
     """Deterministic alternation: walker 1 + (t-1 mod k) occupies at time t.
 
     Negative control: marginal frequency is exactly 1/k but nothing is
     independent across time.
     """
 
-    k: int
-    kind: ClassVar[str] = "binary"
+    __slots__ = ("k",)
+    kind = "binary"
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        object.__setattr__(self, "k", k)
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
         import numpy as np
@@ -53,23 +53,23 @@ class RoundRobin:
         return rows
 
 
-@dataclass(frozen=True)
-class IndependentSites:
+class IndependentSites(Frozen):
     """k walkers occupying independently with probability p each.
 
     Faithful for k = 1, the single Bernoulli site; for k >= 2 a negative
     control that collides at rate about p^2 per unordered pair.
     """
 
-    k: int
-    p: float
-    kind: ClassVar[str] = "binary"
+    __slots__ = ("k", "p")
+    kind = "binary"
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+    def __init__(self, k: int, p: float) -> None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must lie in (0, 1), got {p}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "p", p)
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
         import numpy as np
@@ -77,8 +77,7 @@ class IndependentSites:
         return (rng.random((T, self.k)) < self.p).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class AvoidingWalkers:
+class AvoidingWalkers(Frozen):
     """Greedy random avoiding walkers on the complete graph.
 
     Each walker in turn picks uniformly among vertices not blocked by the
@@ -87,27 +86,28 @@ class AvoidingWalkers:
     marginals are not simple random walks for k >= 2.
     """
 
-    n: int
-    k: int
-    looped: bool = False
-    start: tuple[int, ...] = field(default=())
-    kind: ClassVar[str] = "walker"
+    __slots__ = ("n", "k", "looped", "start")
+    kind = "walker"
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        needed = self.k if self.looped else self.k + 1
-        if self.n < needed:
+    def __init__(self, n: int, k: int, looped: bool = False, start: tuple[int, ...] = ()) -> None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        needed = k if looped else k + 1
+        if n < needed:
             raise ValueError(
-                f"n={self.n} leaves no legal move for k={self.k} "
-                f"{'looped' if self.looped else 'loopless'} walkers"
+                f"n={n} leaves no legal move for k={k} "
+                f"{'looped' if looped else 'loopless'} walkers"
             )
-        if not self.start:
-            object.__setattr__(self, "start", tuple(range(1, self.k + 1)))
-        if len(self.start) != self.k or len(set(self.start)) != self.k:
+        if not start:
+            start = tuple(range(1, k + 1))
+        if len(start) != k or len(set(start)) != k:
             raise ValueError("start must hold k distinct vertices")
-        if min(self.start) < 1 or max(self.start) > self.n:
-            raise ValueError(f"start positions must lie in 1..{self.n}")
+        if min(start) < 1 or max(start) > n:
+            raise ValueError(f"start positions must lie in 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "looped", looped)
+        object.__setattr__(self, "start", start)
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
         import numpy as np
@@ -145,8 +145,7 @@ class AvoidingWalkers:
         return np.array(out, dtype=np.int64).reshape(T, k)
 
 
-@dataclass(frozen=True)
-class StayingInWaves:
+class StayingInWaves(Frozen):
     """Looped-graph transform: freeze every walker for a round with prob 1/n.
 
     The wave indicators for all T rounds are drawn first from the generator,
@@ -154,13 +153,14 @@ class StayingInWaves:
     non-frozen rounds; a frozen round repeats the previous row exactly.
     """
 
-    inner: AvoidingWalkers
-    kind: ClassVar[str] = "walker"
-    looped: ClassVar[bool] = True
+    __slots__ = ("inner",)
+    kind = "walker"
+    looped = True
 
-    def __post_init__(self) -> None:
-        if getattr(self.inner, "kind", None) != "walker" or self.inner.looped:
+    def __init__(self, inner: AvoidingWalkers) -> None:
+        if getattr(inner, "kind", None) != "walker" or inner.looped:
             raise ValueError("inner policy must emit loopless walker rows")
+        object.__setattr__(self, "inner", inner)
 
     @property
     def n(self) -> int:

@@ -20,9 +20,11 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
+
+from ._record import Frozen
 
 __all__ = [
     "BLANK",
@@ -46,34 +48,43 @@ def symbol_text(sym: int) -> str:
     return "B" if sym == BLANK else str(sym)
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Frozen):
     """Immutable word over {B, 1, ..., k}; blanks stored as 0.
 
     Positions are 1-based throughout, matching the time index t = 1..T.
-    The empty word is a valid degenerate value.
+    The empty word is a valid degenerate value.  Two words are equal when
+    their k and symbols are.
     """
 
-    k: int
-    symbols: tuple[int, ...]
+    __slots__ = ("k", "symbols")
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"walker count must be nonnegative, got {self.k}")
-        if self.symbols:
-            if min(self.symbols) < 0 or max(self.symbols) > self.k:
-                bad = next(s for s in self.symbols if not 0 <= s <= self.k)
-                raise ValueError(f"symbol {bad} outside alphabet {{B, 1..{self.k}}}")
+    def __init__(self, k: int, symbols: tuple[int, ...]) -> None:
+        if k < 0:
+            raise ValueError(f"walker count must be nonnegative, got {k}")
+        if symbols:
+            if min(symbols) < 0 or max(symbols) > k:
+                bad = next(s for s in symbols if not 0 <= s <= k)
+                raise ValueError(f"symbol {bad} outside alphabet {{B, 1..{k}}}")
+        _set_k(self, k)
+        _set_symbols(self, symbols)
 
     @classmethod
     def _unchecked(cls, k: int, symbols: tuple[int, ...]) -> Seq:
         """A word whose symbols are known to lie in {B, 1..k}, built without
         the range check: a subsequence of a checked word's symbols, or an
         enumerated word."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "k", k)
-        object.__setattr__(s, "symbols", symbols)
+        s = _new(cls)
+        _set_k(s, k)
+        _set_symbols(s, symbols)
         return s
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k and self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -91,6 +102,12 @@ class Seq:
         if len(shown) > 60:
             shown = shown[:57] + "..."
         return f"Seq(k={self.k}, T={self.T}, '{shown}')"
+
+
+# the slots' own setters, which bypass Frozen.__setattr__
+_new = object.__new__
+_set_k = Seq.k.__set__
+_set_symbols = Seq.symbols.__set__
 
 
 def parse_seq(text: str, k: int) -> Seq:
@@ -133,8 +150,7 @@ def scaled_weight(counts: Iterable[int], n: int) -> int:
     return sum(map(operator.mul, counts, weight_scale(n)[1]))
 
 
-@dataclass(slots=True)
-class PairScan:
+class PairScan(NamedTuple):
     """The weight kernel's result for one word.
 
     ``symbols`` is the word's own symbol tuple.  ``pairs`` holds

@@ -11,9 +11,8 @@ fixed-length windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .sequences import scaled_weight, weight_scale
 from .traces import CouplingTrace
@@ -40,8 +39,7 @@ ALPHA = 1e-3
 MIN_T = 10_000
 
 
-@dataclass(frozen=True)
-class EmpiricalStats:
+class EmpiricalStats(NamedTuple):
     """Finite-horizon estimates of the occupancy and weight quantities.
 
     ``blank_rate`` estimates the asymptotic blank fraction, ``occupancy_rate``
@@ -159,8 +157,7 @@ def gap_law_chisquare(hist: dict[int, int], p: float, min_expected: float = 5.0)
     return stat, _chi2_sf(stat, dof), dof
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     """One statistic: z-scores pass when |statistic| <= threshold, p-values
     pass when statistic >= threshold."""
 
@@ -171,8 +168,7 @@ class TestOutcome:
     passed: bool
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     p: float
     T: int
     outcomes: tuple[TestOutcome, ...]

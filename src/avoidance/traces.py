@@ -9,9 +9,10 @@ in index order within a round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+from ._record import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,20 +31,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CouplingTrace:
-    k: int
-    rows: np.ndarray  # (T, k) of {0, 1}
+class CouplingTrace(Frozen):
+    """``k`` walkers' occupancy ``rows``, a read-only (T, k) uint8 array of {0, 1}."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("k", "rows")
+
+    def __init__(self, k: int, rows: np.ndarray) -> None:
         import numpy as np
 
-        rows = np.ascontiguousarray(self.rows, dtype=np.uint8)
-        if rows.ndim != 2 or rows.shape[1] != self.k:
-            raise ValueError(f"rows must have shape (T, {self.k})")
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
+        if rows.ndim != 2 or rows.shape[1] != k:
+            raise ValueError(f"rows must have shape (T, {k})")
         if rows.size and rows.max() > 1:
             raise ValueError("occupancy entries must be 0 or 1")
         rows.setflags(write=False)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -51,22 +53,24 @@ class CouplingTrace:
         return self.rows.shape[0]
 
 
-@dataclass(frozen=True)
-class WalkerTrace:
-    n: int
-    k: int
-    looped: bool
-    rows: np.ndarray  # (T, k) of vertices in 1..n
+class WalkerTrace(Frozen):
+    """``k`` walkers' positions on ``n`` vertices, with or without loops:
+    ``rows`` is a read-only (T, k) int64 array of vertices in 1..n."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("n", "k", "looped", "rows")
+
+    def __init__(self, n: int, k: int, looped: bool, rows: np.ndarray) -> None:
         import numpy as np
 
-        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != self.k:
-            raise ValueError(f"rows must have shape (T, {self.k})")
-        if rows.size and (rows.min() < 1 or rows.max() > self.n):
-            raise ValueError(f"positions must lie in 1..{self.n}")
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != k:
+            raise ValueError(f"rows must have shape (T, {k})")
+        if rows.size and (rows.min() < 1 or rows.max() > n):
+            raise ValueError(f"positions must lie in 1..{n}")
         rows.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "looped", looped)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -74,8 +78,7 @@ class WalkerTrace:
         return self.rows.shape[0]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One detected avoidance breach, with i < j for two-walker kinds.
 
     kinds: "simultaneous" (both occupy the site at time t), "cross_time"
@@ -95,8 +98,7 @@ class Violation:
 KINDS = ("cross_round", "cross_time", "self_loop", "simultaneous", "within_round")
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     """``counts`` holds the number of violations of each kind that occurs, in
     kind order; ``violations`` the first of them by (t, i, j, kind), as many
     as the check was asked to list."""

@@ -12,21 +12,21 @@ from fractions import Fraction
 import numpy as np
 
 
-def brute_pairs(symbols, k):
+def brute_pairs(symbols):
     """(symbol, t1, t2, b) per neighbor pair, ordered by (symbol, t1)."""
     pairs = []
-    for i in range(1, k + 1):
+    for i in sorted(set(symbols) - {0}):
         occ = [t for t, s in enumerate(symbols, 1) if s == i]
         for t1, t2 in zip(occ, occ[1:]):
             pairs.append((i, t1, t2, len(set(symbols[t1 : t2 - 1]))))
     return pairs
 
 
-def brute_total_weight(symbols, k):
+def brute_total_weight(symbols):
     """(total, blanks, per-symbol outputs) by direct definition scans."""
     total = Fraction(0)
     per = {}
-    for i in range(1, k + 1):
+    for i in sorted(set(symbols) - {0}):
         occ = [t for t, s in enumerate(symbols, 1) if s == i]
         for t1, t2 in zip(occ, occ[1:]):
             b = len(set(symbols[t1 : t2 - 1]))
@@ -36,10 +36,10 @@ def brute_total_weight(symbols, k):
     return total, symbols.count(0), per
 
 
-def brute_redistribution(symbols, k):
+def brute_redistribution(symbols):
     """Per-walker inputs under the 1/(b(b-1)) donation scheme."""
     inp = {}
-    for i in range(1, k + 1):
+    for i in sorted(set(symbols) - {0}):
         occ = [t for t, s in enumerate(symbols, 1) if s == i]
         for t1, t2 in zip(occ, occ[1:]):
             window = symbols[t1 : t2 - 1]
@@ -49,6 +49,12 @@ def brute_redistribution(symbols, k):
             for r in recipients:
                 inp[r] = inp.get(r, Fraction(0)) + Fraction(1, b * (b - 1))
     return inp
+
+
+def brute_reversal(k, w):
+    """sigma on a window or word over {B, 1..k}: reversed, with walker i
+    relabelled k+1-i and every blank kept."""
+    return tuple(0 if s == 0 else k + 1 - s for s in reversed(w))
 
 
 def brute_permissible(symbols):

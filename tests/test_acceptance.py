@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Statistical criteria use fixed seeds; every tolerance is pinned here.
 """
 
-import dataclasses
 import io
 import math
 import time
@@ -118,10 +117,9 @@ def test_criterion_3_certificate_soundness():
                     all_ok = False
     # mutation control: a tampered delta must be rejected
     cert = reduce_certificate(parse_seq(WORKED_EXAMPLE, 3))
-    bad_step = dataclasses.replace(cert.steps[0],
-                                   weight_delta=cert.steps[0].weight_delta + 1)
+    bad_step = cert.steps[0]._replace(weight_delta=cert.steps[0].weight_delta + 1)
     tampered_rejected = not check_certificate(
-        dataclasses.replace(cert, steps=(bad_step,) + cert.steps[1:])
+        cert._replace(steps=(bad_step,) + cert.steps[1:])
     ).ok
     ok = all_ok and tampered_rejected
     criterion(3, "certificates verify on the full corpus; tampering is rejected",

@@ -903,6 +903,36 @@ print(bool(scipy))
     assert proc.stdout == "[]\nTrue\n"
 
 
+# the commands that build arrays, and so import numpy
+ARRAY_COMMANDS = ("simulate", "check-trace", "stats", "lp-build", "lp-scan")
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["no-numpy", "numpy"])
+def test_no_command_loads_dataclasses_or_inspect(cli_inputs, arrays):
+    # the records are NamedTuples and slots classes, so no layer imports
+    # dataclasses, nor with it inspect, ast, dis and tokenize; numpy imports
+    # inspect itself, so the commands that build arrays run with numpy
+    # imported before the package
+    runs = [argv for argv, _ in EXECUTED_LAYERS[1:] if (argv[0] in ARRAY_COMMANDS) == arrays]
+    code = f"""
+import io, sys
+from contextlib import redirect_stdout
+{"import numpy" if arrays else ""}
+before = set(sys.modules)
+import avoidance.cli
+for argv in {runs!r}:
+    with redirect_stdout(io.StringIO()):
+        code = avoidance.cli.main(argv)
+    print(code, sorted({{"dataclasses", "inspect"}} & (set(sys.modules) - before)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cli_inputs,
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n" * len(runs)
+
+
 @pytest.mark.parametrize(
     "patch",
     [

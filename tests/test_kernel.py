@@ -1,7 +1,6 @@
 """Differential tests of the weight kernel and the lemma layer built on it,
 against the brute-force definitions in oracles.py."""
 
-import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -38,6 +37,7 @@ from oracles import (
     brute_pairs,
     brute_permissible,
     brute_redistribution,
+    brute_reversal,
     brute_total_weight,
     full_chain_sweep,
     literal_local_step,
@@ -78,36 +78,39 @@ def shifted(s, k=BIG_K):
     return Seq(k, tuple(BLANK if x == BLANK else x + k - s.k for x in s.symbols))
 
 
-def relabelled(pairs, s, k=BIG_K):
-    """Pair records of ``s`` with their symbols relabelled as ``shifted`` does."""
-    return [(i + k - s.k, t1, t2, b) for i, t1, t2, b in pairs]
+def big_words(s):
+    """``shifted(s)``, over a million walkers, and its sigma image, whose
+    walkers are relabelled back to 1..s.k in reverse order."""
+    big = shifted(s)
+    return big, Seq(BIG_K, brute_reversal(BIG_K, big.symbols))
 
 
 @given(words_st())
 def test_kernel_pairs_match_definition(s):
     scan = pair_scan(s)
-    want = brute_pairs(list(s.symbols), s.k)
-    assert scan.pairs == want
+    assert scan.pairs == brute_pairs(list(s.symbols))
     assert scan.symbols is s.symbols
-    # relabelling near a million walkers moves the symbols and keeps every b
-    assert pair_scan(shifted(s)).pairs == relabelled(want, s)
+    # over a million walkers, against the definition itself
+    for big in big_words(s):
+        assert pair_scan(big).pairs == brute_pairs(list(big.symbols))
 
 
 @given(words_st())
 def test_kernel_counts_outputs_and_totals_match_definition(s):
-    scan = pair_scan(s)
-    # b <= min(k, T - 2), the bound the weight unit is sized by
-    assert scan.max_b == max(min(s.k, s.T - 2), 0)
-    assert all(b <= scan.max_b for *_, b in scan.pairs)
+    for w in (s, *big_words(s)):
+        scan = pair_scan(w)
+        # b <= min(k, T - 2), the bound the weight unit is sized by
+        assert scan.max_b == max(min(w.k, w.T - 2), 0)
+        assert all(b <= scan.max_b for *_, b in scan.pairs)
 
-    total, blanks, per = brute_total_weight(list(s.symbols), s.k)
-    den = scan.denominator
-    assert scan.total == total
-    assert Fraction(scan.scaled_total, den) == total
-    assert {i: Fraction(w, den) for i, w in scan.scaled_outputs().items()} == per
-    assert list(scan.scaled_outputs()) == sorted(per)
-    assert scan.outputs() == per
-    assert blank_count(s) == blanks
+        total, blanks, per = brute_total_weight(list(w.symbols))
+        den = scan.denominator
+        assert scan.total == total
+        assert Fraction(scan.scaled_total, den) == total
+        assert {i: Fraction(v, den) for i, v in scan.scaled_outputs().items()} == per
+        assert list(scan.scaled_outputs()) == sorted(per)
+        assert scan.outputs() == per
+        assert blank_count(w) == blanks
 
 
 @given(words_st(), st.integers(0, 3))
@@ -118,7 +121,7 @@ def test_total_only_pass_matches_kernel_and_definition(s, extra):
     den = weight_scale(n)[0]
     scaled = scaled_total_weight(s, n)
     assert scaled == scan.scaled_total * (den // scan.denominator)
-    assert Fraction(scaled, den) == brute_total_weight(list(s.symbols), s.k)[0]
+    assert Fraction(scaled, den) == brute_total_weight(list(s.symbols))[0]
 
 
 def test_scan_rows_are_sized_by_the_word():
@@ -149,7 +152,7 @@ def test_scan_over_a_million_walkers_is_sized_by_the_word():
     assert big.denominator == math.lcm(*range(1, s.T - 1))  # b <= T - 2 = 13
     assert big.total == small.total
     assert big.outputs() == {i + BIG_K - 3: w for i, w in small.outputs().items()}
-    assert big.pairs == relabelled(small.pairs, s)
+    assert big.pairs == brute_pairs(list(shifted(s).symbols))
 
 
 @pytest.mark.parametrize("text", ["1 2 B 1 2", "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"])
@@ -159,7 +162,7 @@ def test_certificate_with_victims_near_a_million_walkers(text):
     victims = [st.arg for st in big.steps if st.rule == DELETE_VICTIM_SYMBOL]
     assert victims and min(victims) > BIG_K - 3
     assert big.steps == tuple(
-        dataclasses.replace(st, arg=st.arg + BIG_K - 3) if st.rule == DELETE_VICTIM_SYMBOL else st
+        st._replace(arg=st.arg + BIG_K - 3) if st.rule == DELETE_VICTIM_SYMBOL else st
         for st in cert.steps
     )
     assert check_certificate(big).ok
@@ -175,23 +178,23 @@ def test_redistribution_inputs_match_definition(s):
         scan = pair_scan(before)
         den = scan.denominator
         received = {j: Fraction(v, den) for j, v in redistribution(scan).items()}
-        assert received == brute_redistribution(symbols, s.k)
-        _, _, per = brute_total_weight(symbols, s.k)
+        assert received == brute_redistribution(symbols)
+        _, _, per = brute_total_weight(symbols)
         assert {j: Fraction(v, den) for j, v in scan.scaled_outputs().items()} == per
 
 
 @given(permissible_words_st())
 @settings(max_examples=60, deadline=None)
 def test_redistribution_of_a_shifted_word_matches_definition(s):
-    # the between symbols are read from the word, so symbols near a million
-    # receive what the definition gives their unshifted labels
+    # the between symbols are read from the word, so a word over a million
+    # walkers, or its sigma image, receives what the definition gives it
     for before, step, _ in replay_certificate(reduce_certificate(s)):
         if step.rule != DELETE_VICTIM_SYMBOL:
             continue
-        scan = pair_scan(shifted(before))
-        received = {j: Fraction(v, scan.denominator) for j, v in redistribution(scan).items()}
-        want = brute_redistribution(list(before.symbols), s.k)
-        assert received == {j + BIG_K - s.k: w for j, w in want.items()}
+        for big in big_words(before):
+            scan = pair_scan(big)
+            received = {j: Fraction(v, scan.denominator) for j, v in redistribution(scan).items()}
+            assert received == brute_redistribution(list(big.symbols))
 
 
 @given(permissible_words_st())
@@ -199,8 +202,8 @@ def test_redistribution_of_a_shifted_word_matches_definition(s):
 def test_step_deltas_match_definition(s):
     assert brute_permissible(list(s.symbols))
     for before, step, after in replay_certificate(reduce_certificate(s)):
-        w_before, b_before, _ = brute_total_weight(list(before.symbols), s.k)
-        w_after, b_after, _ = brute_total_weight(list(after.symbols), s.k)
+        w_before, b_before, _ = brute_total_weight(list(before.symbols))
+        w_after, b_after, _ = brute_total_weight(list(after.symbols))
         assert step.weight_delta == w_after - w_before
         assert step.blank_delta == b_after - b_before
 
@@ -242,7 +245,7 @@ def test_carried_state_matches_definition(s):
         return
     T = len(s)
     (word, weight, blanks, local), = lemma._carried_words(s.k, T, s.symbols)
-    total, want_blanks, _ = brute_total_weight(list(s.symbols), s.k)
+    total, want_blanks, _ = brute_total_weight(list(s.symbols))
     assert word == s.symbols
     assert Fraction(weight, weight_scale(lemma._max_b(s.k, T))[0]) == total
     assert blanks == want_blanks
@@ -294,13 +297,64 @@ def test_sweep_reports_exactly_the_words_whose_step_fails(monkeypatch, pool_at_a
     def tampered(s, local):
         step = real(s, local)
         if sum(s.symbols) % 4 == 1:
-            return dataclasses.replace(step, weight_delta=step.weight_delta + Fraction(1, 2))
+            return step._replace(weight_delta=step.weight_delta + Fraction(1, 2))
         return step
 
     monkeypatch.setattr(lemma, "_pick_step", tampered)
     expected = tuple(Seq(2, w).text() for w in permissible_words(2, 6) if sum(w) % 4 == 1)
     assert expected
     assert verify_lemma_exhaustive(2, 6, jobs=jobs).counterexamples == expected
+
+
+@given(permissible_words_st())
+@settings(max_examples=200, deadline=None)
+def test_reversal_is_an_involution_keeping_permissibility_blanks_and_weight(s):
+    image = brute_reversal(s.k, s.symbols)
+    assert brute_reversal(s.k, image) == s.symbols
+    assert brute_permissible(image) and len(image) == len(s.symbols)
+    assert blank_count(Seq(s.k, image)) == blank_count(s)
+    assert brute_total_weight(list(image))[0] == brute_total_weight(list(s.symbols))[0]
+    # the sweep's canonical test, decided from both ends, is the literal comparison
+    assert lemma._is_canonical(s.symbols, s.k) == (s.symbols <= image)
+
+
+@pytest.mark.parametrize("k, max_len", [(1, 10), (2, 8), (3, 6), (4, 5)])
+def test_checked_words_and_their_images_are_every_word(monkeypatch, k, max_len):
+    checked = []
+    real = lemma._check_step
+
+    def spy(before, *args):
+        checked.append(before.symbols)
+        return real(before, *args)
+
+    monkeypatch.setattr(lemma, "_check_step", spy)
+    assert verify_lemma_exhaustive(k, max_len).ok
+    assert len(set(checked)) == len(checked)
+    assert all(w <= brute_reversal(k, w) for w in checked)
+    # the lone blank is terminal, with no step to check, and its own image
+    covered = {*checked, *(brute_reversal(k, w) for w in checked), (BLANK,)}
+    assert covered == set(permissible_words(k, max_len))
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_steps_failing_only_on_non_canonical_words_are_not_counterexamples(
+    monkeypatch, pool_at_any_size, jobs
+):
+    # a non-canonical word holds the inequality because its sigma image's
+    # step checks, so its own step is never checked
+    real = lemma._pick_step
+
+    def tampered(s, local):
+        step = real(s, local)
+        if s.symbols > brute_reversal(s.k, s.symbols):
+            return step._replace(weight_delta=step.weight_delta + Fraction(1, 2))
+        return step
+
+    monkeypatch.setattr(lemma, "_pick_step", tampered)
+    # the tampered steps fail wherever they are checked
+    assert lemma._verify_words(2, 6, (), True)[1]
+    report = verify_lemma_exhaustive(2, 6, jobs=jobs)
+    assert report.ok and report.counterexamples == ()
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])

@@ -25,6 +25,7 @@ from avoidance.lp import (
 )
 
 from oracles import (
+    brute_reversal,
     brute_window_lp,
     full_phase_one_system,
     marginalize_witness,
@@ -237,11 +238,6 @@ def test_solve_matches_two_step_solve(k, m, p):
     if res.status == "feasible":
         assert res.witness.shape == (lp.num_vars,)
         assert witness_residual(ref, res.witness) <= res.tol
-
-
-def brute_reversal(k, w):
-    """sigma on a window or word: reversed, with walker i relabelled k+1-i."""
-    return tuple(0 if s == 0 else k + 1 - s for s in reversed(w))
 
 
 def brute_row_reversal(k, label):

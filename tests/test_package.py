@@ -3,6 +3,7 @@ first use: each check starts a fresh interpreter, where no layer has run."""
 
 import importlib
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -77,3 +78,85 @@ def test_pyproject_version_is_the_package_version():
     text = (ROOT / "pyproject.toml").read_text()
     version = re.search(r'^version\s*=\s*"([^"]+)"', text, re.M).group(1)
     assert version == avoidance.__version__
+
+
+RECORD_NAMES = [
+    "Seq", "PairScan", "ReductionStep", "ReductionCertificate", "CheckResult",
+    "ExhaustiveReport", "WalkerBound", "WindowLP", "FeasibilityResult", "ScanEntry",
+    "ScanReport", "EmpiricalStats", "TestOutcome", "TestReport", "CouplingTrace",
+    "WalkerTrace", "Violation", "ViolationReport", "RoundRobin", "IndependentSites",
+    "AvoidingWalkers", "StayingInWaves",
+]
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each public record class, by class name."""
+    from fractions import Fraction
+
+    import numpy as np
+
+    from avoidance import bounds, lemma, lp, policies, sequences, stats, traces
+
+    word = sequences.Seq(2, (1, 0, 1, 2))
+    cert = lemma.reduce_certificate(word)
+    inst = lp.build_window_lp(1, Fraction(1, 2), 2)
+    scan = lp.scan_p(1, 2, ["1/2"])
+    outcome = stats.TestOutcome("frequency", 1, 0.5, 4.0, True)
+    violation = traces.Violation("simultaneous", 1, 1, 2)
+    walkers = policies.AvoidingWalkers(4, 2)
+    return {
+        "Seq": word,
+        "PairScan": sequences.pair_scan(word),
+        "ReductionStep": cert.steps[0],
+        "ReductionCertificate": cert,
+        "CheckResult": lemma.check_certificate(cert),
+        "ExhaustiveReport": lemma.verify_lemma_exhaustive(1, 2),
+        "WalkerBound": bounds.max_walkers(10),
+        "WindowLP": inst,
+        "FeasibilityResult": lp.solve_feasibility(inst),
+        "ScanEntry": scan.entries[0],
+        "ScanReport": scan,
+        "EmpiricalStats": stats.empirical_stats(np.array([1, 0, 1]), 0.5, 1),
+        "TestOutcome": outcome,
+        "TestReport": stats.TestReport(0.5, 10, (outcome,), True),
+        "CouplingTrace": traces.CouplingTrace(1, np.array([[1], [0]])),
+        "WalkerTrace": traces.WalkerTrace(4, 1, False, np.array([[1], [2]])),
+        "Violation": violation,
+        "ViolationReport": traces.ViolationReport({"simultaneous": 1}, (violation,), 1),
+        "RoundRobin": policies.RoundRobin(2),
+        "IndependentSites": policies.IndependentSites(1, 0.5),
+        "AvoidingWalkers": walkers,
+        "StayingInWaves": policies.StayingInWaves(walkers),
+    }
+
+
+def test_record_names_are_every_public_class():
+    modules = [importlib.import_module(f"avoidance.{layer}") for layer in avoidance._LAYERS]
+    public = [name for m in modules for name in m.__all__ if isinstance(getattr(m, name), type)]
+    assert sorted(public) == sorted(RECORD_NAMES)
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_records_refuse_attribute_assignment(records, name):
+    record = records[name]
+    assert type(record).__name__ == name
+    field = (getattr(record, "_fields", None) or record.__slots__)[0]
+    before = getattr(record, field)
+    for attr in (field, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("name", ["Seq", "WindowLP", "CouplingTrace", "AvoidingWalkers", "StayingInWaves"])
+def test_validating_records_pickle_without_revalidating(records, name):
+    record = records[name]
+    data = pickle.dumps(record)
+    copy = pickle.loads(data)
+    assert type(copy) is type(record)
+    assert pickle.dumps(copy) == data
+    with pytest.raises(AttributeError):
+        copy.no_such_field = 0

@@ -135,7 +135,7 @@ def test_blank_count(tokens, k, expected):
 @given(seqs())
 def test_totals_match_brute_force(s):
     scan = pair_scan(s)
-    total, blanks, per = brute_total_weight(list(s.symbols), s.k)
+    total, blanks, per = brute_total_weight(list(s.symbols))
     assert scan.total == total
     assert blank_count(s) == blanks
     assert scan.outputs() == per
@@ -188,5 +188,5 @@ def test_inequality_on_permissible_corpus():
         for word in itertools.product(range(3), repeat=length):
             if not brute_permissible(list(word)):
                 continue
-            total, blanks, _ = brute_total_weight(list(word), 2)
+            total, blanks, _ = brute_total_weight(list(word))
             assert total <= blanks

@@ -168,7 +168,7 @@ def test_array_pairs_match_pair_scan_and_brute_force(case):
     got = list(zip(*(a.tolist() for a in _array_pairs(x, k))))
     scan = pair_scan(Seq(k, tuple(x.tolist())))
     assert got == scan.pairs
-    assert got == brute_pairs(x.tolist(), k)
+    assert got == brute_pairs(x.tolist())
 
 
 @settings(max_examples=200, deadline=None)
