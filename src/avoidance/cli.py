@@ -235,7 +235,7 @@ def cmd_maxp(ns) -> int:
     if ns.tol is None:  # resolved here, not at parse time, so parsing runs no layer
         ns.tol = bounds.DEFAULT_TOL
     p_star = bounds.max_p(ns.k, ns.tol)
-    residual = abs(bounds.feasible_pressure(p_star) - 1.0 / ns.k) if ns.k >= 1 else None
+    residual = abs(bounds.feasible_pressure(p_star) - 1.0 / ns.k)
     body = {"k": ns.k, "value": p_star, "residual": residual, "tol": ns.tol}
     _emit(ns, body, [repr(p_star)])
     return 0
@@ -320,7 +320,7 @@ def cmd_stats(ns) -> int:
         body["encodable"] = False
         lines.append("encodable false")
     if symbols is not None:
-        est = stats.empirical_stats(symbols, ns.p, trace.k)
+        est = stats.empirical_stats(symbols, trace.k)
         body.update(
             {
                 "encodable": True,

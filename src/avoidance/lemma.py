@@ -535,43 +535,44 @@ def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = (), every: boo
 def _shards(k: int, max_len: int, jobs: int) -> list[tuple[int, int, tuple[int, ...]]]:
     """Partition the words into shards: one per permissible prefix of length
     d, each covering that prefix's subtree, plus one for the words shorter
-    than d.  d is the least depth giving SHARDS_PER_JOB shards per job."""
-    for depth in range(1, max_len + 1):
-        prefixes = [w for w in permissible_words(k, depth) if len(w) == depth]
-        if len(prefixes) >= SHARDS_PER_JOB * jobs:
-            break
-    shards = [(k, max_len, p) for p in prefixes]
+    than d.  d is the least length with SHARDS_PER_JOB words per job
+    (``_word_counts``), else ``max_len``."""
+    counts = _word_counts(k, max_len)
+    depth = next((d for d, c in counts.items() if c >= SHARDS_PER_JOB * jobs), max_len)
+    shards = [(k, max_len, w) for w in permissible_words(k, depth) if len(w) == depth]
     if depth > 1:
         shards.insert(0, (k, depth - 1, ()))
     return shards
 
 
 def _word_counts(k: int, max_len: int) -> dict[int, int]:
-    """The number of permissible words of each length 1..max_len, by the
-    recurrence over the last symbol: a blank may follow anything, and walker
-    j may follow a blank or a walker <= j."""
-    ends = [1] * (k + 1)  # words of the current length ending in each symbol
-    counts = {1: k + 1}
-    for length in range(2, max_len + 1):
-        total = sum(ends)
-        run = ends[0]
-        for j in range(1, k + 1):
-            run += ends[j]
-            ends[j] = run
-        ends[0] = total
-        counts[length] = sum(ends)
+    """The number of permissible words of each length 1..max_len, up to the
+    first length with more than ``ENUMERATION_BUDGET``: no longer length has
+    fewer, as appending a blank is injective.  Lengths 1 and 2 are closed
+    forms, so a huge k stops before the per-symbol table of the recurrence
+    over the last symbol: a blank may follow anything, and walker j may
+    follow a blank or a walker <= j."""
+
+    def by_length():
+        yield k + 1
+        yield (k + 1) * (k + 2) // 2 + k  # (k+1)^2 less the k(k-1)/2 decreasing pairs
+        # words of length 2 ending in each symbol: any symbol then B; B or 1..j then j
+        ends = [k + 1, *range(2, k + 2)]
+        while True:
+            total = sum(ends)
+            run = ends[0]
+            for j in range(1, k + 1):
+                run += ends[j]
+                ends[j] = run
+            ends[0] = total
+            yield sum(ends)
+
+    counts = {}
+    for length, count in zip(range(1, max_len + 1), by_length()):
+        counts[length] = count
+        if count > ENUMERATION_BUDGET:
+            break
     return counts
-
-
-def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
-    """Whether base^exponent > limit, for base >= 2, without computing the
-    power: the product passes any limit within limit.bit_length() factors."""
-    value = 1
-    for _ in range(exponent):
-        value *= base
-        if value > limit:
-            return True
-    return False
 
 
 def _sweep(k: int, max_len: int, workers: int, every: bool) -> list:
@@ -621,22 +622,23 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     whose own step fails; since ``reduce_step`` is deterministic, every
     word's certificate checks exactly when every word's first step does.
 
-    Raises when the raw word count (k+1)^max_len exceeds the enumeration
-    budget.  A sweep of at least ``POOL_MIN_WORDS`` words spreads prefix
-    shards (see ``_shards``) over up to ``jobs`` processes, at most one per
-    usable CPU, and one per usable CPU when ``jobs`` is None; a smaller one
-    runs here.  The report is the same at every ``jobs``; counterexamples
-    are listed in enumeration order.
+    Raises when some length has more than ``ENUMERATION_BUDGET`` words, by
+    the exact ``_word_counts``.  A sweep of at least ``POOL_MIN_WORDS``
+    words spreads prefix shards (see ``_shards``) over up to ``jobs``
+    processes, at most one per usable CPU, and one per usable CPU when
+    ``jobs`` is None; a smaller one runs here.  The report is the same at
+    every ``jobs``; counterexamples are listed in enumeration order.
     """
     if k < 1 or max_len < 1:
         raise ValueError("need k >= 1 and max_len >= 1")
     if jobs is not None and jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    if _power_exceeds(k + 1, max_len, ENUMERATION_BUDGET):
-        raise ValueError(
-            f"(k+1)^max_len = {k + 1}^{max_len} words exceed the budget {ENUMERATION_BUDGET}"
-        )
     expected = _word_counts(k, max_len)
+    longest, count = max(expected.items())
+    if count > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"{count} permissible words of length {longest} exceed the budget {ENUMERATION_BUDGET}"
+        )
     # the CPUs this process may use: its affinity mask, where the OS has one
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) or 1
     workers = min(jobs or cpus, cpus) if sum(expected.values()) >= POOL_MIN_WORDS else 1

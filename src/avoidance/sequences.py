@@ -18,8 +18,6 @@ rationals are built only where a result leaves the kernel.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,7 +34,6 @@ __all__ = [
     "pair_scan",
     "scaled_total_weight",
     "weight_scale",
-    "scaled_weight",
     "blank_count",
 ]
 
@@ -143,11 +140,6 @@ def weight_scale(n: int) -> tuple[int, tuple[int, ...]]:
     weight 1/b times it for b = 0..n, with 0 for b = 0."""
     den = math.lcm(*range(1, n + 1))
     return den, (0,) + tuple(den // b for b in range(1, n + 1))
-
-
-def scaled_weight(counts: Iterable[int], n: int) -> int:
-    """The summed weight of ``counts[b]`` pairs for b = 0..n, times lcm(1..n)."""
-    return sum(map(operator.mul, counts, weight_scale(n)[1]))
 
 
 class PairScan(NamedTuple):

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .sequences import scaled_weight, weight_scale
+from .sequences import weight_scale
 from .traces import CouplingTrace
 
 if TYPE_CHECKING:
@@ -60,8 +60,8 @@ class EmpiricalStats(NamedTuple):
     weight_rate_total: Fraction
 
 
-def empirical_stats(symbols: np.ndarray, p: float, k: int) -> EmpiricalStats:
-    """Compute the estimators for a symbol sequence claiming parameter p.
+def empirical_stats(symbols: np.ndarray, k: int) -> EmpiricalStats:
+    """Compute the estimators for a symbol sequence over {B, 1..k}.
 
     ``symbols`` is a 1-d integer array over 0..k (0 the blank), such as
     ``traces.symbol_array`` returns.
@@ -79,7 +79,7 @@ def empirical_stats(symbols: np.ndarray, p: float, k: int) -> EmpiricalStats:
     sym, t1, t2, b = _array_pairs(x, k)
     blanks = T - int(np.count_nonzero(x))
     max_b = int(b.max()) if b.size else 0
-    den = weight_scale(max_b)[0]
+    den, scale = weight_scale(max_b)
     gap_hist: dict[int, dict[int, int]] = {}
     weight_rate: dict[int, Fraction] = {}
     scaled_total = 0
@@ -88,7 +88,7 @@ def empirical_stats(symbols: np.ndarray, p: float, k: int) -> EmpiricalStats:
         mine = slice(ends[i - 1], ends[i])
         gaps = np.bincount(t2[mine] - t1[mine])
         gap_hist[i] = {int(g): int(gaps[g]) for g in np.flatnonzero(gaps)}
-        scaled = scaled_weight(np.bincount(b[mine]).tolist(), max_b)
+        scaled = sum(c * w for c, w in zip(np.bincount(b[mine]).tolist(), scale))
         weight_rate[i] = Fraction(scaled, den) / T
         scaled_total += scaled
     return EmpiricalStats(

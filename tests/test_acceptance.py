@@ -147,7 +147,7 @@ def test_criterion_5_simulator_statistics():
     p, T, seed = 0.3, 10**6, 2024
     start = time.perf_counter()
     trace = simulate(IndependentSites(1, p), T, seed)
-    est = empirical_stats(symbol_array(trace), p, 1)
+    est = empirical_stats(symbol_array(trace), 1)
     _, pvalue, _ = gap_law_chisquare(est.gap_histogram[1], p)
     elapsed = time.perf_counter() - start
     sigma = math.sqrt(p * (1 - p) / T)

@@ -28,7 +28,6 @@ from avoidance.sequences import (
     pair_scan,
     parse_seq,
     scaled_total_weight,
-    scaled_weight,
     weight_scale,
 )
 
@@ -140,9 +139,6 @@ def test_scan_rows_are_sized_by_the_word():
 def test_weight_scale_is_the_unit_and_the_scaled_weights():
     assert weight_scale(0) == (1, (0,))
     assert weight_scale(4) == (12, (0, 12, 6, 4, 3))
-    # one adjacent pair, one pair at each b = 1..3, two at b = 4, over lcm(1..4)
-    assert scaled_weight([1, 1, 1, 1, 2], 4) == 12 + 6 + 4 + 2 * 3
-    assert scaled_weight([], 4) == 0
 
 
 def test_scan_over_a_million_walkers_is_sized_by_the_word():

@@ -513,3 +513,58 @@ def test_exhaustive_budget():
     with pytest.raises(ValueError):
         verify_lemma_exhaustive(9, 30)
     assert 10**30 > ENUMERATION_BUDGET
+
+
+def words_of_length(k, length):
+    return sum(1 for w in permissible_words(k, length) if len(w) == length)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 44, 1000])
+def test_first_length_over_the_budget_is_refused_with_its_exact_count(monkeypatch, k):
+    # k=44 is refused at length 2 and k=1000 at length 1, by the closed forms
+    monkeypatch.setattr(lemma, "ENUMERATION_BUDGET", 1_000)
+    length = 1
+    while (count := words_of_length(k, length)) <= 1_000:
+        length += 1
+    message = f"^{count} permissible words of length {length} exceed the budget 1000$"
+    for max_len in (length, length + 1, 10**9):
+        with pytest.raises(ValueError, match=message):
+            verify_lemma_exhaustive(k, max_len)
+    if length > 1:
+        report = verify_lemma_exhaustive(k, length - 1)
+        assert report.ok
+        assert report.by_length[length - 1] == words_of_length(k, length - 1)
+
+
+@given(st.integers(1, 30), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_every_length_the_raw_power_allowed_is_accepted(k, max_len):
+    # the refusal, the pool choice and the completeness check run on the
+    # exact counts; the sweep itself is stood in for by those counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lemma, "_sweep", lambda k, max_len, workers, every: [
+            (lemma._word_counts(k, max_len), [])
+        ])
+        try:
+            report = verify_lemma_exhaustive(k, max_len)
+        except ValueError as exc:
+            assert (k + 1) ** max_len > ENUMERATION_BUDGET
+            assert "exceed the budget" in str(exc)
+        else:
+            assert max(report.by_length.values()) <= ENUMERATION_BUDGET
+    counts = lemma._word_counts(k, max_len)
+    assert all(c <= (k + 1) ** length for length, c in counts.items())
+    assert list(counts.values()) == sorted(counts.values())
+
+
+@pytest.mark.parametrize(
+    "k, max_len, jobs", [(1, 7, 2), (2, 6, 2), (3, 5, 3), (2, 3, 2), (4, 6, 1), (1, 4, 8)]
+)
+def test_shard_depth_is_the_least_length_with_enough_words(k, max_len, jobs):
+    # (2, 3, 2) reaches 16 words at length 3; (1, 4, 8) never reaches 64
+    counts = lemma._word_counts(k, max_len)
+    shards = lemma._shards(k, max_len, jobs)
+    (depth,) = {len(prefix) for _, _, prefix in shards if prefix}
+    want = lemma.SHARDS_PER_JOB * jobs
+    assert depth == min((d for d, c in counts.items() if c >= want), default=max_len)
+    assert len(shards) - (depth > 1) == counts[depth]

@@ -1,6 +1,7 @@
 """The package's public names, which resolve from layer modules that run on
 first use: each check starts a fresh interpreter, where no layer has run."""
 
+import ast
 import importlib
 import os
 import pickle
@@ -117,7 +118,7 @@ def records():
         "FeasibilityResult": lp.solve_feasibility(inst),
         "ScanEntry": scan.entries[0],
         "ScanReport": scan,
-        "EmpiricalStats": stats.empirical_stats(np.array([1, 0, 1]), 0.5, 1),
+        "EmpiricalStats": stats.empirical_stats(np.array([1, 0, 1]), 1),
         "TestOutcome": outcome,
         "TestReport": stats.TestReport(0.5, 10, (outcome,), True),
         "CouplingTrace": traces.CouplingTrace(1, np.array([[1], [0]])),
@@ -160,3 +161,55 @@ def test_validating_records_pickle_without_revalidating(records, name):
     assert pickle.dumps(copy) == data
     with pytest.raises(AttributeError):
         copy.no_such_field = 0
+
+
+SOURCES = sorted((ROOT / "src" / "avoidance").glob("*.py"))
+
+# parameters a protocol fixes but the implementation has no use for
+UNREAD_BY_PROTOCOL = {"RoundRobin.generate": {"rng"}, "Frozen.__setattr__": {"value"}}
+
+
+def unread_parameters(tree):
+    """(qualified name, parameter) for every parameter its function never reads."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                a = child.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                read = {
+                    n.id
+                    for stmt in child.body
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                found.extend((name, p.arg) for p in params if p is not None and p.arg not in read)
+                visit(child, f"{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_parameter_is_read():
+    # and each allow-listed parameter still exists, still unread
+    unread = {u for path in SOURCES for u in unread_parameters(ast.parse(path.read_text()))}
+    assert unread == {(f, p) for f, ps in UNREAD_BY_PROTOCOL.items() for p in ps}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(bound - used) == []

@@ -24,7 +24,7 @@ FAITHFUL_SYMBOLS = symbol_array(FAITHFUL)
 
 def test_empirical_stats_small_exact():
     # the word "1 B 1 B B 1"
-    est = empirical_stats(np.array([1, 0, 1, 0, 0, 1]), 0.5, 1)
+    est = empirical_stats(np.array([1, 0, 1, 0, 0, 1]), 1)
     assert est.blanks == 3
     assert est.blank_rate == Fraction(1, 2)
     assert est.occupancy_rate == Fraction(1, 2)
@@ -34,17 +34,17 @@ def test_empirical_stats_small_exact():
 
 
 def test_weight_rate_times_T_is_total_weight():
-    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 1)
     assert est.weight_rate_total * est.T == pair_scan(trace_word(FAITHFUL)).total
 
 
 def test_blank_rate_dominates_weight_rate():
-    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 1)
     assert est.blank_rate >= est.weight_rate_total
 
 
 def test_faithful_k1_rates():
-    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 1)
     p = 0.3
     sigma = math.sqrt(p * (1 - p) / est.T)
     assert abs(float(est.blank_rate) - 0.7) < 3 * sigma
@@ -58,19 +58,19 @@ def test_weight_rate_dominates_series_partial_sums():
     # finite-T form of the asymptotic lower bound on the per-walker weight rate
     from avoidance.bounds import taylor_partial
 
-    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 1)
     assert float(est.weight_rate[1]) >= taylor_partial(0.3, 10**4) - 0.005
 
 
 def test_gap_law_chisquare_accepts_faithful():
-    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 1)
     stat, pvalue, dof = gap_law_chisquare(est.gap_histogram[1], 0.3)
     assert dof >= 5
     assert pvalue > 1e-3
 
 
 def test_gap_law_chisquare_rejects_wrong_p():
-    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 1)
     _, pvalue, _ = gap_law_chisquare(est.gap_histogram[1], 0.5)
     assert pvalue < 1e-6
 
@@ -84,7 +84,7 @@ def test_empirical_stats_k_mismatch():
     # a two-walker trace's symbols read as if it had one walker
     symbols = symbol_array(simulate(RoundRobin(2), 100, seed=0))
     with pytest.raises(ValueError, match=r"symbols must lie in 0\.\.1"):
-        empirical_stats(symbols, 0.3, 1)
+        empirical_stats(symbols, 1)
 
 
 def test_faithfulness_accepts_genuine_source():
@@ -177,7 +177,7 @@ def test_empirical_stats_of_an_array_equal_those_of_the_word(case):
     # the rates times T are the word's blank count and exact weights
     k, x = case
     assume(x.size)
-    est = empirical_stats(x, 0.3, k)
+    est = empirical_stats(x, k)
     word = Seq(k, tuple(x.tolist()))
     scan = pair_scan(word)
     assert est.blanks == blank_count(word)
@@ -190,8 +190,8 @@ def test_empirical_stats_of_an_array_equal_those_of_the_word(case):
 
 def test_empirical_stats_of_the_trace_symbols():
     # a word's symbol tuple gives the same stats as the trace's array
-    est = empirical_stats(FAITHFUL_SYMBOLS, 0.3, 1)
-    assert est == empirical_stats(trace_word(FAITHFUL).symbols, 0.3, 1)
+    est = empirical_stats(FAITHFUL_SYMBOLS, 1)
+    assert est == empirical_stats(trace_word(FAITHFUL).symbols, 1)
 
 
 @pytest.mark.parametrize(
@@ -206,7 +206,7 @@ def test_empirical_stats_of_the_trace_symbols():
 )
 def test_empirical_stats_rejects_bad_arrays(x, k, message):
     with pytest.raises(ValueError, match=message):
-        empirical_stats(x, 0.3, k)
+        empirical_stats(x, k)
 
 
 # chi-square tails on a grid of degrees of freedom 1..255 and x in [0, 6 dof]
