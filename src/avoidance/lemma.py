@@ -617,10 +617,12 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     relabelled one, so it keeps every b, the total weight and the blank
     count.  And sigma is an involution, so each non-canonical word is the
     image of a canonical word of its length, whose check proves the
-    inequality for both.  When a canonical step fails, the sweep is run
-    again checking every word, so the counterexamples are exactly the words
-    whose own step fails; since ``reduce_step`` is deterministic, every
-    word's certificate checks exactly when every word's first step does.
+    inequality for both.  So an ``ok`` report certifies that every canonical
+    word's step checks, which proves the inequality for every word up to
+    ``max_len``; a non-canonical word's own step is never checked.  When a
+    canonical step fails, the sweep is run again checking every word, and
+    only then are the counterexamples exact: every word whose own step
+    fails.
 
     Raises when some length has more than ``ENUMERATION_BUDGET`` words, by
     the exact ``_word_counts``.  A sweep of at least ``POOL_MIN_WORDS``

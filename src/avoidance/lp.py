@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._record import Frozen
 from .sequences import symbol_text
 
 if TYPE_CHECKING:
@@ -65,7 +64,7 @@ def _window_text(w: tuple[int, ...]) -> str:
     return "".join(symbol_text(s) for s in w) if w else "-"
 
 
-class WindowLP(Frozen):
+class WindowLP(NamedTuple):
     """Equality system A q = b over window frequencies q >= 0.
 
     Rows: one normalization row, one shift-consistency row per length m-1
@@ -77,32 +76,21 @@ class WindowLP(Frozen):
     A is held in compressed-column form: column c's entries are
     ``row_ind[col_ptr[c]:col_ptr[c + 1]]`` (increasing) with coefficients
     ``coef`` at the same positions.  ``A`` is the same matrix as a scipy CSR
-    matrix, built on first access for callers outside the package; the
+    matrix, built anew on each access for callers outside the package; the
     package itself reads only the column arrays.
     """
 
-    __slots__ = (
-        "k", "p", "m", "windows", "col_ptr", "row_ind", "coef", "b", "b_exact",
-        "row_labels", "zero_vars", "_A",
-    )
-
-    def __init__(
-        self,
-        k: int,
-        p: Fraction,
-        m: int,
-        windows: tuple[tuple[int, ...], ...],
-        col_ptr: np.ndarray,
-        row_ind: np.ndarray,
-        coef: np.ndarray,
-        b: np.ndarray,
-        b_exact: tuple[Fraction, ...],
-        row_labels: tuple[str, ...],
-        zero_vars: tuple[int, ...],
-    ) -> None:
-        fields = (k, p, m, windows, col_ptr, row_ind, coef, b, b_exact, row_labels, zero_vars, None)
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
+    k: int
+    p: Fraction
+    m: int
+    windows: tuple[tuple[int, ...], ...]
+    col_ptr: np.ndarray
+    row_ind: np.ndarray
+    coef: np.ndarray
+    b: np.ndarray
+    b_exact: tuple[Fraction, ...]
+    row_labels: tuple[str, ...]
+    zero_vars: tuple[int, ...]
 
     @property
     def num_vars(self) -> int:
@@ -114,13 +102,10 @@ class WindowLP(Frozen):
 
     @property
     def A(self) -> sparse.csr_matrix:
-        if self._A is None:
-            from scipy import sparse
+        from scipy import sparse
 
-            shape = (self.num_rows, self.num_vars)
-            A = sparse.csc_matrix((self.coef, self.row_ind, self.col_ptr), shape=shape).tocsr()
-            object.__setattr__(self, "_A", A)
-        return self._A
+        shape = (self.num_rows, self.num_vars)
+        return sparse.csc_matrix((self.coef, self.row_ind, self.col_ptr), shape=shape).tocsr()
 
     def entries(self) -> tuple[list[int], list[int], list[int]]:
         """(row, column, integer coefficient) lists of A's nonzeros, column by column."""

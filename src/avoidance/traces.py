@@ -31,6 +31,18 @@ __all__ = [
 ]
 
 
+def _within(given: np.ndarray, low: int, high: int) -> bool:
+    """Whether every entry of ``given`` is an integer in low..high; checked
+    before conversion, which would wrap or truncate the others."""
+    import numpy as np
+
+    if not given.size:
+        return True
+    if not (given.min() >= low and given.max() <= high):  # a NaN fails both
+        return False
+    return given.dtype.kind in "biu" or bool((given == np.trunc(given)).all())
+
+
 class CouplingTrace(Frozen):
     """``k`` walkers' occupancy ``rows``, a read-only (T, k) uint8 array of {0, 1}."""
 
@@ -39,11 +51,14 @@ class CouplingTrace(Frozen):
     def __init__(self, k: int, rows: np.ndarray) -> None:
         import numpy as np
 
-        rows = np.ascontiguousarray(rows, dtype=np.uint8)
-        if rows.ndim != 2 or rows.shape[1] != k:
+        given = np.asarray(rows)
+        if k < 1:
+            raise ValueError(f"walker count must be >= 1, got {k}")
+        if given.ndim != 2 or given.shape[1] != k:
             raise ValueError(f"rows must have shape (T, {k})")
-        if rows.size and rows.max() > 1:
+        if not _within(given, 0, 1):
             raise ValueError("occupancy entries must be 0 or 1")
+        rows = np.ascontiguousarray(given, dtype=np.uint8)
         rows.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "rows", rows)
@@ -62,11 +77,14 @@ class WalkerTrace(Frozen):
     def __init__(self, n: int, k: int, looped: bool, rows: np.ndarray) -> None:
         import numpy as np
 
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != k:
+        given = np.asarray(rows)
+        if k < 1:
+            raise ValueError(f"walker count must be >= 1, got {k}")
+        if given.ndim != 2 or given.shape[1] != k:
             raise ValueError(f"rows must have shape (T, {k})")
-        if rows.size and (rows.min() < 1 or rows.max() > n):
-            raise ValueError(f"positions must lie in 1..{n}")
+        if not _within(given, 1, n):
+            raise ValueError(f"positions must be integers in 1..{n}")
+        rows = np.ascontiguousarray(given, dtype=np.int64)
         rows.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
@@ -361,8 +379,8 @@ def read_trace(source) -> CouplingTrace | WalkerTrace:
         raise ValueError(f"malformed header {text[:head_end]!r}")
     if T < 0:
         raise ValueError(f"header row count must be >= 0, got {T}")
-    if k < 0:
-        raise ValueError(f"header walker count must be >= 0, got {k}")
+    if k < 1:
+        raise ValueError(f"header walker count must be >= 1, got {k}")
     if n is not None and n < 1:
         raise ValueError(f"header vertex count must be >= 1, got {n}")
     if n is not None and looped_i not in (0, 1):

@@ -680,6 +680,18 @@ def test_trace_value_past_int64_exit_2(command, capsys):
     assert "64-bit" in captured.err
 
 
+@pytest.mark.parametrize("text", ["3 1\n1\n256\n0\n", "1 2\n0 257\n", "1 1\n-255\n"])
+@pytest.mark.parametrize("command", [["stats", "--p", "0.3"], ["check-trace"]])
+def test_binary_values_past_one_exit_2(command, text, tmp_path, capsys):
+    # each value wraps into {0, 1} if converted to uint8 before the check
+    trace = tmp_path / "trace.txt"
+    trace.write_text(text)
+    assert main(command + ["--in", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: occupancy entries must be 0 or 1\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=trace_texts(), fmt=st.sampled_from(["text", "json", "csv"]))
 def test_trace_commands_keep_the_exit_code_contract(text, fmt):

@@ -213,3 +213,17 @@ def test_every_import_is_used(path):
             bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(bound - used) == []
+
+
+def test_frozen_classes_validate():
+    # a record whose __init__ only stores its fields is a NamedTuple
+    frozen = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases
+            ):
+                init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+                raises = init and any(isinstance(n, ast.Raise) for n in ast.walk(init[0]))
+                frozen.append((node.name, bool(raises)))
+    assert frozen and [name for name, raises in frozen if not raises] == []

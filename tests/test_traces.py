@@ -173,6 +173,35 @@ def test_trace_validation():
         tr.rows[0, 0] = 0  # rows are frozen read-only
 
 
+@pytest.mark.parametrize("value", [256, 257, -1, -255, 2, 0.5, 1.5, float("nan")])
+def test_occupancy_values_are_checked_before_conversion(value):
+    # a uint8 conversion first would wrap 256 to 0 and 257, -255 to 1
+    with pytest.raises(ValueError, match="occupancy entries must be 0 or 1"):
+        CouplingTrace(2, np.array([[0, 1], [value, 0]]))
+
+
+@pytest.mark.parametrize("value", [1.7, 0.5, 0, 4, -3, float("nan"), float("inf")])
+def test_walker_positions_must_be_integers_in_range(value):
+    with pytest.raises(ValueError, match=r"positions must be integers in 1\.\.3"):
+        WalkerTrace(3, 1, False, np.array([[1.0], [value]]))
+
+
+def test_integral_values_of_any_dtype_are_accepted():
+    tr = CouplingTrace(2, np.array([[True, False], [False, False]]))
+    assert tr.rows.dtype == np.uint8 and tr.rows.tolist() == [[1, 0], [0, 0]]
+    assert CouplingTrace(1, np.array([[1.0], [0.0]])).rows.tolist() == [[1], [0]]
+    tr = WalkerTrace(3, 2, True, np.array([[1.0, 3.0]]))
+    assert tr.rows.dtype == np.int64 and tr.rows.tolist() == [[1, 3]]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_traces_need_a_walker(k):
+    with pytest.raises(ValueError, match=f"walker count must be >= 1, got {k}"):
+        CouplingTrace(k, np.zeros((3, 0), np.uint8))
+    with pytest.raises(ValueError, match=f"walker count must be >= 1, got {k}"):
+        WalkerTrace(4, k, False, np.zeros((3, 0), np.int64))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -186,7 +215,12 @@ def test_trace_validation():
         ("1 1 9 0\n-99999999999999999999\n", "outside the 64-bit integer range"),
         ("1 1\n9223372036854775808\n", "outside the 64-bit integer range"),
         ("-1 1\n", "header row count must be >= 0, got -1"),
-        ("0 -1\n", "header walker count must be >= 0, got -1"),
+        ("0 -1\n", "header walker count must be >= 1, got -1"),
+        ("3 0\n\n\n\n", "header walker count must be >= 1, got 0"),
+        ("0 0 4 1\n", "header walker count must be >= 1, got 0"),
+        ("3 1\n1\n256\n0\n", "occupancy entries must be 0 or 1"),
+        ("1 2\n0 257\n", "occupancy entries must be 0 or 1"),
+        ("1 1\n-255\n", "occupancy entries must be 0 or 1"),
         ("0 2 -3 0\n", "header vertex count must be >= 1, got -3"),
         ("0 2 0 0\n", "header vertex count must be >= 1, got 0"),
         ("2 1 3 7\n1\n2\n", "header looped flag must be 0 or 1, got 7"),
@@ -320,6 +354,27 @@ def test_read_trace_matches_rowwise_reader(tr, data):
     assert np.array_equal(got.rows, tr.rows)
     if isinstance(got, WalkerTrace):
         assert (got.n, got.looped) == (want.n, want.looped)
+
+
+ROUND_TRIP_TRACES = st.builds(
+    random_trace,
+    kind=st.sampled_from(["binary", "walker", "looped"]),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(0, 5),
+    k=st.integers(1, 4),
+    n=st.one_of(st.integers(1, 12), st.sampled_from([10**18, 2**63 - 1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tr=ROUND_TRIP_TRACES)
+def test_every_trace_round_trips(tr):
+    back = read_trace(io.StringIO(write_trace(tr)))
+    assert type(back) is type(tr)
+    assert (back.k, back.T) == (tr.k, tr.T)
+    assert back.rows.dtype == tr.rows.dtype and np.array_equal(back.rows, tr.rows)
+    if isinstance(tr, WalkerTrace):
+        assert (back.n, back.looped) == (tr.n, tr.looped)
 
 
 def parse_outcome(read, text):
