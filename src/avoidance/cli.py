@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__, bounds, lemma, lp, policies, reporting, sequences, stats, traces
@@ -443,6 +444,15 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # One OpenBLAS thread unless the caller chose a count.  numpy's import
+    # starts OpenBLAS's pool, whose idle worker busy-waits on a second core
+    # for about 0.13 s per process, and no command does float BLAS work: the
+    # only matrix products (traces.symbol_array, stats._window_chisquare)
+    # multiply integer arrays, which never reach BLAS; HiGHS neither uses
+    # OpenBLAS nor starts threads; stats prints the same digits at any BLAS
+    # thread count.  Layers load lazily, so numpy loads after this line; a
+    # program that imports the package instead keeps its own setting.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -501,7 +501,8 @@ def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
 def write_mps(lp: WindowLP) -> str:
     """Serialize to free MPS (zero objective, E rows, FX bounds for support zeros).
 
-    Lets third-party solvers cross-check feasibility verdicts.
+    Lets third-party solvers cross-check feasibility verdicts.  A nonzero
+    right-hand side that rounds to 0.0 as a float raises ValueError.
     """
     lines = [f"NAME window_lp_k{lp.k}_m{lp.m}", "ROWS", " N COST"]
     row_names = []
@@ -516,7 +517,10 @@ def write_mps(lp: WindowLP) -> str:
     lines.append("RHS")
     for name, rhs in zip(row_names, lp.b_exact):
         if rhs != 0:
-            lines.append(f"    RHS {name} {float(rhs)!r}")
+            value = float(rhs)
+            if value == 0.0:
+                raise ValueError(f"the right-hand side of row {name} is nonzero but rounds to 0.0")
+            lines.append(f"    RHS {name} {value!r}")
     lines.append("BOUNDS")
     for i in lp.zero_vars:
         lines.append(f" FX BND {var_names[i]} 0")

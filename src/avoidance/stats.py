@@ -11,6 +11,7 @@ fixed-length windows.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -192,8 +193,12 @@ def faithfulness_tests(tr: CouplingTrace, p: float) -> TestReport:
     T = tr.T
     if T < MIN_T:
         raise ValueError(f"need T >= {MIN_T} rounds for the configured tests, got {T}")
+    variance = p * (1.0 - p) / T
+    # a subnormal variance has lost precision, and zero would divide below
+    if variance < sys.float_info.min:
+        raise ValueError(f"p = {p} is too small for T = {T} rounds: p(1-p)/T underflows")
     outcomes: list[TestOutcome] = []
-    se = math.sqrt(p * (1.0 - p) / T)
+    se = math.sqrt(variance)
     for i in range(tr.k):
         x = np.ascontiguousarray(tr.rows[:, i])
         ones = int(np.count_nonzero(x))

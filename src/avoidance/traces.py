@@ -38,7 +38,10 @@ def _within(given: np.ndarray, low: int, high: int) -> bool:
 
     if not given.size:
         return True
-    if not (given.min() >= low and given.max() <= high):  # a NaN fails both
+    # Python scalars compare exactly: numpy would round high to a float
+    # against a float array, so 2.0**63 would pass high = 2**63 - 1
+    least, most = given.min(keepdims=True).item(), given.max(keepdims=True).item()
+    if not (least >= low and most <= high):  # a NaN fails both
         return False
     return given.dtype.kind in "biu" or bool((given == np.trunc(given)).all())
 
@@ -82,7 +85,8 @@ class WalkerTrace(Frozen):
             raise ValueError(f"walker count must be >= 1, got {k}")
         if given.ndim != 2 or given.shape[1] != k:
             raise ValueError(f"rows must have shape (T, {k})")
-        if not _within(given, 1, n):
+        # the int64 conversion below would wrap positions past 2^63 - 1
+        if not _within(given, 1, min(n, 2**63 - 1)):
             raise ValueError(f"positions must be integers in 1..{n}")
         rows = np.ascontiguousarray(given, dtype=np.int64)
         rows.setflags(write=False)

@@ -174,6 +174,22 @@ def test_stats_rejects_walker_trace(tmp_path):
     assert main(["stats", "--in", str(trace), "--p", "0.2"]) == 2
 
 
+def test_stats_p_too_small_for_the_frequency_test_exit_2(tmp_path, capsys):
+    # at p = 1e-300, p(1-p)/T is still a normal float and gets a verdict;
+    # below the normal range it has lost precision, and at 0 the z-test
+    # would divide by it
+    trace = tmp_path / "ok.txt"
+    run_cli(["simulate", "trivial-k1", "--p", "0.3", "--T", "10000", "--seed", "8",
+             "--out", str(trace)])
+    assert run_cli(["stats", "--in", str(trace), "--p", "1e-300"])[0] == 1
+    for p in ("1e-304", "1e-320", "5e-324"):
+        capsys.readouterr()
+        assert main(["stats", "--in", str(trace), "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: p = {float(p)} is too small for T = 10000 rounds" in captured.err
+
+
 def test_weights_reads_stdin(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 B 1\n"))
     code, out = run_cli(["weights", "--k", "1", "--in", "-"])
@@ -559,6 +575,19 @@ def test_maxp_huge_k_is_relative():
 def test_lp_build_huge_m_exit_2(capsys):
     assert main(["lp-build", "--k", "1", "--p", "1/3", "--m", str(10**10)]) == 2
     assert "exceed the budget" in capsys.readouterr().err
+
+
+def test_lp_build_rhs_that_rounds_to_zero_exit_2(capsys):
+    # the exact right-hand side of faith_1_11 is p^2 = 1e-400; at p = 1e-100
+    # it is 1e-200, a float
+    code, out = run_cli(["lp-build", "--k", "1", "--p", "1e-100", "--m", "2"])
+    assert code == 0 and "    RHS R_faith_1_11 1e-200\n" in out
+    for fmt in ("text", "json"):
+        assert main(["lp-build", "--k", "1", "--p", "1e-200", "--m", "2", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: the right-hand side of row R_faith_1_11 is nonzero but rounds to 0.0"
+                in captured.err)
 
 
 JUNK = ["nan", "-nan", "inf", "-inf", "1/0", "-3/0", "", "1e999", "0x10", "abc"]
@@ -1023,6 +1052,41 @@ def test_verify_lemma_report_does_not_depend_on_the_cpu_count(monkeypatch, fmt):
         outputs.add(out)
     assert len(outputs) == 1
     assert "jobs" not in outputs.pop()
+
+
+OPENBLAS_PROBE = """
+import io, os
+from contextlib import redirect_stdout
+import avoidance.cli
+with redirect_stdout(io.StringIO()):
+    code = avoidance.cli.main(["simulate", "trivial-k1", "--p", "0.3", "--T", "100"])
+print(code, os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+"""
+
+
+def run_openblas_probe(preset):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", OPENBLAS_PROBE],
+        env={**env, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_cli_runs_openblas_with_one_thread():
+    # numpy's import starts OpenBLAS's pool, whose idle worker would spin a
+    # second core; no command does float BLAS work
+    assert run_openblas_probe(None) == ["0", "1", "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_cli_keeps_a_chosen_openblas_thread_count():
+    assert run_openblas_probe("2")[:2] == ["0", "2"]
 
 
 def test_stats_output_is_independent_of_blas_threads(tmp_path):

@@ -186,6 +186,25 @@ def test_walker_positions_must_be_integers_in_range(value):
         WalkerTrace(3, 1, False, np.array([[1.0], [value]]))
 
 
+@pytest.mark.parametrize("n, rows", [
+    (10**30, np.array([[1e25]])),
+    (2**64, np.array([[2**64 - 1]], dtype=np.uint64)),
+    (2**64, np.array([[2.0**63]])),
+    (10**31, np.array([[10**30]], dtype=object)),
+])
+def test_walker_positions_past_int64_are_refused(n, rows):
+    # the int64 conversion would wrap them, whatever n allows
+    with pytest.raises(ValueError, match=f"positions must be integers in 1\\.\\.{n}$"):
+        WalkerTrace(n, 1, False, rows)
+
+
+def test_walker_positions_up_to_the_int64_maximum_are_kept():
+    top = 2**63 - 1
+    tr = WalkerTrace(2**64, 2, True, np.array([[top, 2**63 - 1024]], dtype=np.uint64))
+    assert tr.rows.tolist() == [[top, 2**63 - 1024]]
+    assert WalkerTrace(2**64, 1, True, np.array([[2.0**63 - 1024]])).rows.tolist() == [[2**63 - 1024]]
+
+
 def test_integral_values_of_any_dtype_are_accepted():
     tr = CouplingTrace(2, np.array([[True, False], [False, False]]))
     assert tr.rows.dtype == np.uint8 and tr.rows.tolist() == [[1, 0], [0, 0]]
