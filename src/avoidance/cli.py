@@ -444,15 +444,30 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    # One OpenBLAS thread unless the caller chose a count.  numpy's import
-    # starts OpenBLAS's pool, whose idle worker busy-waits on a second core
-    # for about 0.13 s per process, and no command does float BLAS work: the
-    # only matrix products (traces.symbol_array, stats._window_chisquare)
-    # multiply integer arrays, which never reach BLAS; HiGHS neither uses
-    # OpenBLAS nor starts threads; stats prints the same digits at any BLAS
-    # thread count.  Layers load lazily, so numpy loads after this line; a
-    # program that imports the package instead keeps its own setting.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # One OpenBLAS thread unless the caller chose a positive count; OpenBLAS
+    # reads an empty or zero one as unset.  numpy's import starts OpenBLAS's
+    # pool, whose idle worker busy-waits on a second core for about 0.13 s
+    # per process, and no command does float BLAS work: the only matrix
+    # products (traces.symbol_array, stats._window_chisquare) multiply
+    # integer arrays, which never reach BLAS; HiGHS neither uses OpenBLAS
+    # nor starts threads; stats prints the same digits at any BLAS thread
+    # count.  Layers load lazily, so numpy loads after this line.  The
+    # caller's value, or its absence, is restored on return, so a program
+    # that runs main in process passes its own setting on to its children.
+    caller = os.environ.get("OPENBLAS_NUM_THREADS")
+    count = (caller or "").strip()
+    if not (count.isascii() and count.isdigit() and int(count) > 0):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return _run(argv)
+    finally:
+        if caller is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = caller
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

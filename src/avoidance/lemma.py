@@ -32,8 +32,10 @@ from .sequences import (
     BLANK,
     PairScan,
     Seq,
+    _max_b,
     blank_count,
     is_permissible,
+    move_to_front,
     pair_scan,
     parse_seq,
     scaled_total_weight,
@@ -257,12 +259,6 @@ def reduce_certificate(s: Seq) -> ReductionCertificate:
     return ReductionCertificate(s, tuple(steps), cur)
 
 
-def _max_b(k: int, length: int) -> int:
-    """n = min(k, length - 2), at least 0: no pair of a word of at most
-    ``length`` symbols has b > n, so its weight is an integer over lcm(1..n)."""
-    return max(min(k, length - 2), 0)
-
-
 def _check_step(
     before: Seq, step: ReductionStep, weight: int, n: int, blanks: int
 ) -> tuple[str | None, Seq | None, int | None]:
@@ -426,38 +422,34 @@ class ExhaustiveReport(NamedTuple):
 def _extend(state: tuple, sym: int, t: int, scale: tuple[int, ...]) -> tuple:
     """The carried state of a word of length t - 1 with ``sym`` appended.
 
-    A state is (weight, blanks, last, local): the total weight over the
+    A state is (weight, blanks, recent, local): the total weight over the
     sweep's unit, with ``scale`` each b's pair weight over it; the blank
-    count; each symbol's last 1-based position; the first local pattern as
-    ``_first_local`` gives it.  Appending closes at most one pair, the new
-    symbol's with its last occurrence, and the symbols strictly between are
-    those last seen after it, as in ``pair_scan``.  A new local pattern ends
-    at t, so its anchor lies right of every older one: it is first only when
-    its rule comes earlier in the priority order.  O(d) for d distinct
-    symbols.
+    count; the ``move_to_front`` recency list; the first local pattern as
+    ``_first_local`` gives it.  Appending closes at most one pair, whose b
+    is the step's on a copy of the parent's list.  A new local pattern ends
+    at t, right of every older one, so it is first only when its rule comes
+    earlier in the priority order: "B B" is a blank with b = 0 and "i i" a
+    walker with b = 0, at t - 1; "i B i" a walker with b = 1 after a blank,
+    at t - 2.  If more than one blank lies between, "B B" is already the
+    first local pattern and outranks rule 3.  O(d) for d distinct symbols.
     """
-    weight, blanks, last, local = state
-    t1 = last.get(sym)
+    weight, blanks, recent, local = state
+    recent = recent.copy()
+    b = move_to_front(recent, sym)
     new = None
     if sym == BLANK:
         blanks += 1
-        if t1 == t - 1:
-            new = (COLLAPSE_BLANKS, t1)
-    elif t1 is not None:
-        b = 0
-        for tx in last.values():
-            if tx > t1:
-                b += 1
+        if b == 0:
+            new = (COLLAPSE_BLANKS, t - 1)
+    elif b >= 0:
         weight += scale[b]
         if b == 0:
-            new = (DELETE_ZERO_WEIGHT_PAIR, t1)
-        elif t1 == t - 2 and last.get(BLANK) == t - 1:
-            new = (COLLAPSE_WEIGHT_ONE_PAIR, t1)
+            new = (DELETE_ZERO_WEIGHT_PAIR, t - 1)
+        elif b == 1 and recent[1] == BLANK:
+            new = (COLLAPSE_WEIGHT_ONE_PAIR, t - 2)
     if new is not None and (local is None or _RANK[new[0]] < _RANK[local[0]]):
         local = new
-    last = last.copy()
-    last[sym] = t
-    return weight, blanks, last, local
+    return weight, blanks, recent, local
 
 
 def _carried_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
@@ -474,7 +466,7 @@ def _carried_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
     """
     scale = weight_scale(_max_b(k, max_len))[1]
     path: list = [None] * (max_len + 1)
-    path[0] = (0, 0, {}, None)
+    path[0] = (0, 0, [], None)
     for t in range(1, len(prefix)):
         path[t] = _extend(path[t - 1], prefix[t - 1], t, scale)
     for word in permissible_words(k, max_len, prefix):
@@ -511,8 +503,8 @@ def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = (), every: boo
     A word's weight, blank count and first local pattern are carried down
     from its parent (``_carried_words``).  The carried weight is the word's
     weight exactly: the parent's pairs are the word's pairs but the one its
-    last symbol closes, and that pair's b is read off the same last-position
-    map ``pair_scan`` keeps.  Only the shorter word the step leaves is
+    last symbol closes, and that pair's b comes from the ``move_to_front``
+    step ``pair_scan`` takes.  Only the shorter word the step leaves is
     weighed afresh, and the step check compares the two: a wrong carried
     weight fails it, since the stored delta of a local rule is a constant
     and that of rule 4 comes from a fresh scan of the word.

@@ -7,12 +7,13 @@ is 1/b, where b counts the distinct symbols strictly between them (0 for an
 adjacent pair).  All weights are exact rationals: the central inequality
 (total weight <= blank count) can be tight, so float tolerances are unusable.
 
-Every weight comes from one kernel, ``pair_scan``, which records each pair
-once, as (symbol, t1, t2, b); ``scaled_total_weight`` is its pass with only
-the total kept.  In a word of length T, b <= n = min(k, T - 2), so a sum of
-its weights is an integer over lcm(1..n), and ``weight_scale(n)`` gives that
-unit and each b's weight over it, the one place the 1/b rule is written;
-rationals are built only where a result leaves the kernel.
+Every b comes from one step, ``move_to_front``: a walker's index in the
+recency list of the symbols seen so far.  ``pair_scan`` records each pair
+once, as (symbol, t1, t2, b); ``scaled_total_weight`` keeps only the total.
+In a word of length T, b <= n = min(k, T - 2), so its weights sum to an
+integer over lcm(1..n); ``weight_scale(n)`` gives that unit and each b's
+weight over it, the one place the 1/b rule is written.  Rationals are built
+only where a result leaves the kernel.
 """
 
 from __future__ import annotations
@@ -188,47 +189,53 @@ class PairScan(NamedTuple):
         return Fraction(self.scaled_total, self.denominator)
 
 
-def pair_scan(s: Seq) -> PairScan:
-    """Find every neighbor pair and its b in one pass, O(T*d) for d distinct symbols.
+# not in __all__: perfbench traces every function there, and this runs per symbol
+def move_to_front(recent: list[int], sym: int) -> int:
+    """Move ``sym`` to the front of the recency list ``recent``; return its
+    former index, the count of distinct symbols seen since its previous
+    occurrence, or -1 at its first.  O(d) for d distinct symbols."""
+    # tested, not caught: a raised ValueError costs more than a second scan
+    if sym not in recent:
+        recent.insert(0, sym)
+        return -1
+    b = recent.index(sym)
+    if b:
+        del recent[b]
+        recent.insert(0, sym)
+    return b
 
-    The pass keeps the last position of each symbol seen so far.  When walker
-    i recurs at t2 after t1, the symbols strictly between are exactly those
-    last seen after t1; i itself was last seen at t1, so it is never among
-    them.
-    """
-    last: dict[int, int] = {}  # 1-based last position of each symbol seen
+
+def _max_b(k: int, length: int) -> int:
+    """n = min(k, length - 2), at least 0: no pair of a word of at most
+    ``length`` symbols has b > n, so its weight is an integer over lcm(1..n)."""
+    return max(min(k, length - 2), 0)
+
+
+def pair_scan(s: Seq) -> PairScan:
+    """Find every neighbor pair and its b in one pass of ``move_to_front``,
+    O(T*d) for d distinct symbols."""
+    recent: list[int] = []
+    last: dict[int, int] = {}  # each symbol's last 1-based position: a pair's t1
     pairs = []
     for t2, sym in enumerate(s.symbols, start=1):
-        if sym != BLANK and sym in last:
-            t1 = last[sym]
-            b = 0
-            for tx in last.values():
-                if tx > t1:
-                    b += 1
-            pairs.append((sym, t1, t2, b))
+        b = move_to_front(recent, sym)
+        if b >= 0 and sym != BLANK:
+            pairs.append((sym, last[sym], t2, b))
         last[sym] = t2
     pairs.sort()
-    return PairScan(s.symbols, pairs, max(min(s.k, len(s.symbols) - 2), 0))
+    return PairScan(s.symbols, pairs, _max_b(s.k, len(s.symbols)))
 
 
 def scaled_total_weight(s: Seq, n: int) -> int:
-    """The total weight of ``s`` times lcm(1..n), for n >= min(k, T - 2).
-
-    ``pair_scan``'s pass, keeping only the running sum: a walker's recurrence
-    adds the weight of the b symbols last seen since its previous occurrence.
-    """
+    """The total weight of ``s`` times lcm(1..n), for n >= min(k, T - 2):
+    ``pair_scan``'s pass, keeping only the running sum."""
     scale = weight_scale(n)[1]
-    last: dict[int, int] = {}  # last position of each symbol seen
+    recent: list[int] = []
     total = 0
-    for t2, sym in enumerate(s.symbols):
-        t1 = last.get(sym)
-        if t1 is not None and sym != BLANK:
-            b = 0
-            for tx in last.values():
-                if tx > t1:
-                    b += 1
+    for sym in s.symbols:
+        b = move_to_front(recent, sym)
+        if b > 0 and sym != BLANK:  # a pair with b = 0 weighs 0
             total += scale[b]
-        last[sym] = t2
     return total
 
 

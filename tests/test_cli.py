@@ -1060,7 +1060,7 @@ from contextlib import redirect_stdout
 import avoidance.cli
 with redirect_stdout(io.StringIO()):
     code = avoidance.cli.main(["simulate", "trivial-k1", "--p", "0.3", "--T", "100"])
-print(code, os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+print(code, len(os.listdir("/proc/self/task")), repr(os.environ.get("OPENBLAS_NUM_THREADS")))
 """
 
 
@@ -1074,19 +1074,29 @@ def run_openblas_probe(preset):
         env={**env, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    # exit code, threads, and the variable as main leaves it, as a repr
+    return proc.stdout.rstrip("\n").split(" ", 2)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
 def test_cli_runs_openblas_with_one_thread():
     # numpy's import starts OpenBLAS's pool, whose idle worker would spin a
-    # second core; no command does float BLAS work
-    assert run_openblas_probe(None) == ["0", "1", "1"]
+    # second core; no command does float BLAS work.  main unsets the
+    # variable again on return.
+    assert run_openblas_probe(None) == ["0", "1", "None"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("preset", ["", " ", "0"])
+def test_cli_runs_openblas_with_one_thread_over_an_unset_count(preset):
+    # OpenBLAS reads an empty or zero count as unset and starts its pool
+    assert run_openblas_probe(preset) == ["0", "1", repr(preset)]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
 def test_cli_keeps_a_chosen_openblas_thread_count():
-    assert run_openblas_probe("2")[:2] == ["0", "2"]
+    code, _, value = run_openblas_probe("2")
+    assert (code, value) == ("0", "'2'")
 
 
 def test_stats_output_is_independent_of_blas_threads(tmp_path):

@@ -7,7 +7,7 @@ import multiprocessing
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avoidance import lemma
 from avoidance.lemma import (
@@ -24,7 +24,9 @@ from avoidance.lemma import (
 from avoidance.sequences import (
     BLANK,
     Seq,
+    _max_b,
     blank_count,
+    move_to_front,
     pair_scan,
     parse_seq,
     scaled_total_weight,
@@ -92,6 +94,19 @@ def test_kernel_pairs_match_definition(s):
     # over a million walkers, against the definition itself
     for big in big_words(s):
         assert pair_scan(big).pairs == brute_pairs(list(big.symbols))
+
+
+@given(st.lists(st.integers(0, 6), max_size=30))
+def test_move_to_front_gives_each_b_and_keeps_recency_order(symbols):
+    # with every symbol shifted up by one, the oracle pairs blanks too
+    want = [-1] * len(symbols)
+    for _, _, t2, b in brute_pairs([x + 1 for x in symbols]):
+        want[t2 - 1] = b
+    recent = []
+    for t, sym in enumerate(symbols):
+        assert move_to_front(recent, sym) == want[t]
+        # the distinct symbols so far, most recent first
+        assert recent == list(dict.fromkeys(reversed(symbols[: t + 1])))
 
 
 @given(words_st())
@@ -210,7 +225,7 @@ def test_carried_state_matches_a_fresh_scan(k, max_len):
     # whose prefixes' own states are carried before their first word
     checked = 0
     for shard in [(k, max_len, ()), *lemma._shards(k, max_len, 2)]:
-        den = weight_scale(lemma._max_b(*shard[:2]))[0]
+        den = weight_scale(_max_b(*shard[:2]))[0]
         for word, weight, blanks, local in lemma._carried_words(*shard):
             s = Seq(k, word)
             scan = pair_scan(s)
@@ -234,6 +249,11 @@ def literal_first_local(word):
 
 @given(permissible_words_st())
 @settings(max_examples=200, deadline=None)
+# "i B i" is a walker with b = 1 after a blank, unless "B B" comes first
+@example(parse_seq("1 B 1", 2))
+@example(parse_seq("1 B B 1", 2))
+@example(parse_seq("1 B 2 B 1", 2))
+@example(parse_seq("B 1 B 1", 2))
 def test_carried_state_matches_definition(s):
     # the word as a one-word sweep under itself as prefix: its state is
     # carried through each of its prefixes in turn
@@ -243,7 +263,7 @@ def test_carried_state_matches_definition(s):
     (word, weight, blanks, local), = lemma._carried_words(s.k, T, s.symbols)
     total, want_blanks, _ = brute_total_weight(list(s.symbols))
     assert word == s.symbols
-    assert Fraction(weight, weight_scale(lemma._max_b(s.k, T))[0]) == total
+    assert Fraction(weight, weight_scale(_max_b(s.k, T))[0]) == total
     assert blanks == want_blanks
     assert local == literal_first_local(s.symbols)
 
