@@ -14,7 +14,7 @@ executes only the layers it calls, and the re-exports below resolve on use.
 import importlib.util
 import sys
 
-__version__ = "0.4.16"
+__version__ = "0.4.17"
 
 _LAYERS = ("bounds", "lemma", "lp", "policies", "reporting", "sequences", "stats", "traces")
 

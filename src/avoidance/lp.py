@@ -12,16 +12,23 @@ be verified in exact arithmetic.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import bounds
 from .sequences import symbol_text
 
+# after the package's imports: with no cached bytecode, sequences.py then compiles before numpy grows the heap
+import numpy as np
+
 if TYPE_CHECKING:
-    import numpy as np
     from scipy import sparse
 
 __all__ = [
@@ -109,8 +116,6 @@ class WindowLP(NamedTuple):
 
     def entries(self) -> tuple[list[int], list[int], list[int]]:
         """(row, column, integer coefficient) lists of A's nonzeros, column by column."""
-        import numpy as np
-
         cols = np.repeat(np.arange(self.num_vars), np.diff(self.col_ptr))
         return self.row_ind.tolist(), cols.tolist(), self.coef.astype(np.int64).tolist()
 
@@ -133,8 +138,6 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
     # is refused without computing the power
     if m >= WINDOW_BUDGET.bit_length() or (k + 1) ** m > WINDOW_BUDGET:
         raise ValueError(f"(k+1)^m = {k + 1}^{m} windows exceed the budget {WINDOW_BUDGET}")
-    import numpy as np
-
     base, n = k + 1, (k + 1) ** m
     n_shift = n // base  # one shift row per length m-1 word
     codes = np.arange(n)
@@ -222,8 +225,6 @@ class FeasibilityResult(NamedTuple):
 
 def witness_residual(lp: WindowLP, q: np.ndarray) -> float:
     """Largest constraint violation of q: equality rows, negativity, support."""
-    import numpy as np
-
     q = np.asarray(q, dtype=np.float64)
     # each row sums its entries in column order, as a CSR product does
     col = np.repeat(np.arange(lp.num_vars), np.diff(lp.col_ptr))
@@ -265,10 +266,6 @@ def _highs():
     core = sys.modules.get(HIGHS_MODULE)
     if core is not None:
         return core
-    import importlib.machinery
-    import importlib.util
-    import os
-
     try:
         scipy = importlib.util.find_spec("scipy")
         if scipy is None:
@@ -302,9 +299,6 @@ def linprog(c, col_ptr, row_ind, coef, b):
     systems solved here are never infeasible or unbounded), and ``fun`` and
     ``x``, None unless optimal.
     """
-    import numpy as np
-    from types import SimpleNamespace
-
     core = _highs()
     nc, nr = len(c), len(b)
     model = core.HighsLp()
@@ -345,8 +339,6 @@ def _reversal(codes: np.ndarray, base: int, length: int) -> np.ndarray:
     """sigma on base-``base`` codes of ``length`` digits: reverse the digits
     and relabel walker i as k+1-i (digit d > 0 becomes base - d); the blank,
     digit 0, stays.  In base 2 this is bit reversal."""
-    import numpy as np
-
     out = np.zeros_like(codes)
     rest = codes
     for _ in range(length):
@@ -359,8 +351,6 @@ def _row_reversal(lp: WindowLP) -> np.ndarray:
     """sigma on row indices: normalization is fixed, shift row v goes to the
     shift row of sigma(v) (as minus that row), and faithfulness row
     (i, pattern) to (k+1-i, reversed pattern)."""
-    import numpy as np
-
     base, n_pat = lp.k + 1, 1 << lp.m
     n_shift = base ** (lp.m - 1)
     faith = np.arange(lp.k * n_pat)
@@ -403,8 +393,6 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
     anything else, a failed solve too, is "unknown".
     """
     _check_tol(tol)
-    import numpy as np
-
     nr = lp.num_rows
     free = np.ones(lp.num_vars, dtype=bool)
     free[list(lp.zero_vars)] = False
@@ -477,8 +465,6 @@ def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
     pressure-bound inversion, decided exactly) and p <= 1/k (the trivial
     occupancy bound).
     """
-    from .bounds import within_max_p
-
     _check_tol(tol)
     grid = [_as_fraction(p) for p in p_grid]  # a malformed point fails before any solve
     entries = []
@@ -491,7 +477,7 @@ def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
                 status=res.status,
                 residual=res.residual,
                 gap=res.gap,
-                within_max_p=within_max_p(k, p),
+                within_max_p=bounds.within_max_p(k, p),
                 within_trivial=p <= Fraction(1, k),
             )
         )

@@ -13,13 +13,11 @@ no-collision discipline but make no claim about marginals.
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING
 
 from ._record import Frozen
 from .traces import CouplingTrace, WalkerTrace
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 __all__ = [
     "RoundRobin",
@@ -46,8 +44,6 @@ class RoundRobin(Frozen):
         object.__setattr__(self, "k", k)
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        import numpy as np
-
         rows = np.zeros((T, self.k), dtype=np.uint8)
         rows[np.arange(T), np.arange(T) % self.k] = 1
         return rows
@@ -72,8 +68,6 @@ class IndependentSites(Frozen):
         object.__setattr__(self, "p", p)
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        import numpy as np
-
         return (rng.random((T, self.k)) < self.p).astype(np.uint8)
 
 
@@ -92,6 +86,8 @@ class AvoidingWalkers(Frozen):
     def __init__(self, n: int, k: int, looped: bool = False, start: tuple[int, ...] = ()) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        if looped not in (False, True):
+            raise ValueError(f"looped must be False or True, got {looped!r}")
         needed = k if looped else k + 1
         if n < needed:
             raise ValueError(
@@ -106,12 +102,10 @@ class AvoidingWalkers(Frozen):
             raise ValueError(f"start positions must lie in 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "looped", looped)
+        object.__setattr__(self, "looped", bool(looped))
         object.__setattr__(self, "start", start)
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        import numpy as np
-
         n, k = self.n, self.k
         if k == 1:
             if self.looped:
@@ -175,8 +169,6 @@ class StayingInWaves(Frozen):
         return self.inner.start
 
     def generate(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        import numpy as np
-
         waves = rng.random(T) < 1.0 / self.n
         moving = ~waves
         m = int(np.count_nonzero(moving))
@@ -196,8 +188,6 @@ def simulate(policy, T: int, seed: int) -> CouplingTrace | WalkerTrace:
     """Run a policy for T rounds; bit-exact reproduction for a fixed seed."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     rows = policy.generate(T, rng)
     if policy.kind == "binary":

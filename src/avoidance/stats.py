@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .sequences import weight_scale
 from .traces import CouplingTrace
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 __all__ = [
     "EmpiricalStats",
@@ -67,8 +66,6 @@ def empirical_stats(symbols: np.ndarray, k: int) -> EmpiricalStats:
     ``symbols`` is a 1-d integer array over 0..k (0 the blank), such as
     ``traces.symbol_array`` returns.
     """
-    import numpy as np
-
     x = np.asarray(symbols)
     if x.ndim != 1:
         raise ValueError("a symbol array must be 1-d")
@@ -114,8 +111,6 @@ def _array_pairs(x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     A reversed running minimum gives that next occurrence for every position
     at once.  The walker itself next occurs at u2, so it never counts.
     """
-    import numpy as np
-
     T = x.size
     occ = [np.flatnonzero(x == i) for i in range(1, k + 1)]
     sizes = [max(o.size - 1, 0) for o in occ]
@@ -188,8 +183,6 @@ def faithfulness_tests(tr: CouplingTrace, p: float) -> TestReport:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    import numpy as np
-
     T = tr.T
     if T < MIN_T:
         raise ValueError(f"need T >= {MIN_T} rounds for the configured tests, got {T}")
@@ -228,8 +221,6 @@ def _autocorrelation(x: np.ndarray, ones: int, lag: int) -> Fraction:
     products equal to 1 and A, B the ones of the two factors; the denominator
     sum (x_t - m)^2 is ones - ones^2 / T.  Both are scaled by T^2.
     """
-    import numpy as np
-
     T = x.size
     head, tail = x[:-lag], x[lag:]
     products = int(np.count_nonzero(head & tail))
@@ -247,8 +238,6 @@ def _effective_window(T: int, p: float) -> int:
 
 
 def _window_chisquare(x: np.ndarray, p: float, w: int) -> float:
-    import numpy as np
-
     nwin = len(x) // w
     blocks = x[: nwin * w].reshape(nwin, w).astype(np.int64)
     codes = blocks @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64))

@@ -10,12 +10,11 @@ in index order within a round.
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from ._record import Frozen
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 __all__ = [
     "CouplingTrace",
@@ -34,8 +33,6 @@ __all__ = [
 def _within(given: np.ndarray, low: int, high: int) -> bool:
     """Whether every entry of ``given`` is an integer in low..high; checked
     before conversion, which would wrap or truncate the others."""
-    import numpy as np
-
     if not given.size:
         return True
     # Python scalars compare exactly: numpy would round high to a float
@@ -52,8 +49,6 @@ class CouplingTrace(Frozen):
     __slots__ = ("k", "rows")
 
     def __init__(self, k: int, rows: np.ndarray) -> None:
-        import numpy as np
-
         given = np.asarray(rows)
         if k < 1:
             raise ValueError(f"walker count must be >= 1, got {k}")
@@ -78,11 +73,13 @@ class WalkerTrace(Frozen):
     __slots__ = ("n", "k", "looped", "rows")
 
     def __init__(self, n: int, k: int, looped: bool, rows: np.ndarray) -> None:
-        import numpy as np
-
         given = np.asarray(rows)
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
         if k < 1:
             raise ValueError(f"walker count must be >= 1, got {k}")
+        if looped not in (False, True):
+            raise ValueError(f"looped must be False or True, got {looped!r}")
         if given.ndim != 2 or given.shape[1] != k:
             raise ValueError(f"rows must have shape (T, {k})")
         # the int64 conversion below would wrap positions past 2^63 - 1
@@ -92,7 +89,7 @@ class WalkerTrace(Frozen):
         rows.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "looped", looped)
+        object.__setattr__(self, "looped", bool(looped))
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -137,9 +134,6 @@ class ViolationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.counts
 
-    def count(self, kind: str) -> int:
-        return self.counts.get(kind, 0)
-
 
 def _report(groups, rounds: int, limit: int | None) -> ViolationReport:
     """Count and list violations given as (kind, i, j, times) groups, each
@@ -149,8 +143,6 @@ def _report(groups, rounds: int, limit: int | None) -> ViolationReport:
     overall, so only that many of each are sorted, by np.lexsort on
     (t, i, j, kind); only the listed ones become Violation objects.
     """
-    import numpy as np
-
     counts = dict.fromkeys(KINDS, 0)
     keys = []
     for kind, i, j, times in groups:
@@ -176,8 +168,6 @@ def check_1avoidance(tr: CouplingTrace, limit: int | None = None) -> ViolationRe
     earlier time.  Every violation is counted; the first ``limit`` (all by
     default) are listed.
     """
-    import numpy as np
-
     cols = np.ascontiguousarray(tr.rows.T)
     groups = []
     for i in range(tr.k):
@@ -198,8 +188,6 @@ def check_walker_avoidance(tr: WalkerTrace, limit: int | None = None) -> Violati
     Every violation is counted; the first ``limit`` (all by default) are
     listed.
     """
-    import numpy as np
-
     pos = np.ascontiguousarray(tr.rows.T)
     groups = []
     for i in range(tr.k):
@@ -220,8 +208,6 @@ def check_walker_avoidance(tr: WalkerTrace, limit: int | None = None) -> Violati
 def symbol_array(tr: CouplingTrace) -> np.ndarray:
     """The symbol of each row: the index of its single 1, or 0 (blank) for an
     all-zero row; a row with two or more ones is a ValueError."""
-    import numpy as np
-
     sums = tr.rows.sum(axis=1)
     if tr.T and sums.max() > 1:
         t = int(np.argmax(sums > 1)) + 1
@@ -248,8 +234,6 @@ def write_trace(tr: CouplingTrace | WalkerTrace) -> str:
 def _format_rows(rows: np.ndarray) -> str:
     """Nonnegative integer rows as text: values in decimal, separated by one
     space, each row ended by a newline."""
-    import numpy as np
-
     T, k = rows.shape
     if not rows.size:
         return "\n" * T
@@ -280,8 +264,6 @@ _SPACE, _BREAK, _DIGIT, _VALUE_SHIFT = 1, 2, 4, 3
 
 @cache
 def _class_table() -> np.ndarray:
-    import numpy as np
-
     table = np.zeros(0x3002, dtype=np.uint8)
     table[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
            8232, 8233, 8239, 8287, 12288]] = _SPACE
@@ -292,8 +274,6 @@ def _class_table() -> np.ndarray:
 
 
 def _char_classes(text: str) -> np.ndarray:
-    import numpy as np
-
     table = _class_table()
     if text.isascii():
         codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -316,8 +296,6 @@ def _digit_runs(cls: np.ndarray, begin: int) -> np.ndarray | None:
     reaches back past it.  Digit d of a token, counted from the right, sits
     d characters before its last one while the run lasts.
     """
-    import numpy as np
-
     body = cls[begin:]
     if (body & (_SPACE | _DIGIT) == 0).any():
         return None
@@ -342,8 +320,6 @@ def _digit_runs(cls: np.ndarray, begin: int) -> np.ndarray | None:
 def _layout(cls: np.ndarray) -> tuple[int, np.ndarray]:
     """Where the header line ends, and the number of tokens on each nonblank
     line after it."""
-    import numpy as np
-
     word = cls & _SPACE == 0
     first = np.flatnonzero(word & ~np.append(False, word[:-1]))  # each token's first character
     breaks = np.flatnonzero(cls & _BREAK)
@@ -368,8 +344,6 @@ def read_trace(source) -> CouplingTrace | WalkerTrace:
             text = fh.read()
     if not text:
         raise ValueError("empty trace file")
-    import numpy as np
-
     cls = _char_classes(text)
     head_end, sizes = _layout(cls)
     header = text[:head_end].split()

@@ -164,7 +164,7 @@ def test_criterion_6_negative_controls(tmp_path):
     p, T = 0.3, 10**5
     trace = simulate(IndependentSites(2, p), T, seed=101)
     report = check_1avoidance(trace)
-    freq = report.count("simultaneous") / T
+    freq = report.counts.get("simultaneous", 0) / T
     sigma = math.sqrt(p * p * (1 - p * p) / T)
     freq_ok = abs(freq - p * p) < 3 * sigma
 

@@ -215,6 +215,44 @@ def test_every_import_is_used(path):
     assert sorted(bound - used) == []
 
 
+# (function, name) for each import a function body may make: each defers a
+# cost that the layer's other paths never pay.  A layer runs on first use, so
+# every other import is made once, at the top of its module.
+LOCAL_IMPORTS = {
+    ("WindowLP.A", "scipy.sparse"),  # for callers outside the package
+    ("_sweep", "concurrent.futures.ProcessPoolExecutor"),  # about 19 ms, pool sweeps only
+    ("cmd_weights", "fractions.Fraction"),  # 3.9 ms that every start-up would pay
+}
+
+
+def local_imports(tree):
+    """(qualified function name, imported name) for every import in a function body."""
+    found = []
+
+    def visit(node, prefix, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", function)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.", prefix + child.name)
+            elif function and isinstance(child, ast.Import):
+                found.extend((function, alias.name) for alias in child.names)
+            elif function and isinstance(child, ast.ImportFrom):
+                source = "." * child.level + (f"{child.module}." if child.module else "")
+                found.extend((function, source + alias.name) for alias in child.names)
+            else:
+                visit(child, prefix, function)
+
+    visit(tree, "", None)
+    return found
+
+
+def test_function_local_imports_are_only_the_deferred_ones():
+    # and each allow-listed import is still made where it is listed
+    found = [i for path in SOURCES for i in local_imports(ast.parse(path.read_text()))]
+    assert sorted(found) == sorted(LOCAL_IMPORTS)
+
+
 def test_frozen_classes_validate():
     # a record whose __init__ only stores its fields is a NamedTuple
     frozen = []

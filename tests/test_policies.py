@@ -37,7 +37,7 @@ def test_independent_walkers_collide():
     tr = simulate(IndependentSites(2, 0.5), 10**5, seed=1)
     report = check_1avoidance(tr)
     assert not report.ok
-    freq = report.count("simultaneous") / tr.T
+    freq = report.counts.get("simultaneous", 0) / tr.T
     # collisions at rate ~ p^2 = 0.25
     assert abs(freq - 0.25) < 5 * math.sqrt(0.25 * 0.75 / tr.T)
 
@@ -61,6 +61,20 @@ def test_avoiding_walkers_needs_room():
     with pytest.raises(ValueError):
         AvoidingWalkers(3, 3, looped=False)
     AvoidingWalkers(3, 3, looped=True)  # legal: everyone may stay put
+
+
+@pytest.mark.parametrize("looped", [2, "yes", None])
+def test_avoiding_walkers_refuse_a_looped_flag_that_is_not_a_bool(looped):
+    # 2 used to draw from n - k + 2 ranks and place walkers past vertex n
+    with pytest.raises(ValueError, match=f"looped must be False or True, got {looped!r}"):
+        AvoidingWalkers(3, 2, looped=looped)
+
+
+@pytest.mark.parametrize("looped", [0, 1])
+def test_avoiding_walkers_store_looped_as_a_bool(looped):
+    policy = AvoidingWalkers(4, 2, looped=looped)
+    assert policy.looped is bool(looped)
+    assert simulate(policy, 5, seed=1).looped is bool(looped)
 
 
 def test_waves_repeat_rows_exactly():

@@ -89,7 +89,7 @@ def test_encode_of_valid_trace_is_permissible():
 
 def test_within_round_collision():
     report = check_walker_avoidance(walkers([[1, 1]], n=4))
-    assert report.count("within_round") == 1
+    assert report.counts.get("within_round", 0) == 1
     v = report.violations[0]
     assert (v.t, v.i, v.j) == (1, 1, 2)
 
@@ -97,14 +97,14 @@ def test_within_round_collision():
 def test_cross_round_collision():
     # walker 1 moves onto vertex 1 while walker 2 still sits there
     report = check_walker_avoidance(walkers([[2, 1], [1, 3]], n=4))
-    assert report.count("cross_round") == 1
+    assert report.counts.get("cross_round", 0) == 1
     v = [v for v in report.violations if v.kind == "cross_round"][0]
     assert (v.t, v.i, v.j) == (2, 1, 2)
 
 
 def test_loopless_walker_must_move():
     report = check_walker_avoidance(walkers([[2], [2]], n=4, looped=False))
-    assert report.count("self_loop") == 1
+    assert report.counts.get("self_loop", 0) == 1
     assert check_walker_avoidance(walkers([[2], [2]], n=4, looped=True)).ok
 
 
@@ -219,6 +219,27 @@ def test_traces_need_a_walker(k):
         CouplingTrace(k, np.zeros((3, 0), np.uint8))
     with pytest.raises(ValueError, match=f"walker count must be >= 1, got {k}"):
         WalkerTrace(4, k, False, np.zeros((3, 0), np.int64))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_walker_traces_need_a_vertex(n):
+    # such a trace would write a header that read_trace refuses
+    with pytest.raises(ValueError, match=f"vertex count must be >= 1, got {n}"):
+        WalkerTrace(n, 1, False, np.empty((0, 1)))
+
+
+@pytest.mark.parametrize("looped", [2, -1, "yes", None, 0.5])
+def test_walker_traces_refuse_a_looped_flag_that_is_not_a_bool(looped):
+    with pytest.raises(ValueError, match=f"looped must be False or True, got {looped!r}"):
+        WalkerTrace(3, 1, looped, [[1]])
+
+
+@pytest.mark.parametrize("looped", [0, 1, np.True_])
+def test_walker_traces_store_looped_as_a_bool(looped):
+    tr = WalkerTrace(3, 1, looped, [[1]])
+    assert tr.looped is bool(looped)
+    assert write_trace(tr) == f"1 1 3 {int(bool(looped))}\n1\n"
+    assert read_trace(io.StringIO(write_trace(tr))).looped is tr.looped
 
 
 @pytest.mark.parametrize(
