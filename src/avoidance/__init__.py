@@ -8,51 +8,18 @@ statistical faithfulness tests, and a window-marginal LP feasibility probe.
 Importing the package registers every layer module without running it: each
 is in ``sys.modules`` and an attribute of the package from the start, and its
 code runs when one of its attributes is first read.  A command therefore
-executes only the layers it calls, and the re-exports below resolve on use.
+executes only the layers it calls.  The public names are the layers' own:
+``avoidance.bounds.max_p``, ``avoidance.sequences.Seq`` and so on.
 """
 
 import importlib.util
 import sys
 
-__version__ = "0.4.17"
+__version__ = "0.4.18"
 
 _LAYERS = ("bounds", "lemma", "lp", "policies", "reporting", "sequences", "stats", "traces")
 
-# each re-exported name and the layer that defines it
-_EXPORTS = {
-    "BLANK": "sequences",
-    "Seq": "sequences",
-    "parse_seq": "sequences",
-    "is_permissible": "sequences",
-    "pair_scan": "sequences",
-    "blank_count": "sequences",
-    "redistribution": "lemma",
-    "reduce_step": "lemma",
-    "reduce_certificate": "lemma",
-    "check_certificate": "lemma",
-    "verify_lemma_exhaustive": "lemma",
-    "feasible_pressure": "bounds",
-    "max_p": "bounds",
-    "max_walkers": "bounds",
-    "taylor_partial": "bounds",
-    "CouplingTrace": "traces",
-    "WalkerTrace": "traces",
-    "check_1avoidance": "traces",
-    "check_walker_avoidance": "traces",
-    "project": "traces",
-    "simulate": "policies",
-    "RoundRobin": "policies",
-    "IndependentSites": "policies",
-    "AvoidingWalkers": "policies",
-    "StayingInWaves": "policies",
-    "empirical_stats": "stats",
-    "faithfulness_tests": "stats",
-    "build_window_lp": "lp",
-    "solve_feasibility": "lp",
-    "scan_p": "lp",
-}
-
-__all__ = ["__version__", *_EXPORTS]
+__all__ = ["__version__", *_LAYERS]
 
 
 def _register(layer: str):
@@ -68,14 +35,3 @@ def _register(layer: str):
 for _layer in _LAYERS:
     globals()[_layer] = _register(_layer)
 del _layer
-
-
-def __getattr__(name: str):
-    layer = _EXPORTS.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[layer], name)
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

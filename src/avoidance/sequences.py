@@ -19,6 +19,7 @@ only where a result leaves the kernel.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -50,15 +51,17 @@ class Seq(Frozen):
     """Immutable word over {B, 1, ..., k}; blanks stored as 0.
 
     Positions are 1-based throughout, matching the time index t = 1..T.
-    The empty word is a valid degenerate value.  Two words are equal when
-    their k and symbols are.
+    The empty word is a valid degenerate value.  ``symbols`` may be any
+    iterable of integral values; it is stored as a tuple of Python ints, so
+    two words are equal, and hash equal, when their k and symbols are.
     """
 
     __slots__ = ("k", "symbols")
 
-    def __init__(self, k: int, symbols: tuple[int, ...]) -> None:
+    def __init__(self, k: int, symbols: Iterable[int]) -> None:
         if k < 0:
             raise ValueError(f"walker count must be nonnegative, got {k}")
+        symbols = tuple(map(_integer, symbols))
         if symbols:
             if min(symbols) < 0 or max(symbols) > k:
                 bad = next(s for s in symbols if not 0 <= s <= k)
@@ -68,9 +71,9 @@ class Seq(Frozen):
 
     @classmethod
     def _unchecked(cls, k: int, symbols: tuple[int, ...]) -> Seq:
-        """A word whose symbols are known to lie in {B, 1..k}, built without
-        the range check: a subsequence of a checked word's symbols, or an
-        enumerated word."""
+        """A word whose symbols are ints known to lie in {B, 1..k}, built
+        without the checks: a subsequence of a checked word's symbols, an
+        enumerated word, or parsed tokens."""
         s = _new(cls)
         _set_k(s, k)
         _set_symbols(s, symbols)
@@ -102,6 +105,17 @@ class Seq(Frozen):
         return f"Seq(k={self.k}, T={self.T}, '{shown}')"
 
 
+def _integer(symbol) -> int:
+    """``symbol`` as a Python int; ValueError unless its value is an integer."""
+    try:
+        value = int(symbol)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != symbol:
+        raise ValueError(f"symbol {symbol!r} is not an integer")
+    return value
+
+
 # the slots' own setters, which bypass Frozen.__setattr__
 _new = object.__new__
 _set_k = Seq.k.__set__
@@ -123,7 +137,7 @@ def parse_seq(text: str, k: int) -> Seq:
         if not 1 <= idx <= k:
             raise ValueError(f"walker index {idx} out of range 1..{k}")
         syms.append(idx)
-    return Seq(k, tuple(syms))
+    return Seq._unchecked(k, tuple(syms))
 
 
 def is_permissible(s: Seq) -> bool:

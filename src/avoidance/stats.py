@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .sequences import weight_scale
-from .traces import CouplingTrace
+from .traces import CouplingTrace, _within
 
 import numpy as np
 
@@ -69,8 +69,8 @@ def empirical_stats(symbols: np.ndarray, k: int) -> EmpiricalStats:
     x = np.asarray(symbols)
     if x.ndim != 1:
         raise ValueError("a symbol array must be 1-d")
-    if x.size and (x.min() < 0 or x.max() > k):
-        raise ValueError(f"symbols must lie in 0..{k}")
+    if not _within(x, 0, k):
+        raise ValueError(f"symbols must lie in 0..{k} and be integers")
     T = x.size
     if T < 1:
         raise ValueError("sequence must be nonempty")

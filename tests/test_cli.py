@@ -517,6 +517,7 @@ def test_simulate_output_is_pinned(policy, seed, digest):
 def test_module_entry_point(seq_file):
     proc = subprocess.run(
         [sys.executable, "-m", "avoidance", "bound", "--n", "21"],
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
     )

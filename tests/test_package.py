@@ -1,5 +1,6 @@
-"""The package's public names, which resolve from layer modules that run on
-first use: each check starts a fresh interpreter, where no layer has run."""
+"""The package's public names: its version and the layer modules, which run
+on first use.  A check of what runs starts a fresh interpreter, where no
+layer has run."""
 
 import ast
 import importlib
@@ -27,40 +28,26 @@ def fresh(code: str) -> str:
     return proc.stdout
 
 
-def test_dir_lists_every_public_name():
-    out = fresh("import avoidance\nprint(sorted(set(avoidance.__all__) - set(dir(avoidance))))")
-    assert out == "[]\n"
-    assert "max_p" in dir(avoidance)
-
-
 def test_star_import_binds_every_public_name():
+    # the public names are the version and the eight layers, each bound
+    # without running it
+    assert avoidance.__all__ == ["__version__", *avoidance._LAYERS]
     out = fresh(
-        "import avoidance\n"
+        "import sys, avoidance\n"
         "names = {}\n"
         "exec('from avoidance import *', names)\n"
-        "print(sorted(set(avoidance.__all__) - set(names)))\n"
-        "print([n for n in avoidance.__all__ if names[n] is not getattr(avoidance, n)])\n"
+        "print(sorted(set(names) - {'__builtins__'}) == sorted(avoidance.__all__))\n"
+        "print([n for n in avoidance._LAYERS if names[n] is not sys.modules[f'avoidance.{n}']])\n"
+        "print([n for n in avoidance._LAYERS if type(names[n]).__name__ != '_LazyModule'])\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert out == "[]\n[]\n"
+    assert out == "True\n[]\n[]\nFalse\n"
 
 
-def test_reexports_are_the_layers_own_objects():
-    # each name is looked up through the package first, before its layer runs
-    out = fresh(
-        "import importlib, avoidance\n"
-        "for name in avoidance.__all__[1:]:\n"
-        "    obj = getattr(avoidance, name)\n"
-        "    layer = importlib.import_module(f'avoidance.{avoidance._EXPORTS[name]}')\n"
-        "    if name not in layer.__all__ or getattr(layer, name) is not obj:\n"
-        "        print(name)\n"
-        "print(avoidance.max_p is avoidance.bounds.max_p)\n"
-    )
-    assert out == "True\n"
-
-
-@pytest.mark.parametrize("name", ["no_such_name", "DEFAULT_TOL", "_scales"])
+@pytest.mark.parametrize("name", ["no_such_name", "max_p", "DEFAULT_TOL", "_scales"])
 def test_unknown_name_raises_attribute_error(name):
-    # DEFAULT_TOL exists in a layer but is not re-exported; no layer has _scales
+    # max_p and DEFAULT_TOL exist in a layer, which is the only place they are
+    # reachable from; no layer has _scales
     with pytest.raises(AttributeError, match=rf"^module 'avoidance' has no attribute '{name}'$"):
         getattr(avoidance, name)
     assert not hasattr(avoidance, name)

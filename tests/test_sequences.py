@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,6 +63,20 @@ def test_parse_rejects_bad_k():
 def test_seq_rejects_out_of_range_symbol():
     with pytest.raises(ValueError):
         Seq(2, (1, 3))
+
+
+@pytest.mark.parametrize("symbols", [[1, 0, 1], np.array([1, 0, 1]), iter((1, 0, 1)), (1.0, 0, True)])
+def test_seq_stores_a_tuple_of_ints(symbols):
+    s = Seq(2, symbols)
+    assert s == Seq(2, (1, 0, 1))
+    assert hash(s) == hash(Seq(2, (1, 0, 1)))
+    assert [type(x) for x in s.symbols] == [int, int, int]
+
+
+@pytest.mark.parametrize("symbol", [1.5, float("nan"), float("inf"), "1", None, np.float64(0.5)])
+def test_seq_rejects_non_integral_symbol(symbol):
+    with pytest.raises(ValueError, match="is not an integer"):
+        Seq(2, (1, symbol))
 
 
 @pytest.mark.parametrize(

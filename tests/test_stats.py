@@ -87,6 +87,17 @@ def test_empirical_stats_k_mismatch():
         empirical_stats(symbols, 1)
 
 
+@pytest.mark.parametrize("symbols", [[0.5, 1.0, 1.0], [1.0, float("nan")]])
+def test_empirical_stats_rejects_non_integral_symbols(symbols):
+    # a 0.5 row would count as occupied, yet it belongs to no walker
+    with pytest.raises(ValueError, match=r"symbols must lie in 0\.\.1 and be integers"):
+        empirical_stats(np.array(symbols), 1)
+
+
+def test_empirical_stats_accepts_integral_floats():
+    assert empirical_stats(np.array([1.0, 0.0, 1.0]), 1) == empirical_stats(np.array([1, 0, 1]), 1)
+
+
 def test_faithfulness_accepts_genuine_source():
     report = faithfulness_tests(FAITHFUL, 0.3)
     assert report.passed
