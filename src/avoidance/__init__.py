@@ -15,7 +15,7 @@ executes only the layers it calls.  The public names are the layers' own:
 import importlib.util
 import sys
 
-__version__ = "0.4.18"
+__version__ = "0.4.19"
 
 _LAYERS = ("bounds", "lemma", "lp", "policies", "reporting", "sequences", "stats", "traces")
 

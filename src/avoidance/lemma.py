@@ -17,8 +17,9 @@ and ``PairScan.scaled_outputs`` what each emits.
 Unwinding the recorded deltas from the trivial endpoint proves the inequality
 for the initial word; the step list is a certificate an independent checker
 replays with exact arithmetic.  The exhaustive sweep checks one step per
-word instead: every rule has weight delta >= blank delta, so the inequality
-passes from the shorter word up to the longer one, by induction on length.
+word instead, taking the words and their counts from ``sequences``: every
+rule has weight delta >= blank delta, so the inequality passes from the
+shorter word up to the longer one, by induction on length.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ from .sequences import (
     move_to_front,
     pair_scan,
     parse_seq,
+    permissible_words,
     scaled_total_weight,
     weight_scale,
+    word_counts,
 )
 
 __all__ = [
@@ -59,7 +62,6 @@ __all__ = [
     "apply_edit",
     "certificate_to_text",
     "certificate_from_text",
-    "permissible_words",
     "verify_lemma_exhaustive",
     "ENUMERATION_BUDGET",
 ]
@@ -387,26 +389,6 @@ def certificate_from_text(text: str) -> ReductionCertificate:
     return ReductionCertificate(initial, tuple(steps), parse_seq(lines[-1], k))
 
 
-def permissible_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
-    """Yield all permissible symbol tuples of length 1..max_len that start with
-    ``prefix`` (a permissible tuple), the prefix itself first when nonempty.
-
-    Depth-first, extending by symbols in the order B < 1 < ... < k, so a word
-    precedes its extensions and siblings appear lexicographically: the words
-    come out in increasing tuple order.
-    """
-    stack = [prefix]
-    while stack:
-        word = stack.pop()
-        if word:
-            yield word
-        if len(word) < max_len:
-            last = word[-1] if word else BLANK
-            # walker j may follow a blank or a walker <= j; push so B pops first
-            stack.extend(word + (sym,) for sym in range(k, max(last, 1) - 1, -1))
-            stack.append(word + (BLANK,))
-
-
 class ExhaustiveReport(NamedTuple):
     k: int
     max_len: int
@@ -528,43 +510,13 @@ def _shards(k: int, max_len: int, jobs: int) -> list[tuple[int, int, tuple[int, 
     """Partition the words into shards: one per permissible prefix of length
     d, each covering that prefix's subtree, plus one for the words shorter
     than d.  d is the least length with SHARDS_PER_JOB words per job
-    (``_word_counts``), else ``max_len``."""
-    counts = _word_counts(k, max_len)
-    depth = next((d for d, c in counts.items() if c >= SHARDS_PER_JOB * jobs), max_len)
+    (``word_counts``), else ``max_len``."""
+    counts = zip(range(1, max_len + 1), word_counts(k))
+    depth = next((d for d, c in counts if c >= SHARDS_PER_JOB * jobs), max_len)
     shards = [(k, max_len, w) for w in permissible_words(k, depth) if len(w) == depth]
     if depth > 1:
         shards.insert(0, (k, depth - 1, ()))
     return shards
-
-
-def _word_counts(k: int, max_len: int) -> dict[int, int]:
-    """The number of permissible words of each length 1..max_len, up to the
-    first length with more than ``ENUMERATION_BUDGET``: no longer length has
-    fewer, as appending a blank is injective.  Lengths 1 and 2 are closed
-    forms, so a huge k stops before the per-symbol table of the recurrence
-    over the last symbol: a blank may follow anything, and walker j may
-    follow a blank or a walker <= j."""
-
-    def by_length():
-        yield k + 1
-        yield (k + 1) * (k + 2) // 2 + k  # (k+1)^2 less the k(k-1)/2 decreasing pairs
-        # words of length 2 ending in each symbol: any symbol then B; B or 1..j then j
-        ends = [k + 1, *range(2, k + 2)]
-        while True:
-            total = sum(ends)
-            run = ends[0]
-            for j in range(1, k + 1):
-                run += ends[j]
-                ends[j] = run
-            ends[0] = total
-            yield sum(ends)
-
-    counts = {}
-    for length, count in zip(range(1, max_len + 1), by_length()):
-        counts[length] = count
-        if count > ENUMERATION_BUDGET:
-            break
-    return counts
 
 
 def _sweep(k: int, max_len: int, workers: int, every: bool) -> list:
@@ -598,7 +550,7 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     recomputed from a fresh weighing of the shorter word.  The base cases,
     the empty word and a lone blank, have no pairs.  The premise that every
     shorter word was enumerated is asserted: the words counted per length
-    must equal ``_word_counts``.
+    must equal ``word_counts``.
 
     Only the canonical words, those with w <= sigma(w) (``_is_canonical``),
     have their step checked.  That proves the inequality for every word:
@@ -616,8 +568,8 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     only then are the counterexamples exact: every word whose own step
     fails.
 
-    Raises when some length has more than ``ENUMERATION_BUDGET`` words, by
-    the exact ``_word_counts``.  A sweep of at least ``POOL_MIN_WORDS``
+    Raises at the first length with more than ``ENUMERATION_BUDGET`` words,
+    by the exact ``word_counts``.  A sweep of at least ``POOL_MIN_WORDS``
     words spreads prefix shards (see ``_shards``) over up to ``jobs``
     processes, at most one per usable CPU, and one per usable CPU when
     ``jobs`` is None; a smaller one runs here.  The report is the same at
@@ -627,12 +579,13 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
         raise ValueError("need k >= 1 and max_len >= 1")
     if jobs is not None and jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    expected = _word_counts(k, max_len)
-    longest, count = max(expected.items())
-    if count > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"{count} permissible words of length {longest} exceed the budget {ENUMERATION_BUDGET}"
-        )
+    expected: dict[int, int] = {}
+    for length, count in zip(range(1, max_len + 1), word_counts(k)):
+        if count > ENUMERATION_BUDGET:
+            raise ValueError(
+                f"{count} permissible words of length {length} exceed the budget {ENUMERATION_BUDGET}"
+            )
+        expected[length] = count
     # the CPUs this process may use: its affinity mask, where the OS has one
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) or 1
     workers = min(jobs or cpus, cpus) if sum(expected.values()) >= POOL_MIN_WORDS else 1

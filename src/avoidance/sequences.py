@@ -14,6 +14,10 @@ In a word of length T, b <= n = min(k, T - 2), so its weights sum to an
 integer over lcm(1..n); ``weight_scale(n)`` gives that unit and each b's
 weight over it, the one place the 1/b rule is written.  Rationals are built
 only where a result leaves the kernel.
+
+A word is permissible when no walker directly follows a higher one.  This
+module enumerates those words (``permissible_words``) and counts them per
+length (``word_counts``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from ._record import Frozen
@@ -33,6 +38,8 @@ __all__ = [
     "symbol_text",
     "parse_seq",
     "is_permissible",
+    "permissible_words",
+    "word_counts",
     "pair_scan",
     "scaled_total_weight",
     "weight_scale",
@@ -51,21 +58,21 @@ class Seq(Frozen):
     """Immutable word over {B, 1, ..., k}; blanks stored as 0.
 
     Positions are 1-based throughout, matching the time index t = 1..T.
-    The empty word is a valid degenerate value.  ``symbols`` may be any
-    iterable of integral values; it is stored as a tuple of Python ints, so
-    two words are equal, and hash equal, when their k and symbols are.
+    The empty word is a valid degenerate value.  k and the symbols may be
+    any integral values, stored as Python ints, so two words are equal, and
+    hash equal, when their k and symbols are.
     """
 
     __slots__ = ("k", "symbols")
 
     def __init__(self, k: int, symbols: Iterable[int]) -> None:
+        k = _integer(k, "walker count")
         if k < 0:
             raise ValueError(f"walker count must be nonnegative, got {k}")
         symbols = tuple(map(_integer, symbols))
-        if symbols:
-            if min(symbols) < 0 or max(symbols) > k:
-                bad = next(s for s in symbols if not 0 <= s <= k)
-                raise ValueError(f"symbol {bad} outside alphabet {{B, 1..{k}}}")
+        if symbols and (min(symbols) < 0 or max(symbols) > k):
+            bad = next(s for s in symbols if not 0 <= s <= k)
+            raise ValueError(f"symbol {bad} outside alphabet {{B, 1..{k}}}")
         _set_k(self, k)
         _set_symbols(self, symbols)
 
@@ -105,14 +112,14 @@ class Seq(Frozen):
         return f"Seq(k={self.k}, T={self.T}, '{shown}')"
 
 
-def _integer(symbol) -> int:
-    """``symbol`` as a Python int; ValueError unless its value is an integer."""
+def _integer(given, what: str = "symbol") -> int:
+    """``given`` as a Python int; ValueError unless its value is an integer."""
     try:
-        value = int(symbol)
+        value = int(given)
     except (TypeError, ValueError, OverflowError):
         value = None
-    if value is None or value != symbol:
-        raise ValueError(f"symbol {symbol!r} is not an integer")
+    if value is None or value != given:
+        raise ValueError(f"{what} {given!r} is not an integer")
     return value
 
 
@@ -124,6 +131,7 @@ _set_symbols = Seq.symbols.__set__
 
 def parse_seq(text: str, k: int) -> Seq:
     """Parse whitespace-separated tokens ("B" or a walker index in 1..k)."""
+    k = _integer(k, "walker count")
     if k < 1:
         raise ValueError(f"walker count must be >= 1, got {k}")
     syms = []
@@ -147,6 +155,42 @@ def is_permissible(s: Seq) -> bool:
         if a != BLANK and b != BLANK and a > b:
             return False
     return True
+
+
+def permissible_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
+    """Yield all permissible symbol tuples of length 1..max_len that start with
+    ``prefix`` (a permissible tuple), the prefix itself first when nonempty.
+
+    Depth-first, extending by symbols in the order B < 1 < ... < k, so a word
+    precedes its extensions and siblings appear lexicographically: the words
+    come out in increasing tuple order.
+    """
+    stack = [prefix]
+    while stack:
+        word = stack.pop()
+        if word:
+            yield word
+        if len(word) < max_len:
+            last = word[-1] if word else BLANK
+            # walker j may follow a blank or a walker <= j; push so B pops first
+            stack.extend(word + (sym,) for sym in range(k, max(last, 1) - 1, -1))
+            stack.append(word + (BLANK,))
+
+
+def word_counts(k: int):
+    """Yield the number of permissible words of length 1, 2, 3, ...; no
+    length has fewer than the one before, as appending a blank is injective.
+    Lengths 1 and 2 are closed forms, so a huge k builds no per-symbol table
+    for them; after them comes the recurrence over the last symbol: a blank
+    may follow anything, and walker j may follow a blank or a walker <= j."""
+    yield k + 1
+    yield (k + 1) * (k + 2) // 2 + k  # (k+1)^2 less the k(k-1)/2 decreasing pairs
+    # words of length 2 ending in each symbol: any symbol then B; B or 1..j then j
+    ends = [k + 1, *range(2, k + 2)]
+    while True:
+        run = list(accumulate(ends))
+        ends = [run[-1], *run[1:]]
+        yield sum(ends)
 
 
 @lru_cache(maxsize=None)

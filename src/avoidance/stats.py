@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .sequences import weight_scale
+from .sequences import _integer, weight_scale
 from .traces import CouplingTrace, _within
 
 import numpy as np
@@ -66,6 +66,7 @@ def empirical_stats(symbols: np.ndarray, k: int) -> EmpiricalStats:
     ``symbols`` is a 1-d integer array over 0..k (0 the blank), such as
     ``traces.symbol_array`` returns.
     """
+    k = _integer(k, "walker count")
     x = np.asarray(symbols)
     if x.ndim != 1:
         raise ValueError("a symbol array must be 1-d")

@@ -17,7 +17,6 @@ from avoidance.cli import main
 from avoidance.lemma import (
     DELETE_VICTIM_SYMBOL,
     check_certificate,
-    permissible_words,
     reduce_certificate,
     redistribution,
     verify_lemma_exhaustive,
@@ -36,6 +35,7 @@ from avoidance.sequences import (
     is_permissible,
     pair_scan,
     parse_seq,
+    permissible_words,
     weight_scale,
 )
 from avoidance.stats import empirical_stats, faithfulness_tests, gap_law_chisquare

@@ -16,7 +16,6 @@ from avoidance.lemma import (
     LOCAL_RULES,
     ReductionStep,
     check_certificate,
-    permissible_words,
     redistribution,
     reduce_certificate,
     verify_lemma_exhaustive,
@@ -29,8 +28,10 @@ from avoidance.sequences import (
     move_to_front,
     pair_scan,
     parse_seq,
+    permissible_words,
     scaled_total_weight,
     weight_scale,
+    word_counts,
 )
 
 from oracles import (
@@ -234,7 +235,7 @@ def test_carried_state_matches_a_fresh_scan(k, max_len):
             assert blanks == blank_count(s), word
             assert local == lemma._first_local(word), word
             checked += 1
-    assert checked == 2 * sum(lemma._word_counts(k, max_len).values())
+    assert checked == 2 * sum(dict(zip(range(1, max_len + 1), word_counts(k))).values())
 
 
 def literal_first_local(word):
@@ -394,7 +395,7 @@ def test_word_counts_match_brute_force():
                 )
                 for length in range(1, max_len + 1)
             }
-            assert lemma._word_counts(k, max_len) == expected
+            assert dict(zip(range(1, max_len + 1), word_counts(k))) == expected
 
 
 def check_step(before, step):

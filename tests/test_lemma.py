@@ -21,13 +21,20 @@ from avoidance.lemma import (
     certificate_to_text,
     check_certificate,
     is_terminal,
-    permissible_words,
     reduce_certificate,
     reduce_step,
     redistribution,
     verify_lemma_exhaustive,
 )
-from avoidance.sequences import BLANK, Seq, blank_count, pair_scan, parse_seq
+from avoidance.sequences import (
+    BLANK,
+    Seq,
+    blank_count,
+    pair_scan,
+    parse_seq,
+    permissible_words,
+    word_counts,
+)
 
 from oracles import brute_redistribution, replay_certificate
 
@@ -417,7 +424,9 @@ def test_exhaustive_matches_product_enumeration():
         for w in itertools.product(range(3), repeat=length)
         if all(not (a != 0 and b != 0 and a > b) for a, b in zip(w, w[1:]))
     ]
-    assert sorted(words) == sorted(expected)
+    # in the order yielded: the sweep's parent lookup and its counterexample
+    # order rely on increasing tuple order
+    assert words == sorted(expected)
     assert len(words) == len(set(words))
 
 
@@ -474,7 +483,7 @@ def pool_sizes(monkeypatch):
 @pytest.mark.parametrize("jobs", [2, 8])
 def test_sweep_below_pool_min_words_starts_no_pool(monkeypatch, k, max_len, jobs):
     # the benchmark's sweeps, on a machine with CPUs to spare
-    assert sum(lemma._word_counts(k, max_len).values()) < lemma.POOL_MIN_WORDS
+    assert sum(dict(zip(range(1, max_len + 1), word_counts(k))).values()) < lemma.POOL_MIN_WORDS
     serial = verify_lemma_exhaustive(k, max_len)
     usable_cpus(monkeypatch, 8, 8)
 
@@ -543,7 +552,7 @@ def test_every_length_the_raw_power_allowed_is_accepted(k, max_len):
     # exact counts; the sweep itself is stood in for by those counts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lemma, "_sweep", lambda k, max_len, workers, every: [
-            (lemma._word_counts(k, max_len), [])
+            (dict(zip(range(1, max_len + 1), word_counts(k))), [])
         ])
         try:
             report = verify_lemma_exhaustive(k, max_len)
@@ -552,7 +561,7 @@ def test_every_length_the_raw_power_allowed_is_accepted(k, max_len):
             assert "exceed the budget" in str(exc)
         else:
             assert max(report.by_length.values()) <= ENUMERATION_BUDGET
-    counts = lemma._word_counts(k, max_len)
+    counts = dict(zip(range(1, max_len + 1), word_counts(k)))
     assert all(c <= (k + 1) ** length for length, c in counts.items())
     assert list(counts.values()) == sorted(counts.values())
 
@@ -562,7 +571,7 @@ def test_every_length_the_raw_power_allowed_is_accepted(k, max_len):
 )
 def test_shard_depth_is_the_least_length_with_enough_words(k, max_len, jobs):
     # (2, 3, 2) reaches 16 words at length 3; (1, 4, 8) never reaches 64
-    counts = lemma._word_counts(k, max_len)
+    counts = dict(zip(range(1, max_len + 1), word_counts(k)))
     shards = lemma._shards(k, max_len, jobs)
     (depth,) = {len(prefix) for _, _, prefix in shards if prefix}
     want = lemma.SHARDS_PER_JOB * jobs

@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,40 @@ def test_function_local_imports_are_only_the_deferred_ones():
     # and each allow-listed import is still made where it is listed
     found = [i for path in SOURCES for i in local_imports(ast.parse(path.read_text()))]
     assert sorted(found) == sorted(LOCAL_IMPORTS)
+
+
+# public functions no code in the package calls yet, with the ROADMAP item
+# that gives each one its caller
+AWAITING_CALLER = {
+    "lemma.certificate_from_text": 3,  # check-cert
+    "lp.check_witness_exact": 3,  # check-cert
+    "traces.project": 11,
+    "stats.gap_law_chisquare": 11,
+}
+
+
+def referenced_names(node):
+    """Every name ``node`` reads or binds as a Name or an Attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_function_has_a_caller():
+    # a reference outside the function's own def, matched by name; and each
+    # allow-listed function is still public and still has none
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    uncalled = []
+    for layer in avoidance._LAYERS:
+        public = importlib.import_module(f"avoidance.{layer}").__all__
+        for node in trees[layer].body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                if everywhere[node.name] == referenced_names(node)[node.name]:
+                    uncalled.append(f"{layer}.{node.name}")
+    assert sorted(uncalled) == sorted(AWAITING_CALLER)
 
 
 def test_frozen_classes_validate():

@@ -12,7 +12,9 @@ from avoidance.sequences import (
     is_permissible,
     pair_scan,
     parse_seq,
+    permissible_words,
     weight_scale,
+    word_counts,
 )
 
 from oracles import brute_permissible, brute_total_weight
@@ -79,6 +81,24 @@ def test_seq_rejects_non_integral_symbol(symbol):
         Seq(2, (1, symbol))
 
 
+@pytest.mark.parametrize("k", [2.5, float("nan"), float("inf"), "3", None, np.float64(2.5)])
+def test_seq_and_parse_seq_reject_a_non_integral_walker_count(k):
+    with pytest.raises(ValueError, match=r"^walker count .* is not an integer$"):
+        Seq(k, (1, 2))
+    with pytest.raises(ValueError, match=r"^walker count .* is not an integer$"):
+        Seq(k, ())
+    with pytest.raises(ValueError, match=r"^walker count .* is not an integer$"):
+        parse_seq("1 2", k)
+
+
+@pytest.mark.parametrize("k", [np.int64(3), 3.0, np.float64(3.0)])
+def test_seq_stores_the_walker_count_as_an_int(k):
+    s = Seq(k, (1, 3))
+    assert type(s.k) is int
+    assert s == Seq(3, (1, 3)) and hash(s) == hash(Seq(3, (1, 3)))
+    assert type(parse_seq("1 3", k).k) is int
+
+
 @pytest.mark.parametrize(
     "tokens, k, expected",
     [
@@ -91,6 +111,30 @@ def test_seq_rejects_non_integral_symbol(symbol):
 )
 def test_is_permissible(tokens, k, expected):
     assert is_permissible(parse_seq(tokens, k)) is expected
+
+
+@pytest.mark.parametrize("k, max_len", [(1, 6), (2, 5), (3, 4)])
+def test_a_prefix_comes_first_then_its_sorted_permissible_extensions(k, max_len):
+    # the sweep's shards and carried states read the words in this order
+    for length in range(1, max_len + 1):
+        for prefix in itertools.product(range(k + 1), repeat=length):
+            if not brute_permissible(prefix):
+                continue
+            extensions = sorted(
+                prefix + tail
+                for n in range(1, max_len - length + 1)
+                for tail in itertools.product(range(k + 1), repeat=n)
+                if brute_permissible(prefix + tail)
+            )
+            assert list(permissible_words(k, max_len, prefix)) == [prefix, *extensions]
+
+
+def test_word_counts_of_a_huge_k_start_with_the_closed_forms():
+    # the recurrence's (k + 1)-entry table is built only for length 3
+    k = 10**18
+    counts = word_counts(k)
+    assert next(counts) == k + 1
+    assert next(counts) == (k + 1) ** 2 - k * (k - 1) // 2
 
 
 def pair_weights(s):

@@ -94,6 +94,12 @@ def test_empirical_stats_rejects_non_integral_symbols(symbols):
         empirical_stats(np.array(symbols), 1)
 
 
+@pytest.mark.parametrize("k", [1.5, float("nan"), "1"])
+def test_empirical_stats_rejects_a_non_integral_walker_count(k):
+    with pytest.raises(ValueError, match=r"^walker count .* is not an integer$"):
+        empirical_stats(np.array([1, 0, 1]), k)
+
+
 def test_empirical_stats_accepts_integral_floats():
     assert empirical_stats(np.array([1.0, 0.0, 1.0]), 1) == empirical_stats(np.array([1, 0, 1]), 1)
 
