@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .sequences import _integer, weight_scale
-from .traces import CouplingTrace, _within
+from .traces import CouplingTrace, _flatnonzero, _index_dtype, _within
 
 import numpy as np
 
@@ -67,6 +67,8 @@ def empirical_stats(symbols: np.ndarray, k: int) -> EmpiricalStats:
     ``traces.symbol_array`` returns.
     """
     k = _integer(k, "walker count")
+    if k < 1:
+        raise ValueError(f"walker count must be >= 1, got {k}")
     x = np.asarray(symbols)
     if x.ndim != 1:
         raise ValueError("a symbol array must be 1-d")
@@ -82,7 +84,8 @@ def empirical_stats(symbols: np.ndarray, k: int) -> EmpiricalStats:
     gap_hist: dict[int, dict[int, int]] = {}
     weight_rate: dict[int, Fraction] = {}
     scaled_total = 0
-    ends = np.searchsorted(sym, np.arange(1, k + 2))  # walker i's pairs: ends[i-1]:ends[i]
+    # walker i's pairs: ends[i-1]:ends[i]
+    ends = np.searchsorted(sym, np.arange(1, k + 2, dtype=sym.dtype))
     for i in range(1, k + 1):
         mine = slice(ends[i - 1], ends[i])
         gaps = np.bincount(t2[mine] - t1[mine])
@@ -105,27 +108,33 @@ def empirical_stats(symbols: np.ndarray, k: int) -> EmpiricalStats:
 def _array_pairs(x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """The neighbor pairs of a symbol array: the same (symbol, t1, t2, b)
     records as ``sequences.pair_scan``, ordered by (symbol, t1) with 1-based
-    times, as arrays, in whole-array passes, O(T*k).
+    times, as arrays, in whole-array passes, O(T*k).  Times are in
+    ``traces._index_dtype(T)``; symbols and b in the smallest unsigned dtype
+    that holds k + 1.
 
     With 0-based occurrences u1 < u2 of a walker, symbol s lies strictly
-    between them iff its first occurrence at or after u1 + 1 comes before u2.
-    A reversed running minimum gives that next occurrence for every position
-    at once.  The walker itself next occurs at u2, so it never counts.
+    between them iff it occurs more often up to u2 than up to u1; one
+    running count, reused for every s, gives both.  The walker itself also
+    occurs at u2, so every pair counts it once and b is the count less one.
     """
     T = x.size
-    occ = [np.flatnonzero(x == i) for i in range(1, k + 1)]
+    occ = [_flatnonzero(x == i) for i in range(1, k + 1)]
     sizes = [max(o.size - 1, 0) for o in occ]
-    sym = np.repeat(np.arange(1, k + 1), sizes)
-    u1 = np.concatenate([np.empty(0, np.intp)] + [o[:-1] for o in occ])
-    u2 = np.concatenate([np.empty(0, np.intp)] + [o[1:] for o in occ])
-    b = np.zeros(u1.size, dtype=np.intp)
+    small = np.min_scalar_type(k + 1)
+    sym = np.repeat(np.arange(1, k + 1, dtype=small), sizes)
+    u1 = np.concatenate([np.empty(0, _index_dtype(T))] + [o[:-1] for o in occ])
+    u2 = np.concatenate([np.empty(0, _index_dtype(T))] + [o[1:] for o in occ])
+    b = np.zeros(u1.size, dtype=small)
     if u1.size:
-        after, ids = u1 + 1, np.arange(T)
+        count = np.empty(T, u1.dtype)  # occurrences of s up to each position
         for s in range(k + 1):
-            nxt = np.where(x == s, ids, T)[::-1]
-            np.minimum.accumulate(nxt, out=nxt)
-            b += nxt[::-1][after] < u2
-    return sym, u1 + 1, u2 + 1, b
+            np.equal(x, s, out=count, casting="unsafe")
+            np.cumsum(count, out=count)
+            b += count[u1] < count[u2]
+        b -= 1
+    u1 += 1
+    u2 += 1
+    return sym, u1, u2, b
 
 
 def gap_law_chisquare(hist: dict[int, int], p: float, min_expected: float = 5.0):
@@ -240,8 +249,8 @@ def _effective_window(T: int, p: float) -> int:
 
 def _window_chisquare(x: np.ndarray, p: float, w: int) -> float:
     nwin = len(x) // w
-    blocks = x[: nwin * w].reshape(nwin, w).astype(np.int64)
-    codes = blocks @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64))
+    blocks = x[: nwin * w].reshape(nwin, w)
+    codes = blocks @ (1 << np.arange(w - 1, -1, -1)).astype(np.min_scalar_type((1 << w) - 1))
     observed = np.bincount(codes, minlength=1 << w).astype(np.float64)
     popcount = np.array([bin(c).count("1") for c in range(1 << w)])
     expected = nwin * p**popcount * (1.0 - p) ** (w - popcount)

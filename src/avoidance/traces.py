@@ -30,6 +30,32 @@ __all__ = [
 ]
 
 
+def _index_dtype(size: int) -> np.dtype:
+    """The dtype of indices and counts up to ``size``: int32 when they all
+    fit, else int64."""
+    return np.dtype(np.int32 if size <= np.iinfo(np.int32).max else np.int64)
+
+
+def _slices(size: int, align: int = 1):
+    """Consecutive slices covering range(size), each about 2^16 long and,
+    but for the last, a multiple of ``align``: the pieces of a whole-array
+    pass whose int64 index temporaries must stay small."""
+    step = align * max(1, (1 << 16) // align)
+    return (slice(start, start + step) for start in range(0, size, step))
+
+
+def _flatnonzero(mask: np.ndarray) -> np.ndarray:
+    """np.flatnonzero of a 1-d mask in ``_index_dtype(mask.size)``."""
+    out = np.empty(np.count_nonzero(mask), _index_dtype(mask.size))
+    n = 0
+    for part in _slices(mask.size):
+        hits = np.flatnonzero(mask[part])
+        hits += part.start
+        out[n : n + hits.size] = hits
+        n += hits.size
+    return out
+
+
 def _within(given: np.ndarray, low: int, high: int) -> bool:
     """Whether every entry of ``given`` is an integer in low..high; checked
     before conversion, which would wrap or truncate the others."""
@@ -207,12 +233,14 @@ def check_walker_avoidance(tr: WalkerTrace, limit: int | None = None) -> Violati
 
 def symbol_array(tr: CouplingTrace) -> np.ndarray:
     """The symbol of each row: the index of its single 1, or 0 (blank) for an
-    all-zero row; a row with two or more ones is a ValueError."""
-    sums = tr.rows.sum(axis=1)
+    all-zero row, in the smallest unsigned dtype that holds k; a row with two
+    or more ones is a ValueError."""
+    dtype = np.min_scalar_type(tr.k)  # the smallest unsigned dtype holding k
+    sums = tr.rows.sum(axis=1, dtype=dtype)
     if tr.T and sums.max() > 1:
         t = int(np.argmax(sums > 1)) + 1
         raise ValueError(f"row {t} has {int(sums[t - 1])} ones; cannot encode")
-    return tr.rows @ np.arange(1, tr.k + 1, dtype=np.int64)
+    return tr.rows @ np.arange(1, tr.k + 1, dtype=dtype)
 
 
 def project(tr: WalkerTrace, v: int) -> CouplingTrace:
@@ -228,31 +256,37 @@ def write_trace(tr: CouplingTrace | WalkerTrace) -> str:
         header = f"{tr.T} {tr.k} {tr.n} {int(tr.looped)}"
     else:
         header = f"{tr.T} {tr.k}"
-    return header + "\n" + _format_rows(tr.rows)
+    return _format_rows(header + "\n", tr.rows)
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """Nonnegative integer rows as text: values in decimal, separated by one
-    space, each row ended by a newline."""
+def _format_rows(head: str, rows: np.ndarray) -> str:
+    """``head``, then nonnegative integer rows as text: values in decimal,
+    separated by one space, each row ended by a newline."""
     T, k = rows.shape
-    if not rows.size:
-        return "\n" * T
     values = rows.ravel()
-    width = np.ones(values.size, dtype=np.uint8)  # decimal digits per value
-    top, bound = int(values.max()), 10
+    width = np.full(values.size, 2, dtype=np.uint8)  # decimal digits per value, plus one
+    top, bound = int(values.max(initial=0)), 10
     while bound <= top:
         width += values >= bound
         bound *= 10
-    # value i's separator follows the digits and separators of values 0..i
-    sep = np.cumsum(width, dtype=np.int64)
-    sep += np.arange(values.size)
-    buf = np.full(int(sep[-1]) + 1, ord(" "), dtype=np.uint8)
-    buf[sep[k - 1 :: k]] = ord("\n")
-    for d in range(len(str(top))):
-        # digit d, counted from the right, of every value that has one
-        idx = np.flatnonzero(width > d) if d else slice(None)
-        buf[sep[idx] - (d + 1)] = values[idx] // 10**d % 10 + ord("0")
-    return buf.tobytes().decode("ascii")
+    buf = np.full(len(head) + int(width.sum(dtype=np.int64)), ord(" "), dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
+    end = len(head)  # where the next slice's text begins
+    for part in _slices(values.size, k):
+        # each value's separator, then its digits from the right: ``at`` is
+        # where the next one goes and ``rest`` what is left of the value
+        at = width[part].astype(np.intp)
+        np.cumsum(at, out=at)  # in place: a cumsum that casts is three times slower
+        at += end - 1
+        end = int(at[-1]) + 1
+        buf[at[k - 1 :: k]] = ord("\n")
+        rest = values[part]
+        while at.size:
+            at -= 1
+            buf[at] = rest % 10 + ord("0")
+            keep = np.flatnonzero(rest >= 10)
+            at, rest = at[keep], rest[keep] // 10
+    return str(buf, "ascii")
 
 
 # Code-point classes of the text format: _SPACE marks what str.split() splits
@@ -300,35 +334,56 @@ def _digit_runs(cls: np.ndarray, begin: int) -> np.ndarray | None:
     if (body & (_SPACE | _DIGIT) == 0).any():
         return None
     word = body & _SPACE == 0
-    at = np.flatnonzero(word & ~np.append(word[1:], False))  # each token's last character
-    values = (body[at] >> _VALUE_SHIFT).astype(np.int64)
-    idx = None  # the tokens that have digit d; None while that is all of them
-    d = 0
-    while True:
-        d += 1
-        at -= 1
-        keep = word[at]
-        if not keep.any():
-            return values
-        if d == _MAX_DIGITS:
-            return None
-        idx = np.flatnonzero(keep) if idx is None else idx[keep]
-        at = at[keep]
-        values[idx] += (body[at] >> _VALUE_SHIFT).astype(np.int64) * 10**d
+    last = word > np.append(word[1:], False)  # each token's last character
+    del word
+    values = np.empty(np.count_nonzero(last), dtype=np.uint8)  # int64 once a token has two digits
+    n = 0  # the tokens before the slice
+    for part in _slices(last.size):
+        at = np.flatnonzero(last[part])
+        at += part.start
+        values[n : n + at.size] = body[at] >> _VALUE_SHIFT
+        first, n = n, n + at.size
+        idx = None  # the tokens that have digit d; None while that is all of the slice's
+        for d in range(1, _MAX_DIGITS + 1):
+            at -= 1
+            keep = np.flatnonzero(body[at] >= _DIGIT)  # every character is a space or a digit
+            if not keep.size:
+                break
+            if d == _MAX_DIGITS:
+                return None
+            if values.dtype != np.int64:
+                values = values.astype(np.int64)
+            idx = keep + first if idx is None else idx[keep]
+            at = at[keep]
+            values[idx] += (body[at] >> _VALUE_SHIFT) * np.int64(10**d)
+    return values
 
 
 def _layout(cls: np.ndarray) -> tuple[int, np.ndarray]:
     """Where the header line ends, and the number of tokens on each nonblank
     line after it."""
+    brk = cls & _BREAK != 0
+    if not brk.any():
+        return cls.size, np.empty(0, _index_dtype(0))
     word = cls & _SPACE == 0
-    first = np.flatnonzero(word & ~np.append(False, word[:-1]))  # each token's first character
-    breaks = np.flatnonzero(cls & _BREAK)
-    if not breaks.size:
-        return cls.size, np.empty(0, np.int64)
+    events = brk | (word > np.append(False, word[:-1]))  # boundaries and token starts
+    del word
+    # the events in text order, True at a boundary, then one more boundary
+    # past the end; gathered a slice at a time, since boolean indexing is
+    # slow on a mask that is neither sparse nor dense
+    marks = np.empty(np.count_nonzero(events) + 1, dtype=bool)
+    marks[-1] = True
+    n = 0
+    for part in _slices(events.size):
+        at = np.flatnonzero(events[part])
+        at += part.start
+        marks[n : n + at.size] = brk[at]
+        n += at.size
     # the tokens after each line boundary and before the next ("\r\n"
     # adds only a blank line)
-    sizes = np.diff(np.searchsorted(first, breaks), append=first.size)
-    return int(breaks[0]), sizes[sizes > 0]
+    sizes = np.diff(_flatnonzero(marks))
+    sizes -= 1
+    return int(np.argmax(brk)), sizes[sizes > 0]
 
 
 def read_trace(source) -> CouplingTrace | WalkerTrace:

@@ -45,12 +45,15 @@ def trace_texts(draw):
     if len(rows) >= 2 and rows[0] and draw(RARELY):
         # one value moved to another row: ragged rows, token total unchanged
         rows[draw(st.integers(1, len(rows) - 1))].append(rows[0].pop())
-    return "".join(
+    text = "".join(
         draw(st.sampled_from(["", " "]))
         + draw(GAP).join(tokens)
-        + (draw(EOL) if draw(RARELY) else "\n")
+        + draw(st.sampled_from(["", " ", "\t "]))  # trailing spaces
+        + draw(EOL if draw(RARELY) else st.sampled_from(["\n", "\r\n", "\n\n", "\r\n \r\n"]))
         for tokens in [header] + rows
     )
+    # perhaps without its final newline
+    return text.rstrip("\r\n") if draw(RARELY) else text
 
 
 FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")

@@ -191,9 +191,10 @@ def test_array_pairs_match_pair_scan_and_brute_force(case):
 @settings(max_examples=200, deadline=None)
 @given(case=SYMBOL_ARRAYS)
 def test_empirical_stats_of_an_array_equal_those_of_the_word(case):
-    # the rates times T are the word's blank count and exact weights
+    # the rates times T are the word's blank count and exact weights; k = 0
+    # is refused (test_empirical_stats_refuses_fewer_than_one_walker)
     k, x = case
-    assume(x.size)
+    assume(x.size and k)
     est = empirical_stats(x, k)
     word = Seq(k, tuple(x.tolist()))
     scan = pair_scan(word)
@@ -214,7 +215,7 @@ def test_empirical_stats_of_the_trace_symbols():
 @pytest.mark.parametrize(
     "x, k, message",
     [
-        (np.array([0, 1]), 0, "0..0"),
+        (np.array([0, 3]), 2, "0..2"),
         (np.array([[0, 1]]), 1, "1-d"),
         (np.array([0, 2]), 1, "0..1"),
         (np.array([-1, 0]), 1, "0..1"),
@@ -224,6 +225,13 @@ def test_empirical_stats_of_the_trace_symbols():
 def test_empirical_stats_rejects_bad_arrays(x, k, message):
     with pytest.raises(ValueError, match=message):
         empirical_stats(x, k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_empirical_stats_refuses_fewer_than_one_walker(k):
+    # the wording traces.CouplingTrace uses; the symbols are not looked at
+    with pytest.raises(ValueError, match=f"^walker count must be >= 1, got {k}$"):
+        empirical_stats(np.array([0, 0, 0]), k)
 
 
 # chi-square tails on a grid of degrees of freedom 1..255 and x in [0, 6 dof]

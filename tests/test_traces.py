@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidance import traces
+from avoidance.stats import empirical_stats
 from avoidance.sequences import is_permissible
 from avoidance.traces import (
     CouplingTrace,
@@ -76,6 +78,23 @@ def test_encode_all_zero():
 def test_encode_rejects_collision():
     with pytest.raises(ValueError, match="row 1 has 2 ones; cannot encode"):
         traces.symbol_array(binary([[1, 1]]))
+
+
+@pytest.mark.parametrize("k, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16), (70_000, np.uint32)])
+def test_symbol_array_is_the_smallest_unsigned_dtype_holding_k(k, dtype):
+    rows = np.zeros((3, k), dtype=np.uint8)
+    rows[0, k - 1] = rows[2, 0] = 1
+    x = traces.symbol_array(CouplingTrace(k, rows))
+    assert x.dtype == dtype and x.dtype.kind == "u" and np.iinfo(x.dtype).max >= k
+    assert x.tolist() == [k, 0, 1]
+
+
+def test_index_dtype_is_int32_while_every_index_fits():
+    # only the size is looked at, so nothing of that size is allocated
+    assert traces._index_dtype(0) == np.int32
+    assert traces._index_dtype(2**31 - 1) == np.int32
+    assert traces._index_dtype(2**31) == np.int64
+    assert traces._index_dtype(2**40) == np.int64
 
 
 def test_encode_of_valid_trace_is_permissible():
@@ -381,11 +400,19 @@ def test_write_trace_matches_rowwise_writer(tr):
 @settings(max_examples=200, deadline=None)
 @given(tr=TRACES, data=st.data())
 def test_read_trace_matches_rowwise_reader(tr, data):
-    # the written text, with its separators swapped for other whitespace
-    ends_line = EOL.filter(lambda eol: len(f"a{eol}b".splitlines()) > 1)
+    # the written text, with its separators swapped for other whitespace:
+    # blank lines, "\r\n", trailing spaces, and perhaps no final newline
+    ends_line = st.one_of(
+        EOL.filter(lambda eol: len(f"a{eol}b".splitlines()) > 1),
+        st.sampled_from(["\r\n", " \r\n", "\t\n", "\r\n\r\n", "\n \n\n"]),
+    )
+    written = write_trace(tr)
+    last = len(written) - 1
     text = "".join(
-        data.draw(GAP) if ch == " " else data.draw(ends_line) if ch == "\n" else ch
-        for ch in write_trace(tr)
+        data.draw(GAP) if ch == " "
+        else data.draw(st.one_of(ends_line, st.just("")) if i == last else ends_line) if ch == "\n"
+        else ch
+        for i, ch in enumerate(written)
     )
     got, want = read_trace(io.StringIO(text)), rowwise_read_trace(text)
     assert type(got) is type(want)
@@ -438,3 +465,57 @@ def test_read_trace_agrees_on_malformed_text(text):
         # reports a value past int64 as ValueError like every other defect
         want = ValueError
     assert got == want
+
+
+# ----------------------------------------------------------- memory at scale
+
+def traced_peak_mb(fn):
+    """The peak of the memory Python and numpy allocate during fn(), in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def scale_traces():
+    """A seeded 200,000-row binary trace and a 50,000 x 4 walker trace."""
+    rng = np.random.default_rng(2)
+    return {
+        "binary": CouplingTrace(1, (rng.random((200_000, 1)) < 0.3).astype(np.uint8)),
+        "walker": WalkerTrace(12, 4, False, rng.integers(1, 13, size=(50_000, 4))),
+    }
+
+
+# Each bound is the peak measured with int32 positions and uint8 symbols
+# (in the comment) plus a margin of about a quarter or more; int64 positions
+# and symbols exceed every one of them.
+@pytest.mark.parametrize(
+    "kind, bound_mb",
+    [("binary", 2.0), ("walker", 2.5)],  # measured 1.26 and 1.71 MB
+)
+def test_write_trace_peak_memory(scale_traces, kind, bound_mb):
+    tr = scale_traces[kind]
+    assert traced_peak_mb(lambda: write_trace(tr)) < bound_mb
+
+
+@pytest.mark.parametrize(
+    "kind, bound_mb",
+    [("binary", 7.0), ("walker", 6.8)],  # measured 5.47 and 5.44 MB
+)
+def test_read_trace_peak_memory(scale_traces, kind, bound_mb):
+    text = write_trace(scale_traces[kind])
+    assert traced_peak_mb(lambda: read_trace(io.StringIO(text))) < bound_mb
+
+
+def test_symbol_array_peak_memory(scale_traces):
+    tr = scale_traces["binary"]
+    assert traced_peak_mb(lambda: traces.symbol_array(tr)) < 0.6  # measured 0.40 MB
+
+
+def test_empirical_stats_peak_memory(scale_traces):
+    # above the symbol array, which the caller keeps
+    x = traces.symbol_array(scale_traces["binary"])
+    assert traced_peak_mb(lambda: empirical_stats(x, 1)) < 3.2  # measured 2.43 MB
