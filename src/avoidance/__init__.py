@@ -10,12 +10,16 @@ is in ``sys.modules`` and an attribute of the package from the start, and its
 code runs when one of its attributes is first read.  A command therefore
 executes only the layers it calls.  The public names are the layers' own:
 ``avoidance.bounds.max_p``, ``avoidance.sequences.Seq`` and so on.
+
+``importlib.util.LazyLoader`` takes no lock before Python 3.12, so two
+threads that touch a layer first at once can see it half executed.  A
+threaded caller touches each layer it uses on one thread first.
 """
 
 import importlib.util
 import sys
 
-__version__ = "0.4.20"
+__version__ = "0.4.21"
 
 _LAYERS = ("bounds", "lemma", "lp", "policies", "reporting", "sequences", "stats", "traces")
 

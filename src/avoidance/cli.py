@@ -132,14 +132,14 @@ def _write(ns: argparse.Namespace, text: str) -> None:
             fh.write(text)
 
 
-def _emit(ns, body: dict, text_lines: list[str], csv_rows=None, csv_columns=None) -> None:
+def _emit(ns, body: dict, text_lines: list[str], csv_rows=None) -> None:
     if ns.format == "json":
         _write(ns, reporting.render_json({**_meta(ns), **body}))
     elif ns.format == "csv":
         if csv_rows is None:
-            csv_columns = ["key", "value"]
             csv_rows = [{"key": k, "value": v} for k, v in _flatten(body)]
-        _write(ns, reporting.render_csv(_meta(ns), csv_columns, csv_rows))
+        # the columns are the first row's keys: no command emits an empty table
+        _write(ns, reporting.render_csv(_meta(ns), list(csv_rows[0]), csv_rows))
     else:
         _write(ns, "\n".join(text_lines) + "\n")
 
@@ -216,7 +216,7 @@ def cmd_verify_lemma(ns) -> int:
     lines = [f"checked {report.checked}", f"counterexamples {len(report.counterexamples)}"]
     lines += [f"counterexample {text}" for text in report.counterexamples]
     rows = [{"length": l, "count": c} for l, c in report.by_length.items()]
-    _emit(ns, body, lines, csv_rows=rows, csv_columns=["length", "count"])
+    _emit(ns, body, lines, csv_rows=rows)
     return 0 if report.ok else 1
 
 
@@ -411,20 +411,7 @@ def cmd_lp_scan(ns) -> int:
         + f" within_maxp={str(e.within_max_p).lower()}"
         for e in report.entries
     ]
-    _emit(
-        ns,
-        body,
-        lines,
-        csv_rows=rows,
-        csv_columns=[
-            "p",
-            "status",
-            "gap",
-            "residual",
-            "analytic_maxp_verdict",
-            "trivial_verdict",
-        ],
-    )
+    _emit(ns, body, lines, csv_rows=rows)
     return 1 if report.any_infeasible else 0
 
 

@@ -81,9 +81,6 @@ LOCAL_RULES = {
 
 RULES = (*LOCAL_RULES, DELETE_VICTIM_SYMBOL)
 
-# each local rule's place in the priority order
-_RANK = {rule: i for i, rule in enumerate(LOCAL_RULES)}
-
 ENUMERATION_BUDGET = 10_000_000
 
 # a parallel sweep cuts at least this many shards per process, so uneven
@@ -207,9 +204,10 @@ def _local_step(rule: str, pos: int) -> ReductionStep:
     return ReductionStep(rule, pos, wd, bd)
 
 
-def _pick_step(s: Seq, local: tuple[str, int] | None) -> ReductionStep:
-    """The step ``reduce_step`` takes on the permissible word ``s``, whose
-    first local pattern is ``local`` (as ``_first_local`` finds it)."""
+def _pick_step(s: Seq) -> ReductionStep:
+    """The step ``reduce_step`` takes on the permissible word ``s``: its
+    first local pattern's (``_first_local``), else a victim deletion."""
+    local = _first_local(s.symbols)
     if local is not None:
         return _local_step(*local)
     present = sorted(set(s.symbols) - {BLANK})
@@ -237,7 +235,7 @@ def reduce_step(s: Seq) -> ReductionStep:
     """
     if not is_permissible(s):
         raise ValueError("sequence is not permissible")
-    return _pick_step(s, _first_local(s.symbols))
+    return _pick_step(s)
 
 
 def is_terminal(s: Seq) -> bool:
@@ -262,12 +260,12 @@ def reduce_certificate(s: Seq) -> ReductionCertificate:
 
 
 def _check_step(
-    before: Seq, step: ReductionStep, weight: int, n: int, blanks: int
+    before: Seq, step: ReductionStep, weight: int, n: int
 ) -> tuple[str | None, Seq | None, int | None]:
     """Independently re-verify one step on ``before`` with exact arithmetic.
 
     ``weight`` is ``before``'s total weight times lcm(1..n), for an n at
-    least ``_max_b`` of its length, and ``blanks`` its blank count.
+    least ``_max_b`` of its length.
 
     Checks the rule's pattern at the anchor, or that the victim occurs, and
     that the edit shortens the word.  Weighs the result afresh over the same
@@ -291,7 +289,7 @@ def _check_step(
     den = weight_scale(n)[0]
     after_weight = scaled_total_weight(after, n)
     dw = after_weight - weight
-    bd = blank_count(after) - blanks
+    bd = blank_count(after) - blank_count(before)
     stored = step.weight_delta
     if dw * stored.denominator != stored.numerator * den:
         return f"stored weight delta {stored} != recomputed {Fraction(dw, den)}", None, None
@@ -330,7 +328,7 @@ def check_certificate(cert: ReductionCertificate) -> CheckResult:
     n = _max_b(cur.k, len(cur))
     weight = initial_w = scaled_total_weight(cur, n)
     for idx, step in enumerate(cert.steps):
-        failure, cur, weight = _check_step(cur, step, weight, n, blank_count(cur))
+        failure, cur, weight = _check_step(cur, step, weight, n)
         if failure is not None:
             return CheckResult(False, f"step {idx}: {failure}")
     if cert.final != cur:
@@ -401,44 +399,26 @@ class ExhaustiveReport(NamedTuple):
         return not self.counterexamples
 
 
-def _extend(state: tuple, sym: int, t: int, scale: tuple[int, ...]) -> tuple:
-    """The carried state of a word of length t - 1 with ``sym`` appended.
+def _extend(state: tuple, sym: int, scale: tuple[int, ...]) -> tuple:
+    """The carried state of a word with ``sym`` appended.
 
-    A state is (weight, blanks, recent, local): the total weight over the
-    sweep's unit, with ``scale`` each b's pair weight over it; the blank
-    count; the ``move_to_front`` recency list; the first local pattern as
-    ``_first_local`` gives it.  Appending closes at most one pair, whose b
-    is the step's on a copy of the parent's list.  A new local pattern ends
-    at t, right of every older one, so it is first only when its rule comes
-    earlier in the priority order: "B B" is a blank with b = 0 and "i i" a
-    walker with b = 0, at t - 1; "i B i" a walker with b = 1 after a blank,
-    at t - 2.  If more than one blank lies between, "B B" is already the
-    first local pattern and outranks rule 3.  O(d) for d distinct symbols.
+    A state is (weight, recent): the total weight over the sweep's unit,
+    with ``scale`` each b's pair weight over it, and the ``move_to_front``
+    recency list.  Appending closes at most one pair, whose b is the step's
+    on a copy of the parent's list.  O(d) for d distinct symbols.
     """
-    weight, blanks, recent, local = state
+    weight, recent = state
     recent = recent.copy()
     b = move_to_front(recent, sym)
-    new = None
-    if sym == BLANK:
-        blanks += 1
-        if b == 0:
-            new = (COLLAPSE_BLANKS, t - 1)
-    elif b >= 0:
+    if sym != BLANK and b >= 0:
         weight += scale[b]
-        if b == 0:
-            new = (DELETE_ZERO_WEIGHT_PAIR, t - 1)
-        elif b == 1 and recent[1] == BLANK:
-            new = (COLLAPSE_WEIGHT_ONE_PAIR, t - 2)
-    if new is not None and (local is None or _RANK[new[0]] < _RANK[local[0]]):
-        local = new
-    return weight, blanks, recent, local
+    return weight, recent
 
 
 def _carried_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
-    """Yield ``(word, weight, blanks, local)`` for each word of
+    """Yield ``(word, weight)`` for each word of
     ``permissible_words(k, max_len, prefix)``: its total weight times
-    lcm(1..n), the one unit of the sweep for n = ``_max_b(k, max_len)``, its
-    blank count and its first local pattern.
+    lcm(1..n), the one unit of the sweep for n = ``_max_b(k, max_len)``.
 
     Each word's state extends its parent's by one symbol (``_extend``).  The
     words come depth first, a word before its extensions, so the parent of
@@ -448,13 +428,13 @@ def _carried_words(k: int, max_len: int, prefix: tuple[int, ...] = ()):
     """
     scale = weight_scale(_max_b(k, max_len))[1]
     path: list = [None] * (max_len + 1)
-    path[0] = (0, 0, [], None)
+    path[0] = (0, [])
     for t in range(1, len(prefix)):
-        path[t] = _extend(path[t - 1], prefix[t - 1], t, scale)
+        path[t] = _extend(path[t - 1], prefix[t - 1], scale)
     for word in permissible_words(k, max_len, prefix):
         t = len(word)
-        state = path[t] = _extend(path[t - 1], word[-1], t, scale)
-        yield word, state[0], state[1], state[3]
+        state = path[t] = _extend(path[t - 1], word[-1], scale)
+        yield word, state[0]
 
 
 def _is_canonical(word: tuple[int, ...], k: int) -> bool:
@@ -482,26 +462,28 @@ def _verify_words(k: int, max_len: int, prefix: tuple[int, ...] = (), every: boo
     is counted in ``by_length``.  A terminal word has no step: it has no
     pairs, so it holds the inequality outright.
 
-    A word's weight, blank count and first local pattern are carried down
-    from its parent (``_carried_words``).  The carried weight is the word's
-    weight exactly: the parent's pairs are the word's pairs but the one its
-    last symbol closes, and that pair's b comes from the ``move_to_front``
-    step ``pair_scan`` takes.  Only the shorter word the step leaves is
-    weighed afresh, and the step check compares the two: a wrong carried
-    weight fails it, since the stored delta of a local rule is a constant
-    and that of rule 4 comes from a fresh scan of the word.
+    A word's weight is carried down from its parent (``_carried_words``).
+    Its step is ``reduce_step``'s, taken by ``_pick_step`` without a second
+    permissibility pass, since every enumerated word is permissible.  The
+    carried weight is the word's weight exactly: the parent's pairs are the
+    word's pairs but the one its last symbol closes, and that pair's b
+    comes from the ``move_to_front`` step ``pair_scan`` takes.  Only the
+    shorter word the step leaves is weighed afresh, and the step check
+    compares the two: a wrong carried weight fails it, since the stored
+    delta of a local rule is a constant and that of rule 4 comes from a
+    fresh scan of the word.
     """
     n = _max_b(k, max_len)
     by_length: dict[int, int] = {}
     bad: list[tuple[int, ...]] = []
-    for word, weight, blanks, local in _carried_words(k, max_len, prefix):
+    for word, weight in _carried_words(k, max_len, prefix):
         by_length[len(word)] = by_length.get(len(word), 0) + 1
         if not (every or _is_canonical(word, k)):
             continue
         s = Seq._unchecked(k, word)
         if is_terminal(s):
             continue
-        if _check_step(s, _pick_step(s, local), weight, n, blanks)[0] is not None:
+        if _check_step(s, _pick_step(s), weight, n)[0] is not None:
             bad.append(word)
     return by_length, bad
 
@@ -543,14 +525,14 @@ def verify_lemma_exhaustive(k: int, max_len: int, jobs: int | None = 1) -> Exhau
     permissible word with dw >= bd.  Every rule's deltas satisfy that: the
     local rules' in ``LOCAL_RULES``, and (input - output >= 0, 0) for rule
     4.  So if the shorter word obeys the inequality, w(before) = w(after) -
-    dw <= blanks(after) - bd = blanks(before).  Here w(before) and
-    blanks(before) are carried down the enumeration, not rescanned: a word
-    has exactly its parent's pairs plus the one its last symbol may close,
-    so its carried weight is its weight (``_verify_words``), and dw is
-    recomputed from a fresh weighing of the shorter word.  The base cases,
-    the empty word and a lone blank, have no pairs.  The premise that every
-    shorter word was enumerated is asserted: the words counted per length
-    must equal ``word_counts``.
+    dw <= blanks(after) - bd = blanks(before).  Here w(before) is carried
+    down the enumeration, not rescanned: a word has exactly its parent's
+    pairs plus the one its last symbol may close, so its carried weight is
+    its weight (``_verify_words``), and dw is recomputed from a fresh
+    weighing of the shorter word; blanks(before) is counted off the word.
+    The base cases, the empty word and a lone blank, have no pairs.  The
+    premise that every shorter word was enumerated is asserted: the words
+    counted per length must equal ``word_counts``.
 
     Only the canonical words, those with w <= sigma(w) (``_is_canonical``),
     have their step checked.  That proves the inequality for every word:

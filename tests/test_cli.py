@@ -232,6 +232,13 @@ def test_lp_scan_csv_and_exit_code():
     assert lines[3].startswith("0.51,infeasible")
 
 
+def test_verify_lemma_csv_is_the_count_per_length():
+    code, out = run_cli(["verify-lemma", "--k", "2", "--max-len", "4", "--format", "csv"])
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines == ["length,count", "1,3", "2,8", "3,21", "4,55"]
+
+
 def test_lp_scan_all_feasible_exit_0():
     code, _ = run_cli(["lp-scan", "--k", "1", "--m", "2", "--grid", "0.2,0.8"])
     assert code == 0

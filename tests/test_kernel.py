@@ -227,13 +227,12 @@ def test_carried_state_matches_a_fresh_scan(k, max_len):
     checked = 0
     for shard in [(k, max_len, ()), *lemma._shards(k, max_len, 2)]:
         den = weight_scale(_max_b(*shard[:2]))[0]
-        for word, weight, blanks, local in lemma._carried_words(*shard):
+        for word, weight in lemma._carried_words(*shard):
             s = Seq(k, word)
             scan = pair_scan(s)
             assert den % scan.denominator == 0
             assert weight == scan.scaled_total * (den // scan.denominator), word
-            assert blanks == blank_count(s), word
-            assert local == lemma._first_local(word), word
+            assert lemma._first_local(word) == literal_first_local(word), word
             checked += 1
     assert checked == 2 * sum(dict(zip(range(1, max_len + 1), word_counts(k))).values())
 
@@ -250,7 +249,7 @@ def literal_first_local(word):
 
 @given(permissible_words_st())
 @settings(max_examples=200, deadline=None)
-# "i B i" is a walker with b = 1 after a blank, unless "B B" comes first
+# "i B i" is the first local pattern unless a "B B" comes first
 @example(parse_seq("1 B 1", 2))
 @example(parse_seq("1 B B 1", 2))
 @example(parse_seq("1 B 2 B 1", 2))
@@ -261,12 +260,11 @@ def test_carried_state_matches_definition(s):
     if not s.symbols:
         return
     T = len(s)
-    (word, weight, blanks, local), = lemma._carried_words(s.k, T, s.symbols)
-    total, want_blanks, _ = brute_total_weight(list(s.symbols))
+    (word, weight), = lemma._carried_words(s.k, T, s.symbols)
+    total, _, _ = brute_total_weight(list(s.symbols))
     assert word == s.symbols
     assert Fraction(weight, weight_scale(_max_b(s.k, T))[0]) == total
-    assert blanks == want_blanks
-    assert local == literal_first_local(s.symbols)
+    assert lemma._first_local(word) == literal_first_local(word)
 
 
 @pytest.mark.parametrize("k, max_len, jobs", [(1, 7, 2), (2, 6, 2), (3, 5, 3), (2, 3, 2)])
@@ -288,7 +286,7 @@ def test_exhaustive_report_same_at_one_and_two_jobs(k, max_len):
 def test_counterexamples_in_enumeration_order_at_every_jobs(monkeypatch, pool_at_any_size):
     # fail the step of every word that ends in walker 2, so there are
     # counterexamples to order
-    def fake_check(before, step, weight, n, blanks):
+    def fake_check(before, step, weight, n):
         return ("fails" if before.symbols[-1] == 2 else None), None, None
 
     monkeypatch.setattr(lemma, "_check_step", fake_check)
@@ -311,8 +309,8 @@ def test_sweep_reports_exactly_the_words_whose_step_fails(monkeypatch, pool_at_a
     # not blamed, since each word is checked by its own step
     real = lemma._pick_step
 
-    def tampered(s, local):
-        step = real(s, local)
+    def tampered(s):
+        step = real(s)
         if sum(s.symbols) % 4 == 1:
             return step._replace(weight_delta=step.weight_delta + Fraction(1, 2))
         return step
@@ -361,8 +359,8 @@ def test_steps_failing_only_on_non_canonical_words_are_not_counterexamples(
     # step checks, so its own step is never checked
     real = lemma._pick_step
 
-    def tampered(s, local):
-        step = real(s, local)
+    def tampered(s):
+        step = real(s)
         if s.symbols > brute_reversal(s.k, s.symbols):
             return step._replace(weight_delta=step.weight_delta + Fraction(1, 2))
         return step
@@ -401,7 +399,7 @@ def test_word_counts_match_brute_force():
 def check_step(before, step):
     """The step checker on ``before``, weighed by ``pair_scan``."""
     scan = pair_scan(before)
-    return lemma._check_step(before, step, scan.scaled_total, scan.max_b, blank_count(before))
+    return lemma._check_step(before, step, scan.scaled_total, scan.max_b)
 
 
 def test_edit_check_accepts_exactly_the_literal_patterns():

@@ -275,6 +275,30 @@ def test_every_public_function_has_a_caller():
     assert sorted(uncalled) == sorted(AWAITING_CALLER)
 
 
+def test_every_private_function_and_constant_is_read():
+    # a module-level private function or constant is read outside its own
+    # definition, matched by name as above: a leftover helper or table fails
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    everywhere = sum((referenced_names(tree) for tree in trees), Counter())
+    unread = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = referenced_names(node)
+            unread += [
+                name for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and everywhere[name] == own[name]
+            ]
+    assert unread == []
+
+
 def test_frozen_classes_validate():
     # a record whose __init__ only stores its fields is a NamedTuple
     frozen = []
