@@ -19,7 +19,7 @@ threaded caller touches each layer it uses on one thread first.
 import importlib.util
 import sys
 
-__version__ = "0.4.21"
+__version__ = "0.4.22"
 
 _LAYERS = ("bounds", "lemma", "lp", "policies", "reporting", "sequences", "stats", "traces")
 

@@ -436,11 +436,12 @@ def main(argv=None) -> int:
     # pool, whose idle worker busy-waits on a second core for about 0.13 s
     # per process, and no command does float BLAS work: the only matrix
     # products (traces.symbol_array, stats._window_chisquare) multiply
-    # integer arrays, which never reach BLAS; HiGHS neither uses OpenBLAS
-    # nor starts threads; stats prints the same digits at any BLAS thread
-    # count.  Layers load lazily, so numpy loads after this line.  The
-    # caller's value, or its absence, is restored on return, so a program
-    # that runs main in process passes its own setting on to its children.
+    # integer arrays, which never reach BLAS; the LP commands import no
+    # numpy, and HiGHS neither uses OpenBLAS nor starts threads; stats
+    # prints the same digits at any BLAS thread count.  Layers load lazily,
+    # so numpy loads after this line.  The caller's value, or its absence,
+    # is restored on return, so a program that runs main in process passes
+    # its own setting on to its children.
     caller = os.environ.get("OPENBLAS_NUM_THREADS")
     count = (caller or "").strip()
     if not (count.isascii() and count.isdigit() and int(count) > 0):

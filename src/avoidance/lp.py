@@ -8,25 +8,30 @@ linear system therefore certifies that no such coupling exists at (k, p);
 feasibility says nothing.  Instances are exact (p kept rational); solving is
 floating point with an independent witness re-check, and exact witnesses can
 be verified in exact arithmetic.
+
+The layer holds the system in tuples of Python ints and floats and hands it
+to HiGHS as free-MPS text, so it never imports numpy: at the sizes the
+toolkit scans, numpy's import (0.06-0.08 s per process) outweighs what its
+arrays save in the build and the orbit fold.
 """
 
 from __future__ import annotations
 
+import bisect
 import importlib.machinery
 import importlib.util
 import itertools
 import math
 import os
 import sys
+import tempfile
 from fractions import Fraction
+from operator import sub
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import bounds
 from .sequences import symbol_text
-
-# after the package's imports: with no cached bytecode, sequences.py then compiles before numpy grows the heap
-import numpy as np
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -71,6 +76,11 @@ def _window_text(w: tuple[int, ...]) -> str:
     return "".join(symbol_text(s) for s in w) if w else "-"
 
 
+def _entry_columns(col_ptr, labels):
+    """Each entry's column label, entry by entry, for compressed columns."""
+    return itertools.chain.from_iterable(map(itertools.repeat, labels, map(sub, col_ptr[1:], col_ptr)))
+
+
 class WindowLP(NamedTuple):
     """Equality system A q = b over window frequencies q >= 0.
 
@@ -80,21 +90,22 @@ class WindowLP(NamedTuple):
     ``zero_vars`` (variable bounds, not rows).  All coefficients are 0/+-1;
     ``b_exact`` keeps the right-hand sides as exact rationals.
 
-    A is held in compressed-column form: column c's entries are
+    A is held in compressed-column form, as tuples of Python ints (``col_ptr``,
+    ``row_ind``) and floats (``coef``, ``b``): column c's entries are
     ``row_ind[col_ptr[c]:col_ptr[c + 1]]`` (increasing) with coefficients
     ``coef`` at the same positions.  ``A`` is the same matrix as a scipy CSR
     matrix, built anew on each access for callers outside the package; the
-    package itself reads only the column arrays.
+    package itself reads only the column tuples.
     """
 
     k: int
     p: Fraction
     m: int
     windows: tuple[tuple[int, ...], ...]
-    col_ptr: np.ndarray
-    row_ind: np.ndarray
-    coef: np.ndarray
-    b: np.ndarray
+    col_ptr: tuple[int, ...]
+    row_ind: tuple[int, ...]
+    coef: tuple[float, ...]
+    b: tuple[float, ...]
     b_exact: tuple[Fraction, ...]
     row_labels: tuple[str, ...]
     zero_vars: tuple[int, ...]
@@ -116,8 +127,8 @@ class WindowLP(NamedTuple):
 
     def entries(self) -> tuple[list[int], list[int], list[int]]:
         """(row, column, integer coefficient) lists of A's nonzeros, column by column."""
-        cols = np.repeat(np.arange(self.num_vars), np.diff(self.col_ptr))
-        return self.row_ind.tolist(), cols.tolist(), self.coef.astype(np.int64).tolist()
+        cols = list(_entry_columns(self.col_ptr, range(self.num_vars)))
+        return list(self.row_ind), cols, [int(v) for v in self.coef]
 
 
 def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
@@ -140,37 +151,55 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
         raise ValueError(f"(k+1)^m = {k + 1}^{m} windows exceed the budget {WINDOW_BUDGET}")
     base, n = k + 1, (k + 1) ** m
     n_shift = n // base  # one shift row per length m-1 word
-    codes = np.arange(n)
-    digits = [codes // base ** (m - 1 - j) % base for j in range(m)]
-    # walker i's faithfulness row for a window is the window's indicator code
-    indicator = np.zeros((k, n), dtype=np.int64)
-    for j, d in enumerate(digits):
-        occupied = np.flatnonzero(d)
-        indicator[d[occupied] - 1, occupied] += 1 << (m - 1 - j)
+
+    # tables over the windows of j + 1 symbols from those over j symbols, in
+    # code order: one block of base^j codes for each leading symbol d.
+    # Leading with walker i adds 2^j to a window's walker-i indicator code,
+    # and so to its faithfulness row
+    faith = []
+    for i in range(1, k + 1):
+        rows = [1 + n_shift + ((i - 1) << m)]
+        for j in range(m):
+            rows = rows * i + [r + (1 << j) for r in rows] + rows * (k - i)
+        faith.append(rows)
+    # leading with d pins a window that is pinned already or whose next
+    # symbol is a walker below d, the tails from base^(j-1) up to d base^(j-1)
+    pinned = [False]
+    for _ in range(m):
+        tail = len(pinned) // base
+        blocks = [pinned, pinned]
+        for d in range(2, base):
+            blocks.append(pinned[:tail] + [True] * ((d - 1) * tail) + pinned[d * tail :])
+        pinned = list(itertools.chain.from_iterable(blocks))
 
     # one column per window: it enters the normalization row, +1 the shift
-    # row of its last m-1 symbols, -1 the shift row of its first m-1 symbols,
-    # and one faithfulness row per walker
-    rows = np.empty((3 + k, n), dtype=np.int64)
-    rows[0] = 0
-    rows[1] = 1 + codes % n_shift
-    rows[2] = 1 + codes // base
-    rows[3:] = 1 + n_shift + ((np.arange(k)[:, None] << m) + indicator)
-    data = np.ones((3 + k, n))
-    data[2] = -1.0
-    data[1:3, rows[1] == rows[2]] = 0.0  # a constant window's two shift entries cancel
-    order = np.argsort(rows, axis=0, kind="stable")
-    rows, data = np.take_along_axis(rows, order, 0).T, np.take_along_axis(data, order, 0).T
-    kept = data != 0.0
-    col_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(kept.sum(axis=1), out=col_ptr[1:])
+    # row of its last m-1 symbols, -1 the shift row of its first m-1 symbols
+    # (rows increasing, so the lower of the two first), and one faithfulness
+    # row per walker
+    last = list(range(1, n_shift + 1)) * base
+    first = [r for r in range(1, n_shift + 1) for _ in range(base)]
+    width = 3 + k
+    row_ind = [0] * (n * width)
+    row_ind[1::width] = [a if a < b else b for a, b in zip(last, first)]
+    row_ind[2::width] = [b if a < b else a for a, b in zip(last, first)]
+    for i, rows in enumerate(faith, 3):
+        row_ind[i::width] = rows
+    coef = [1.0] * (n * width)
+    coef[1::width] = [1.0 if a < b else -1.0 for a, b in zip(last, first)]
+    coef[2::width] = [-1.0 if a < b else 1.0 for a, b in zip(last, first)]
+    counts = [width] * n
+    # a constant window's two shift entries cancel; those windows' codes are
+    # the multiples of (n - 1) / k, all n of them when m = 1
+    for c in reversed(range(0, n, (n - 1) // k)):
+        del row_ind[c * width + 1 : c * width + 3], coef[c * width + 1 : c * width + 3]
+        counts[c] = width - 2
 
     # right-hand sides, one per popcount of the faithfulness pattern
     rhs = [p**ones * (1 - p) ** (m - ones) for ones in range(m + 1)]
     popcount = [bin(c).count("1") for c in range(1 << m)]
     b_exact = (Fraction(1),) + (Fraction(0),) * n_shift + tuple(rhs[c] for c in popcount) * k
     rhs_float = [float(x) for x in rhs]
-    b = np.array([1.0] + [0.0] * n_shift + [rhs_float[c] for c in popcount] * k)
+    b = (1.0,) + (0.0,) * n_shift + tuple(rhs_float[c] for c in popcount) * k
 
     symbols = [symbol_text(s) for s in range(base)]
     patterns = ["".join(t) for t in itertools.product("01", repeat=m)]
@@ -179,23 +208,18 @@ def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
         + tuple(f"shift_{''.join(v) or '-'}" for v in itertools.product(symbols, repeat=m - 1))
         + tuple(f"faith_{i}_{pat}" for i in range(1, k + 1) for pat in patterns)
     )
-
-    # support zeros: some adjacent pair of walkers in decreasing order
-    decreasing = np.zeros(n, dtype=bool)
-    for left, right in zip(digits, digits[1:]):
-        decreasing |= (right > 0) & (left > right)
     return WindowLP(
         k=k,
         p=p,
         m=m,
         windows=tuple(itertools.product(range(base), repeat=m)),
-        col_ptr=col_ptr,
-        row_ind=rows[kept],
-        coef=data[kept],
+        col_ptr=tuple(itertools.accumulate(counts, initial=0)),
+        row_ind=tuple(row_ind),
+        coef=tuple(coef),
         b=b,
         b_exact=b_exact,
         row_labels=labels,
-        zero_vars=tuple(np.flatnonzero(decreasing).tolist()),
+        zero_vars=tuple(itertools.compress(range(n), pinned)),
     )
 
 
@@ -217,23 +241,27 @@ class FeasibilityResult(NamedTuple):
     downgrade to "unknown" rather than over-claim."""
 
     status: str
-    witness: np.ndarray | None
+    witness: tuple[float, ...] | None
     residual: float | None
     gap: float | None
     tol: float
 
 
-def witness_residual(lp: WindowLP, q: np.ndarray) -> float:
+def witness_residual(lp: WindowLP, q) -> float:
     """Largest constraint violation of q: equality rows, negativity, support."""
-    q = np.asarray(q, dtype=np.float64)
-    # each row sums its entries in column order, as a CSR product does
-    col = np.repeat(np.arange(lp.num_vars), np.diff(lp.col_ptr))
-    Aq = np.bincount(lp.row_ind, lp.coef * q[col], minlength=lp.num_rows)
-    res = float(np.abs(Aq - lp.b).max())
-    if q.size:
-        res = max(res, float(max(0.0, -q.min())))
+    q = [float(x) for x in q]
+    # each row sums its entries in column order, as a CSR product does; the
+    # entries of zero columns are left out, as adding a zero changes no sum
+    sums = [0.0] * lp.num_rows
+    for w in itertools.compress(range(len(q)), q):
+        x, start, end = q[w], lp.col_ptr[w], lp.col_ptr[w + 1]
+        for r, v in zip(lp.row_ind[start:end], lp.coef[start:end]):
+            sums[r] += v * x
+    res = max(abs(s - rhs) for s, rhs in zip(sums, lp.b))
+    if q:
+        res = max(res, 0.0, -min(q))
     if lp.zero_vars:
-        res = max(res, float(np.abs(q[list(lp.zero_vars)]).max()))
+        res = max(res, max(abs(q[i]) for i in lp.zero_vars))
     return res
 
 
@@ -290,44 +318,49 @@ def _highs():
 
 def linprog(c, col_ptr, row_ind, coef, b):
     """Minimize c'x subject to A x = b, x >= 0 with HiGHS, A given column-wise
-    (int32 ``col_ptr`` and ``row_ind``, float ``coef``).
+    (``col_ptr`` and ``row_ind`` ints, ``coef`` floats).
 
     Runs as ``scipy.optimize.linprog(method="highs-ipm", options=SOLVER_OPTIONS)``
     does, and once more with the dual simplex (``method="highs-ds"``) when the
     interior point ends non-optimal.  Returns ``status`` (0 when optimal, as
     scipy's; otherwise 4, scipy's code for a failed solve: the phase-one
     systems solved here are never infeasible or unbounded), and ``fun`` and
-    ``x``, None unless optimal.
+    ``x`` (a list), None unless optimal.
+
+    The system reaches HiGHS as free-MPS text, written by ``write_mps``'s
+    formatter to a temporary ``.mps`` file that every path deletes: any
+    float vector set on a ``HighsLp`` makes pybind11 import numpy, and
+    reading a model file does not.  Floats are written in their shortest
+    round-trip form, so HiGHS reads back the same bits.  A file HiGHS cannot
+    read is an OSError.
     """
     core = _highs()
-    nc, nr = len(c), len(b)
-    model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = nc
-    model.num_row_ = model.a_matrix_.num_row_ = nr
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = col_ptr
-    model.a_matrix_.index_ = row_ind
-    model.a_matrix_.value_ = coef
-    model.col_cost_ = c
-    model.col_lower_ = np.zeros(nc)
-    model.col_upper_ = np.full(nc, core.kHighsInf)
-    model.row_lower_ = model.row_upper_ = b
+    columns = [f"C{j}" for j in range(len(c))]
+    rows = [f"R{r}" for r in range(len(b))]
+    text = _mps_text("phase_one", rows, columns, col_ptr, row_ind, coef, zip(rows, b), cost=c)
     options = core.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     options.output_flag = options.log_to_console = False
     for key, value in SOLVER_OPTIONS.items():
         setattr(options, key, value)
-    for solver in SOLVERS:
-        options.solver = solver
-        highs = core._Highs()
-        highs.passOptions(options)
-        highs.passModel(model)
-        highs.run()
-        if highs.getModelStatus() == core.HighsModelStatus.kOptimal:
-            x = np.array(highs.getSolution().col_value)
-            return SimpleNamespace(status=0, fun=highs.getInfo().objective_function_value, x=x)
-    return SimpleNamespace(status=4, fun=None, x=None)
+    fd, path = tempfile.mkstemp(suffix=".mps")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        for solver in SOLVERS:
+            options.solver = solver
+            highs = core._Highs()
+            highs.passOptions(options)
+            if highs.readModel(path) != core.HighsStatus.kOk:
+                raise OSError(f"HiGHS could not read the phase-one model written to {path}")
+            highs.run()
+            if highs.getModelStatus() == core.HighsModelStatus.kOptimal:
+                x = highs.getSolution().col_value
+                return SimpleNamespace(status=0, fun=highs.getInfo().objective_function_value, x=x)
+        return SimpleNamespace(status=4, fun=None, x=None)
+    finally:
+        os.unlink(path)
 
 
 def _check_tol(tol: float) -> None:
@@ -335,32 +368,29 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _reversal(codes: np.ndarray, base: int, length: int) -> np.ndarray:
-    """sigma on base-``base`` codes of ``length`` digits: reverse the digits
-    and relabel walker i as k+1-i (digit d > 0 becomes base - d); the blank,
-    digit 0, stays.  In base 2 this is bit reversal."""
-    out = np.zeros_like(codes)
-    rest = codes
-    for _ in range(length):
-        rest, digit = np.divmod(rest, base)
-        out = out * base + np.where(digit > 0, base - digit, 0)
-    return out
+def _reversal(base: int, length: int) -> list[int]:
+    """sigma on every base-``base`` code of ``length`` digits, in code order:
+    reverse the digits and relabel walker i as k+1-i (digit d > 0 becomes
+    base - d); the blank, digit 0, stays.  In base 2 this is bit reversal.
+    Built one digit at a time: appending d to a code of j digits puts
+    sigma(d) in front of its image, at base^j."""
+    table = [0]
+    for j in range(length):
+        front = [(base - d) % base * base**j for d in range(base)]
+        table = [t + f for t in table for f in front]
+    return table
 
 
-def _row_reversal(lp: WindowLP) -> np.ndarray:
+def _row_reversal(lp: WindowLP) -> list[int]:
     """sigma on row indices: normalization is fixed, shift row v goes to the
     shift row of sigma(v) (as minus that row), and faithfulness row
     (i, pattern) to (k+1-i, reversed pattern)."""
-    base, n_pat = lp.k + 1, 1 << lp.m
-    n_shift = base ** (lp.m - 1)
-    faith = np.arange(lp.k * n_pat)
-    walker, pattern = np.divmod(faith, n_pat)
-    return np.concatenate(
-        [
-            [0],
-            1 + _reversal(np.arange(n_shift), base, lp.m - 1),
-            1 + n_shift + (lp.k - 1 - walker) * n_pat + _reversal(pattern, 2, lp.m),
-        ]
+    n_pat, n_shift = 1 << lp.m, (lp.k + 1) ** (lp.m - 1)
+    patterns = _reversal(2, lp.m)
+    return (
+        [0]
+        + [1 + v for v in _reversal(lp.k + 1, lp.m - 1)]
+        + [1 + n_shift + (lp.k - 1 - i) * n_pat + q for i in range(lp.k) for q in patterns]
     )
 
 
@@ -393,45 +423,52 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
     anything else, a failed solve too, is "unknown".
     """
     _check_tol(tol)
-    nr = lp.num_rows
-    free = np.ones(lp.num_vars, dtype=bool)
-    free[list(lp.zero_vars)] = False
-    windows = np.flatnonzero(free)
-    # orbits numbered by their smallest window code
-    reps, orbit = np.unique(np.minimum(windows, _reversal(windows, lp.k + 1, lp.m)), return_inverse=True)
-    orbit_of = np.full(lp.num_vars, -1)
-    orbit_of[windows] = orbit
+    pinned = set(lp.zero_vars)
+    # orbits numbered by their smallest window code: a window whose image is
+    # smaller joins the orbit numbered at the image
+    orbit_of, nv = {}, 0
+    for w, image in enumerate(_reversal(lp.k + 1, lp.m)):
+        if w in pinned:
+            continue
+        if image < w:
+            orbit_of[w] = orbit_of[image]
+        else:
+            orbit_of[w], nv = nv, nv + 1
     row_sigma = _row_reversal(lp)
-    canonical = row_sigma >= np.arange(nr)
-    # orbit column = the sum of its windows' columns, on the canonical rows
-    col = orbit_of[np.repeat(np.arange(lp.num_vars), np.diff(lp.col_ptr))]
-    kept = (col >= 0) & canonical[lp.row_ind]
-    keys, slot = np.unique(col[kept] * nr + lp.row_ind[kept], return_inverse=True)
-    coef = np.bincount(slot, lp.coef[kept])
-    nonzero = coef != 0.0  # a shift row's entries can cancel within an orbit
-    keys, coef = keys[nonzero], coef[nonzero]
-    cols, rows = np.divmod(keys, nr)
-    used = np.bincount(rows, minlength=nr) > 0
-    assert not lp.b[canonical & ~used].any(), "a row with nonzero right-hand side lost every window"
-    nv, n_used = len(reps), int(used.sum())
-    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nv))])
+    canonical = [image >= r for r, image in enumerate(row_sigma)]
+    # orbit column = the sum of its windows' columns, on the canonical rows;
+    # entry (orbit o, row r) is keyed o * nr + r, so the keys sort column by
+    # column and orbit o's start where o * nr would
+    nr, folded = lp.num_rows, {}
+    for w, o in orbit_of.items():
+        offset, start, end = o * nr, lp.col_ptr[w], lp.col_ptr[w + 1]
+        for r, v in zip(lp.row_ind[start:end], lp.coef[start:end]):
+            if canonical[r]:
+                folded[offset + r] = folded.get(offset + r, 0.0) + v
+    # a shift row's entries can cancel within an orbit
+    keys = sorted(key for key, v in folded.items() if v)
+    rows = [key % nr for key in keys]
+    used = sorted(set(rows))
+    index = {r: i for i, r in enumerate(used)}
+    lost = [r for r, keep in enumerate(canonical) if keep and r not in index]
+    assert not any(lp.b[r] for r in lost), "a row with nonzero right-hand side lost every window"
+    col_ptr = [bisect.bisect_left(keys, o * nr) for o in range(nv + 1)]
+    n_used = len(used)
     # one +1 and one -1 slack column per remaining row, each costing its row orbit's size
-    size = np.where(row_sigma[used] == np.flatnonzero(used), 1.0, 2.0)
-    slack_rows = np.arange(n_used)
+    size = [1.0 if row_sigma[r] == r else 2.0 for r in used]
     res = linprog(
-        np.concatenate([np.zeros(nv), size, size]),
-        np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * n_used)]).astype(np.int32),
-        np.concatenate([(np.cumsum(used) - 1)[rows], slack_rows, slack_rows]).astype(np.int32),
-        np.concatenate([coef, np.ones(n_used), -np.ones(n_used)]),
-        lp.b[used],
+        [0.0] * nv + size + size,
+        col_ptr + list(range(col_ptr[-1] + 1, col_ptr[-1] + 1 + 2 * n_used)),
+        [index[r] for r in rows] + list(range(n_used)) * 2,
+        [folded[key] for key in keys] + [1.0] * n_used + [-1.0] * n_used,
+        [lp.b[r] for r in used],
     )
     if res.status != 0:
         return FeasibilityResult("unknown", None, None, None, tol)
     gap = float(res.fun)
     if gap > UNKNOWN_MARGIN:
         return FeasibilityResult("infeasible", None, None, gap, tol)
-    witness = np.zeros(lp.num_vars)
-    witness[windows] = res.x[orbit]
+    witness = tuple(res.x[orbit_of[w]] if w in orbit_of else 0.0 for w in range(lp.num_vars))
     residual = witness_residual(lp, witness)
     if residual <= tol:
         return FeasibilityResult("feasible", witness, residual, None, tol)
@@ -490,25 +527,38 @@ def write_mps(lp: WindowLP) -> str:
     Lets third-party solvers cross-check feasibility verdicts.  A nonzero
     right-hand side that rounds to 0.0 as a float raises ValueError.
     """
-    lines = [f"NAME window_lp_k{lp.k}_m{lp.m}", "ROWS", " N COST"]
-    row_names = []
-    for label in lp.row_labels:
-        name = f"R_{label}"
-        row_names.append(name)
-        lines.append(f" E {name}")
+    rows = [f"R_{label}" for label in lp.row_labels]
+    columns = [f"W_{_window_text(w)}" for w in lp.windows]
+    for name, exact in zip(rows, lp.b_exact):
+        if exact != 0 and float(exact) == 0.0:
+            raise ValueError(f"the right-hand side of row {name} is nonzero but rounds to 0.0")
+    fixed = [columns[i] for i in lp.zero_vars]
+    coef = map(int, lp.coef)
+    return _mps_text(f"window_lp_k{lp.k}_m{lp.m}", rows, columns, lp.col_ptr, lp.row_ind, coef, zip(rows, lp.b), fixed=fixed)
+
+
+def _mps_text(name: str, rows, columns, col_ptr, row_ind, coef, rhs, cost=(), fixed=()) -> str:
+    """Free MPS of min cost'x subject to A x = rhs, with x >= 0 except that
+    the columns named in ``fixed`` are fixed at 0.  A is given column-wise,
+    its rows and columns named by ``rows`` and ``columns``; ``rhs`` pairs
+    each row name with its right-hand side, and only nonzero ones are
+    written.  With no ``cost`` the objective row COST is empty."""
+    body = [f"    {col} {rows[r]} {v}" for col, r, v in zip(_entry_columns(col_ptr, columns), row_ind, coef)]
+    lines = [f"NAME {name}", "ROWS", " N COST"]
+    lines += [f" E {row}" for row in rows]
     lines.append("COLUMNS")
-    var_names = [f"W_{_window_text(w)}" for w in lp.windows]
-    rows, cols, coefs = lp.entries()
-    lines += [f"    {var_names[c]} {row_names[r]} {v}" for r, c, v in zip(rows, cols, coefs)]
+    # a column's entries are contiguous, its COST entry first; an empty
+    # column exists only through its COST entry
+    done = 0
+    for col, value, start, end in zip(columns, cost, col_ptr, col_ptr[1:]):
+        if value or start == end:
+            lines += body[done:start]
+            lines.append(f"    {col} COST {value}")
+            done = start
+    lines += body[done:]
     lines.append("RHS")
-    for name, rhs in zip(row_names, lp.b_exact):
-        if rhs != 0:
-            value = float(rhs)
-            if value == 0.0:
-                raise ValueError(f"the right-hand side of row {name} is nonzero but rounds to 0.0")
-            lines.append(f"    RHS {name} {value!r}")
+    lines += [f"    RHS {row} {value}" for row, value in rhs if value]
     lines.append("BOUNDS")
-    for i in lp.zero_vars:
-        lines.append(f" FX BND {var_names[i]} 0")
+    lines += [f" FX BND {col} 0" for col in fixed]
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -285,18 +285,18 @@ def full_phase_one_system(lp):
     free = np.ones(lp.num_vars, dtype=bool)
     free[list(lp.zero_vars)] = False
     entry_free = np.repeat(free, np.diff(lp.col_ptr))
-    rows, coef = lp.row_ind[entry_free], lp.coef[entry_free]
+    rows, coef, b = np.asarray(lp.row_ind)[entry_free], np.asarray(lp.coef)[entry_free], np.asarray(lp.b)
     used = np.bincount(rows, minlength=lp.num_rows) > 0
-    assert not lp.b[~used].any(), "a row with nonzero right-hand side lost every window"
+    assert not b[~used].any(), "a row with nonzero right-hand side lost every window"
     nv, nr = int(free.sum()), int(used.sum())
     col_ptr = np.concatenate([[0], np.cumsum(np.diff(lp.col_ptr)[free])])
     slack_rows = np.arange(nr)
     return (
-        np.concatenate([np.zeros(nv), np.ones(2 * nr)]),
-        np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * nr)]).astype(np.int32),
-        np.concatenate([(np.cumsum(used) - 1)[rows], slack_rows, slack_rows]).astype(np.int32),
-        np.concatenate([coef, np.ones(nr), -np.ones(nr)]),
-        lp.b[used],
+        np.concatenate([np.zeros(nv), np.ones(2 * nr)]).tolist(),
+        np.concatenate([col_ptr, col_ptr[-1] + 1 + np.arange(2 * nr)]).tolist(),
+        np.concatenate([(np.cumsum(used) - 1)[rows], slack_rows, slack_rows]).tolist(),
+        np.concatenate([coef, np.ones(nr), -np.ones(nr)]).tolist(),
+        b[used].tolist(),
     )
 
 

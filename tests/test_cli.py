@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -303,6 +304,26 @@ def test_lp_build_output_is_pinned(k, p, m, digest):
     code, out = run_cli(["lp-build", "--k", str(k), "--p", p, "--m", str(m)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of JSON stdout without its version line, computed while the window
+# LP was built and folded in numpy arrays and handed to HiGHS as arrays; with
+# the lp-build text digests above, they hold the build, the fold and the
+# MPS text that HiGHS now reads to the same bytes
+LP_JSON_DIGESTS = [
+    (["lp-scan", "--k", "3", "--m", "6", "--grid", "1/10,1/5,3/10"], 1,
+     "c1be736ac7031a56f30a3aa4017cc2a3c072b6b347eb6e8cb29b0bd9985e2e81"),
+    (["lp-build", "--k", "3", "--p", "1/5", "--m", "6"], 0,
+     "b1892bcbbfad927f8b0c87c0e0aabf6ae5ab700bb5154ee53263003480d3ab82"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", LP_JSON_DIGESTS, ids=[a[0] for a, _, _ in LP_JSON_DIGESTS])
+def test_lp_json_output_is_pinned(argv, exit_code, digest):
+    code, out = run_cli(argv + ["--format", "json"])
+    assert code == exit_code
+    body = "".join(line for line in out.splitlines(keepends=True) if not line.startswith('  "version": '))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 def seeded_word(seed, k=6, length=400):
@@ -852,8 +873,8 @@ print("numpy" in sys.modules)
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    # numpy is imported by the four array layers alone, when one of them runs
-    numpy_loaded = bool({"lp", "policies", "stats", "traces"} & set(executed))
+    # numpy is imported by the three array layers alone, when one of them runs
+    numpy_loaded = bool({"policies", "stats", "traces"} & set(executed))
     assert proc.stdout.splitlines() == ["0", "[]", repr(executed), repr(numpy_loaded)]
 
 
@@ -923,7 +944,7 @@ import sys
 import avoidance.cli
 print(avoidance.cli.main(["lp-build", "--k", "3", "--p", "1/5", "--m", "6", "--out", {str(mps)!r}]))
 print(avoidance.cli.main(["lp-build", "--k", "2", "--p", "1/8", "--m", "3", "--format", "json", "--out", {str(mps)!r}]))
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -944,19 +965,37 @@ for argv in [["lp-scan", "--k", "3", "--m", "4", "--grid", "1/10,3/10"],
         print(avoidance.cli.main(argv))
 scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 print([m for m in scipy if not m.startswith(avoidance.lp.HIGHS_MODULE)])
-print(bool(scipy))
+print(bool(scipy), "numpy" in sys.modules)
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    # no scipy.optimize, scipy.sparse or scipy package init: only the extension
-    assert proc.stdout == "[]\nTrue\n"
+    # no scipy.optimize, scipy.sparse or scipy package init: only the
+    # extension, which the model file reaches without numpy
+    assert proc.stdout == "[]\nTrue False\n"
+
+
+def test_lp_scan_without_a_temp_directory_exits_2(tmp_path, monkeypatch, capsys):
+    # HiGHS reads the phase-one model from a temporary file
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert main(["lp-scan", "--k", "2", "--m", "2", "--grid", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_lp_scan_leaves_no_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    code, out = run_cli(["lp-scan", "--k", "2", "--m", "3", "--grid", "1/5,9/20"])
+    assert (code, out.split()[1::3]) == (1, ["status=feasible", "status=infeasible"])
+    assert list(tmp_path.iterdir()) == []
 
 
 # the commands that build arrays, and so import numpy
-ARRAY_COMMANDS = ("simulate", "check-trace", "stats", "lp-build", "lp-scan")
+ARRAY_COMMANDS = ("simulate", "check-trace", "stats")
 
 
 @pytest.mark.parametrize("arrays", [False, True], ids=["no-numpy", "numpy"])

@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,12 +209,16 @@ SMALL_INSTANCES = [(k, m) for k in range(1, 5) for m in range(1, 12) if (k + 1) 
 @given(p=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000), max_denominator=1000))
 def test_build_matches_dict_builder(k, m, p):
     lp, ref = build_window_lp(k, p, m), brute_window_lp(k, p, m)
+    # the column tuples hold the oracle's values, as Python ints and floats
+    for name in ("col_ptr", "row_ind", "coef", "b"):
+        got, want = getattr(lp, name), getattr(ref, name).tolist()
+        assert type(got) is tuple and list(got) == want, name
+        assert [type(x) for x in got] == [type(x) for x in want], name
     for name in ("indptr", "indices", "data"):
         got, want = getattr(lp.A, name), getattr(ref.A, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
     assert lp.A.shape == ref.A.shape
-    assert lp.b.dtype == ref.b.dtype and np.array_equal(lp.b, ref.b)
     assert lp.b_exact == ref.b_exact
     assert lp.row_labels == ref.row_labels
     assert lp.zero_vars == ref.zero_vars
@@ -236,7 +242,7 @@ def test_solve_matches_two_step_solve(k, m, p):
     if res.status == status == "infeasible":
         assert res.gap == pytest.approx(gap, abs=1e-9)
     if res.status == "feasible":
-        assert res.witness.shape == (lp.num_vars,)
+        assert len(res.witness) == lp.num_vars
         assert witness_residual(ref, res.witness) <= res.tol
 
 
@@ -271,8 +277,8 @@ def test_window_lp_is_reversal_invariant(k, m):
     assert all(ref.b_exact[row_sigma[r]] == rhs for r, rhs in enumerate(ref.b_exact))
     # the solver's own sigma is this one
     lp = build_window_lp(k, Fraction(2, 7), m)
-    assert np.array_equal(lp_module._reversal(np.arange(lp.num_vars), k + 1, m), col_sigma)
-    assert np.array_equal(lp_module._row_reversal(lp), row_sigma)
+    assert lp_module._reversal(k + 1, m) == col_sigma.tolist()
+    assert lp_module._row_reversal(lp) == row_sigma.tolist()
 
 
 def test_orbit_system_is_about_half_the_full_one():
@@ -339,6 +345,35 @@ def phase_one_system(lp):
     return calls[0], res
 
 
+def system_entries(col_ptr, row_ind, coef):
+    """(column, row, coefficient) of each entry of a column-wise matrix, in order."""
+    return [(j, row_ind[e], coef[e]) for j in range(len(col_ptr) - 1) for e in range(col_ptr[j], col_ptr[j + 1])]
+
+
+def read_mps(text):
+    """(c, entries, b) of a free-MPS minimization with named rows and
+    columns, rows and columns numbered in the order they first appear."""
+    rows, columns, cost, entries, rhs, section = {}, {}, {}, [], {}, None
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            section = line.split()[0]
+            continue
+        fields = line.split()
+        if section == "ROWS" and fields[0] == "E":
+            rows[fields[1]] = len(rows)
+        elif section == "COLUMNS":
+            j = columns.setdefault(fields[0], len(columns))
+            if fields[1] == "COST":
+                cost[j] = float(fields[2])
+            else:
+                entries.append((j, rows[fields[1]], float(fields[2])))
+        elif section == "RHS":
+            rhs[rows[fields[1]]] = float(fields[2])
+        else:  # no bounds beyond x >= 0
+            assert section == "ROWS" and fields == ["N", "COST"], line
+    return [cost.get(j, 0.0) for j in range(len(columns))], entries, [rhs.get(r, 0.0) for r in range(len(rows))]
+
+
 def scipy_linprog(method, c, col_ptr, row_ind, coef, b):
     from scipy.optimize import linprog
     from scipy.sparse import csc_array
@@ -355,8 +390,15 @@ def test_linprog_matches_scipy_linprog(k, m, p):
     # the direct HiGHS call is scipy's highs-ipm, and highs-ds where that fails
     system, _ = phase_one_system(build_window_lp(k, p, m))
     c, col_ptr, row_ind, coef, b = system
-    assert col_ptr.dtype == row_ind.dtype == np.int32
-    ours = lp_module.linprog(*system)
+    # HiGHS indexes with 32-bit ints, and it reads back exactly the system given
+    assert max(col_ptr[-1], max(row_ind)) < 2**31
+    texts = []
+    real = lp_module._mps_text
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_mps_text", lambda *a, **kw: texts.append(real(*a, **kw)) or texts[-1])
+        ours = lp_module.linprog(*system)
+    assert len(texts) == 1
+    assert read_mps(texts[0]) == (list(c), system_entries(col_ptr, row_ind, coef), list(b))
     theirs = scipy_linprog("highs-ipm", *system)
     if theirs.status != 0:
         theirs = scipy_linprog("highs-ds", *system)
@@ -377,6 +419,60 @@ def test_simplex_retry_settles_a_failed_interior_point_solve():
     assert res.status == "feasible"
     assert res.residual <= res.tol
     assert witness_residual(lp, res.witness) == res.residual
+
+
+@pytest.fixture
+def temp_dir(tmp_path, monkeypatch):
+    """An empty directory that tempfile creates its files in."""
+    folder = tmp_path / "tmp"
+    folder.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(folder))
+    return folder
+
+
+def highs_with(**overrides):
+    """The HiGHS extension with some of its classes replaced."""
+    core = lp_module._highs()
+    names = ("HighsOptions", "HighsStatus", "HighsModelStatus", "simplex_constants", "_Highs")
+    return SimpleNamespace(**{name: getattr(core, name) for name in names} | overrides)
+
+
+def test_linprog_deletes_its_model_file(temp_dir, monkeypatch):
+    statuses = [solve_feasibility(build_window_lp(2, p, 2)).status for p in (Fraction(3, 10), Fraction(51, 100))]
+    assert statuses == ["feasible", "infeasible"] and list(temp_dir.iterdir()) == []
+    # neither solver may take a step, so both end non-optimal
+    monkeypatch.setitem(lp_module.SOLVER_OPTIONS, "ipm_iteration_limit", 0)
+    monkeypatch.setitem(lp_module.SOLVER_OPTIONS, "simplex_iteration_limit", 0)
+    assert lp_module.linprog(*full_phase_one_system(build_window_lp(2, Fraction(3, 10), 2))).status == 4
+    assert list(temp_dir.iterdir()) == []
+
+
+def test_linprog_deletes_its_model_file_when_the_solve_raises(temp_dir, monkeypatch):
+    real = lp_module._highs()._Highs
+
+    class Raising(real):
+        def run(self):
+            raise RuntimeError("solver stopped")
+
+    core = highs_with(_Highs=Raising)
+    monkeypatch.setattr(lp_module, "_highs", lambda: core)
+    with pytest.raises(RuntimeError, match="solver stopped"):
+        solve_feasibility(build_window_lp(2, Fraction(3, 10), 2))
+    assert list(temp_dir.iterdir()) == []
+
+
+def test_an_unreadable_model_file_is_an_os_error(temp_dir, monkeypatch):
+    core = lp_module._highs()
+
+    class Unreadable(core._Highs):
+        def readModel(self, path):
+            return core.HighsStatus.kError
+
+    fake = highs_with(_Highs=Unreadable)
+    monkeypatch.setattr(lp_module, "_highs", lambda: fake)
+    with pytest.raises(OSError, match="^HiGHS could not read the phase-one model written to .*[.]mps$"):
+        solve_feasibility(build_window_lp(2, Fraction(3, 10), 2))
+    assert list(temp_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, -math.inf])
