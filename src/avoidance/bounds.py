@@ -1,31 +1,26 @@
 """Analytic bounds on avoidance couplings and the related series evaluations.
 
-The feasibility pressure p(1 - p log p) must stay below 1/k for k coupled
-Bernoulli(p) walkers; inverting it bounds the admissible p for a given k,
-and on the complete graph with loops it caps the walker count by
-ceil(n - log n).  Natural logarithm throughout.
+k coupled Bernoulli(p) walkers need the feasibility pressure p(1 - p log p)
+to stay at or below 1/k.  `within_max_p` decides that inequality exactly for
+a rational p, and `max_p` is the largest float it accepts; on the complete
+graph with loops the walker count is capped by ceil(n - log n).  Natural
+logarithm throughout.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
-    "feasible_pressure",
     "max_p",
     "within_max_p",
     "max_walkers",
     "taylor_partial",
     "WalkerBound",
-    "DEFAULT_TOL",
 ]
-
-DEFAULT_TOL = 1e-12
 
 # taylor_partial adds at most this many terms one at a time; the rest of the
 # series it adds in closed form
@@ -34,43 +29,33 @@ DIRECT_TERMS = 2**16
 EULER_GAMMA = 0.5772156649015329
 
 
-def feasible_pressure(p: float) -> float:
-    """p * (1 - p * ln p); strictly increasing on (0, 1], with value 1 at p=1."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    return p * (1.0 - p * math.log(p))
+def max_p(k: int) -> float:
+    """Largest p consistent with k walkers: the largest float whose shortest
+    decimal passes ``within_max_p(k, p)``.  ``lp-scan --grid`` reads a float
+    as the same decimal, so it accepts this value and refuses the next float.
 
-
-def max_p(k: int, tol: float = DEFAULT_TOL) -> float:
-    """Largest p consistent with k walkers: the root of feasible_pressure(p) = 1/k.
-
-    Bisection on the monotone pressure function; the bracket (0, 1] is valid
-    for every k >= 2 and k = 1 returns the boundary value 1.  ``tol`` is
-    relative: the bracket stops once its width is at most ``tol`` times its
-    upper end, since the root falls like 1/k.
+    Bisection over floats from the bracket (0, 2/k), where the test fails at
+    2/k since kp >= 1 there.  The test is monotone in p and the shortest
+    decimal in the float, so the bracket ends at two adjacent floats, and
+    the lower is returned.  k = 1 returns the boundary value 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if k == 1:
         return 1.0
-    target = 1.0 / k
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol * hi:
+    lo, hi = 0.0, 2.0 / k
+    while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            break  # lo and hi are adjacent floats: no finer bracket exists
-        if feasible_pressure(mid) < target:
+            return lo
+        if within_max_p(k, Fraction(repr(mid))):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def within_max_p(k: int, p: Fraction) -> bool:
-    """Whether p(1 - p ln p) <= 1/k, that is p <= max_p(k), decided exactly
-    for a rational p in (0, 1).
+    """Whether p(1 - p ln p) <= 1/k, decided exactly for a rational p in (0, 1).
 
     The inequality is ln p >= x with x = (kp - 1)/(kp^2).  When kp >= 1,
     x >= 0 > ln p.  Otherwise ln p - x is never 0, since e^x is irrational

@@ -39,37 +39,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"avoidance {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, formats=("json", "csv", "text")):
+    def add(name, handler, help_, formats=("json", "csv", "text")):
         sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         return sp
 
-    sp = add("weights", "neighbor-pair weights of a sequence")
+    sp = add("weights", cmd_weights, "neighbor-pair weights of a sequence")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--in", dest="infile", default="-", help="sequence file, - for stdin")
 
-    sp = add("reduce", "reduction certificate for a sequence", ("json", "text"))
+    sp = add("reduce", cmd_reduce, "reduction certificate for a sequence", ("json", "text"))
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--in", dest="infile", default="-")
 
-    sp = add("verify-lemma", "exhaustively check total weight <= blanks")
+    sp = add("verify-lemma", cmd_verify_lemma, "exhaustively check total weight <= blanks")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--max-len", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=None, help="process cap (default: the usable CPUs)")
 
-    sp = add("bound", "walker-count bound ceil(n - ln n)")
+    sp = add("bound", cmd_bound, "walker-count bound ceil(n - ln n)")
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add("maxp", "largest p consistent with k walkers")
+    sp = add("maxp", cmd_maxp, "largest p consistent with k walkers")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=None)
 
-    sp = add("taylor", "partial sum of p^2 (1-p)^b / b, b = 1..T")
+    sp = add("taylor", cmd_taylor, "partial sum of p^2 (1-p)^b / b, b = 1..T")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--T", type=int, required=True, help="number of series terms")
 
-    sp = add("simulate", "generate a trace with a named policy", ("text",))
+    sp = add("simulate", cmd_simulate, "generate a trace with a named policy", ("text",))
     sp.add_argument("policy", choices=POLICIES)
     sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -77,19 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", type=float, default=None)
 
-    sp = add("check-trace", "avoidance checks for a trace file")
+    sp = add("check-trace", cmd_check_trace, "avoidance checks for a trace file")
     sp.add_argument("--in", dest="infile", default="-")
 
-    sp = add("stats", "empirical statistics and faithfulness tests of a binary trace")
+    sp = add("stats", cmd_stats, "empirical statistics and faithfulness tests of a binary trace")
     sp.add_argument("--in", dest="infile", default="-")
     sp.add_argument("--p", type=float, required=True)
 
-    sp = add("lp-build", "build the window LP and export it as MPS", ("json", "text"))
+    sp = add("lp-build", cmd_lp_build, "build the window LP and export it as MPS", ("json", "text"))
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=str, required=True, help="rational, e.g. 0.3 or 1/8")
     sp.add_argument("--m", type=int, required=True)
 
-    sp = add("lp-scan", "window-LP feasibility over a grid of p values")
+    sp = add("lp-scan", cmd_lp_scan, "window-LP feasibility over a grid of p values")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--grid", type=str, required=True, help="comma-separated p values")
@@ -102,7 +102,7 @@ def _meta(ns: argparse.Namespace) -> dict:
     args = {
         k: v
         for k, v in sorted(vars(ns).items())
-        if k not in ("command",) and v is not None
+        if k not in ("command", "handler") and v is not None
     }
     return {
         "tool": "avoidance",
@@ -233,12 +233,8 @@ def cmd_bound(ns) -> int:
 
 
 def cmd_maxp(ns) -> int:
-    if ns.tol is None:  # resolved here, not at parse time, so parsing runs no layer
-        ns.tol = bounds.DEFAULT_TOL
-    p_star = bounds.max_p(ns.k, ns.tol)
-    residual = abs(bounds.feasible_pressure(p_star) - 1.0 / ns.k)
-    body = {"k": ns.k, "value": p_star, "residual": residual, "tol": ns.tol}
-    _emit(ns, body, [repr(p_star)])
+    p_star = bounds.max_p(ns.k)
+    _emit(ns, {"k": ns.k, "value": p_star}, [repr(p_star)])
     return 0
 
 
@@ -415,21 +411,6 @@ def cmd_lp_scan(ns) -> int:
     return 1 if report.any_infeasible else 0
 
 
-HANDLERS = {
-    "weights": cmd_weights,
-    "reduce": cmd_reduce,
-    "verify-lemma": cmd_verify_lemma,
-    "bound": cmd_bound,
-    "maxp": cmd_maxp,
-    "taylor": cmd_taylor,
-    "simulate": cmd_simulate,
-    "check-trace": cmd_check_trace,
-    "stats": cmd_stats,
-    "lp-build": cmd_lp_build,
-    "lp-scan": cmd_lp_scan,
-}
-
-
 def main(argv=None) -> int:
     # One OpenBLAS thread unless the caller chose a positive count; OpenBLAS
     # reads an empty or zero one as unset.  numpy's import starts OpenBLAS's
@@ -462,7 +443,7 @@ def _run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return HANDLERS[ns.command](ns)
+        return ns.handler(ns)
     except (ValueError, OSError, OverflowError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from avoidance.bounds import feasible_pressure, max_p, max_walkers, taylor_partial
+from avoidance.bounds import max_p, max_walkers, taylor_partial
 from avoidance.cli import main
 from avoidance.lemma import (
     DELETE_VICTIM_SYMBOL,
@@ -41,7 +41,7 @@ from avoidance.sequences import (
 from avoidance.stats import empirical_stats, faithfulness_tests, gap_law_chisquare
 from avoidance.traces import check_1avoidance, check_walker_avoidance, project, symbol_array
 
-from oracles import marginalize_witness, product_witness, replay_certificate, trace_word
+from oracles import marginalize_witness, pressure_within, product_witness, replay_certificate, trace_word
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
 CORPUS = ((1, 10), (2, 9), (3, 7))
@@ -132,7 +132,12 @@ def test_criterion_4_bounds():
     n = np.arange(21, 10**6 + 1, dtype=np.float64)
     all_below = bool((np.ceil(n - np.log(n)) < n - 2).all())
     p_star = max_p(2)
-    root_ok = abs(feasible_pressure(p_star) - 0.5) < 1e-9 and 0.365 < p_star < 0.366
+    above = math.nextafter(p_star, 1.0)
+    root_ok = (
+        pressure_within(2, Fraction(repr(p_star)))
+        and not pressure_within(2, Fraction(repr(above)))
+        and 0.365 < p_star < 0.366
+    )
     taylor_ok = all(
         abs(taylor_partial(p, 10**4) + p * p * math.log(p)) < 1e-6
         for p in [x / 10 for x in range(1, 10)]

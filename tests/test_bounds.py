@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -6,36 +7,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avoidance import bounds
-from avoidance.bounds import feasible_pressure, max_p, max_walkers, taylor_partial, within_max_p
+from avoidance.bounds import max_p, max_walkers, taylor_partial, within_max_p
 
 from oracles import pressure_within
-
-
-def test_pressure_at_one():
-    assert feasible_pressure(1.0) == 1.0
-
-
-@pytest.mark.parametrize(
-    "p, expected",
-    [
-        (0.5, 0.5 * (1 + 0.5 * math.log(2))),
-        (0.3, 0.3 * (1 - 0.3 * math.log(0.3))),
-    ],
-)
-def test_pressure_values(p, expected):
-    assert feasible_pressure(p) == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("p", [0.0, -0.1, 1.1])
 def test_pressure_domain(p):
     with pytest.raises(ValueError):
-        feasible_pressure(p)
+        within_max_p(2, Fraction(p))
 
 
-def test_pressure_strictly_increasing_on_grid():
-    grid = np.linspace(1e-6, 1.0, 20001)
-    values = [feasible_pressure(p) for p in grid]
-    assert all(a < b for a, b in zip(values, values[1:]))
+@given(k=st.integers(1, 1000), data=st.data())
+def test_within_max_p_is_monotone_on_a_sorted_grid(k, data):
+    # max_p's bisection rests on this: along increasing floats, read as
+    # their shortest decimals, the verdict is true up to a point and false after
+    anywhere = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    near_the_root = st.floats(0.5 / k, 1.0 / k, exclude_max=True)
+    grid = sorted(data.draw(st.lists(st.one_of(anywhere, near_the_root), min_size=2)))
+    verdicts = [within_max_p(k, Fraction(repr(x))) for x in grid]
+    assert verdicts == sorted(verdicts, reverse=True)
+
+
+def brackets_the_root(k, p_star):
+    """Whether the oracle accepts p_star's decimal and refuses the next float's."""
+    above = math.nextafter(p_star, 1.0)
+    return pressure_within(k, Fraction(repr(p_star))) and not pressure_within(k, Fraction(repr(above)))
 
 
 def test_max_p_boundary_k1():
@@ -45,41 +42,37 @@ def test_max_p_boundary_k1():
 def test_max_p_k2():
     p_star = max_p(2)
     assert 0.365 < p_star < 0.366
-    assert abs(feasible_pressure(p_star) - 0.5) < 1e-9
+    assert brackets_the_root(2, p_star)
 
 
 def test_max_p_k2_against_grid_scan():
-    # independent bracketing: locate the sign change of f - 1/2 on a fine grid
+    # independent bracketing: locate the oracle's sign change on a fine grid
     grid = np.linspace(0.3, 0.4, 100001)
-    signs = [feasible_pressure(p) < 0.5 for p in grid]
-    flip = signs.index(False)
+    flip = bisect.bisect_left(range(len(grid)), True, key=lambda i: not pressure_within(2, Fraction(grid[i])))
     lo, hi = grid[flip - 1], grid[flip]
     assert lo < max_p(2) < hi
 
 
 def test_max_p_k4_strict():
     p_star = max_p(4)
-    assert abs(feasible_pressure(p_star) - 0.25) < 1e-9
+    assert brackets_the_root(4, p_star)
     assert p_star < 0.25
 
 
 @pytest.mark.parametrize("k", range(2, 65))
 def test_max_p_below_trivial_bound(k):
-    # feasible_pressure(1/k) = (1/k)(1 + ln k / k) > 1/k, so the root is below
+    # the pressure at 1/k is (1/k)(1 + ln k / k) > 1/k, so the root is below
     assert max_p(k) < 1.0 / k
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 64])
-def test_max_p_residual_within_default_tol(k):
-    assert abs(feasible_pressure(max_p(k)) - 1.0 / k) <= 1e-12
+def test_max_p_brackets_the_oracle_root(k):
+    assert brackets_the_root(k, max_p(k))
 
 
 def test_max_p_rejects_bad_args():
     with pytest.raises(ValueError):
         max_p(0)
-    for tol in (0.0, -1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            max_p(2, tol=tol)
 
 
 @pytest.mark.parametrize("n, value", [(3, 2), (20, 18), (21, 18)])
@@ -149,13 +142,21 @@ def test_max_p_tolerance_is_relative(k):
 
 
 def test_max_p_stops_at_adjacent_floats():
-    # a tolerance below the float spacing near the root must still terminate
-    assert max_p(3, tol=1e-300) == pytest.approx(max_p(3), abs=1e-12)
+    # the decimal lp-scan reads for max_p(k) passes the exact test, and the
+    # next float's fails; at k = 43 the largest float below the root has a
+    # shortest decimal above it, so max_p is the float before that one
+    for k in [*range(2, 401), *(10**j for j in range(3, 305, 7))]:
+        p_star = max_p(k)
+        above = math.nextafter(p_star, 1.0)
+        assert within_max_p(k, Fraction(repr(p_star))), k
+        assert not within_max_p(k, Fraction(repr(above))), k
+    assert within_max_p(43, Fraction(math.nextafter(max_p(43), 1.0)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 20, 1000])
 def test_within_max_p_is_exact_next_to_max_p(k):
-    # max_p is a float bisection: the true root can lie on either side of it
+    # the exact test agrees with the oracle at the floats' binary values too,
+    # which can sit on the other side of the root than their decimals
     p_star = max_p(k)
     points = [p_star * (1 - 1e-11), p_star * (1 + 1e-11)]
     points += [math.nextafter(p_star, 0.0), p_star, math.nextafter(p_star, 1.0)]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidance import __version__, lp
-from avoidance.cli import POLICIES, POLICY_OPTIONS, main
+from avoidance.cli import POLICIES, POLICY_OPTIONS, build_parser, main
 from strategies import trace_texts, word_texts
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
@@ -101,6 +103,31 @@ def test_verify_lemma_json():
     assert report["ok"] is True
     assert report["counterexamples"] == []
     assert report["checked"] == 3 + 8 + 21 + 55 + 144
+
+
+def readme_command_table():
+    """{subcommand: (usage cell, --format values)} from README's command table."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| Subcommand | `--format` | Purpose |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        usage, formats, _ = (cell.strip() for cell in line.strip("|").split("|", 2))
+        rows[usage.strip("`").split()[0]] = (usage, formats.split(", "))
+    return rows
+
+
+def test_readme_command_table_matches_the_parser():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    rows = readme_command_table()
+    assert sorted(rows) == sorted(sub.choices)
+    for name, parser in sub.choices.items():
+        usage, formats = rows[name]
+        options = {flag: action for action in parser._actions for flag in action.option_strings}
+        for flag in re.findall(r"--[\w-]+", usage):
+            assert flag in options, (name, flag)
+        assert sorted(formats) == sorted(options["--format"].choices), name
 
 
 def test_maxp_text():
@@ -441,7 +468,7 @@ def test_csv_rows_have_the_header_fields(tmp_path):
     runs = {
         "pairs.0.symbol": ["weights", "--k", "3", "--in", str(word)],
         "value": ["bound", "--n", "21"],
-        "residual": ["maxp", "--k", "3"],
+        "k": ["maxp", "--k", "3"],
         "gap": ["taylor", "--p", "0.3", "--T", "100"],
         "violations.0.kind": ["check-trace", "--in", str(trace)],
         "tests.0.statistic": ["stats", "--in", str(trace), "--p", "0.4"],
@@ -566,10 +593,11 @@ def test_bound_json_has_no_ambiguity_flag():
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
 def test_maxp_rejects_bad_tolerance_exit_2(tol, capsys):
-    assert main(["maxp", "--k", "3", "--tol", tol]) == 2
+    # maxp takes no tolerance: it prints the largest float the exact test accepts
+    assert main(["maxp", "--k", "3", f"--tol={tol}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert f"error: unrecognized arguments: --tol={tol}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -599,6 +627,24 @@ def test_maxp_huge_k_is_relative():
     code, out = run_cli(["maxp", "--k", str(10**23)])
     assert code == 0
     assert float(out) == pytest.approx(1e-23, rel=1e-9)
+
+
+def test_maxp_k_past_the_float_range_exit_2(capsys):
+    assert main(["maxp", "--k", str(10**400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize("k", [2, 4, 43])
+def test_lp_scan_accepts_the_printed_maxp_and_refuses_the_next_float(k):
+    # at k = 43 the next float's binary value lies below the root and its
+    # shortest decimal above it: lp-scan tests the decimal maxp prints
+    _, out = run_cli(["maxp", "--k", str(k)])
+    above = repr(math.nextafter(float(out), 1.0))
+    for p, verdict in [(out.strip(), "true"), (above, "false")]:
+        _, line = run_cli(["lp-scan", "--k", str(k), "--m", "1", "--grid", p])
+        assert line.endswith(f" within_maxp={verdict}\n"), (p, line)
 
 
 def test_lp_build_huge_m_exit_2(capsys):
@@ -668,7 +714,7 @@ def command_args():
     grid = st.lists(st.one_of(RATIONAL, PROB, NUMERIC), min_size=1, max_size=2).map(",".join)
     options = {
         "bound": {"--n": NUMERIC},
-        "maxp": {"--k": NUMERIC, "--tol": st.one_of(TOL, NUMERIC)},
+        "maxp": {"--k": NUMERIC},
         "taylor": {"--p": st.one_of(PROB, NUMERIC), "--T": TERMS},
         "lp-build": {"--k": SMALL, "--p": st.one_of(RATIONAL, PROB, NUMERIC), "--m": SMALL},
         "lp-scan": {"--k": SMALL, "--m": SMALL, "--grid": grid, "--tol": st.one_of(TOL, TOL, NUMERIC)},

@@ -350,6 +350,21 @@ def system_entries(col_ptr, row_ind, coef):
     return [(j, row_ind[e], coef[e]) for j in range(len(col_ptr) - 1) for e in range(col_ptr[j], col_ptr[j + 1])]
 
 
+# the (k, m) pairs and points of perfbench's lp-frontier workload
+FRONTIER_INSTANCES = [(3, 6), (2, 6)]
+FRONTIER_PS = [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(9, 20)]
+
+
+@pytest.mark.parametrize("k, m", FRONTIER_INSTANCES + SMALL_INSTANCES)
+def test_only_the_right_hand_side_of_the_phase_one_system_depends_on_p(k, m):
+    # so one model per (k, m) can serve a whole scan, with new row bounds per point
+    systems = [phase_one_system(build_window_lp(k, p, m))[0] for p in FRONTIER_PS]
+    c, col_ptr, row_ind, coef, _ = systems[0]
+    for system in systems[1:]:
+        assert system[:4] == (c, col_ptr, row_ind, coef)
+    assert len({tuple(system[4]) for system in systems}) == len(FRONTIER_PS)
+
+
 def read_mps(text):
     """(c, entries, b) of a free-MPS minimization with named rows and
     columns, rows and columns numbered in the order they first appear."""

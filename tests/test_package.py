@@ -47,8 +47,8 @@ def test_star_import_binds_every_public_name():
 
 @pytest.mark.parametrize("name", ["no_such_name", "max_p", "DEFAULT_TOL", "_scales"])
 def test_unknown_name_raises_attribute_error(name):
-    # max_p and DEFAULT_TOL exist in a layer, which is the only place they are
-    # reachable from; no layer has _scales
+    # max_p exists in a layer, which is the only place it is reachable from;
+    # no layer has DEFAULT_TOL or _scales
     with pytest.raises(AttributeError, match=rf"^module 'avoidance' has no attribute '{name}'$"):
         getattr(avoidance, name)
     assert not hasattr(avoidance, name)
