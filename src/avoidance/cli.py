@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--grid", type=str, required=True, help="comma-separated p values")
-    sp.add_argument("--tol", type=float, default=1e-9)
 
     return parser
 
@@ -153,9 +152,9 @@ def _flatten(body: dict, prefix: str = ""):
             # one row per field of each item, keyed by its index: pairs.0.symbol
             yield from _flatten(dict(enumerate(v)), key + ".")
         elif isinstance(v, (list, tuple)):
-            yield key, " ".join(str(reporting.jsonable(x)) for x in v)
+            yield key, " ".join(map(reporting.csv_cell, v))
         else:
-            yield key, reporting.jsonable(v)
+            yield key, v
 
 
 def cmd_weights(ns) -> int:
@@ -383,7 +382,7 @@ def cmd_lp_scan(ns) -> int:
     grid = [tok for tok in ns.grid.split(",") if tok.strip()]
     if not grid:
         raise ValueError("empty grid")
-    report = lp.scan_p(ns.k, ns.m, grid, tol=ns.tol)
+    entries = lp.scan_p(ns.k, ns.m, grid)
     rows = [
         {
             "p": e.p,
@@ -393,22 +392,16 @@ def cmd_lp_scan(ns) -> int:
             "analytic_maxp_verdict": e.within_max_p,
             "trivial_verdict": e.within_trivial,
         }
-        for e in report.entries
+        for e in entries
     ]
-    body = {
-        "k": report.k,
-        "m": report.m,
-        "tol": report.tol,
-        "entries": rows,
-    }
     lines = [
         f"p={reporting.frac_text(e.p)} status={e.status}"
         + (f" gap={reporting.sig12(e.gap)}" if e.gap is not None else "")
         + f" within_maxp={str(e.within_max_p).lower()}"
-        for e in report.entries
+        for e in entries
     ]
-    _emit(ns, body, lines, csv_rows=rows)
-    return 1 if report.any_infeasible else 0
+    _emit(ns, {"k": ns.k, "m": ns.m, "entries": rows}, lines, csv_rows=rows)
+    return 1 if any(e.status == "infeasible" for e in entries) else 0
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,6 @@ import bisect
 import importlib.machinery
 import importlib.util
 import itertools
-import math
 import os
 import sys
 import tempfile
@@ -40,7 +39,6 @@ __all__ = [
     "WindowLP",
     "FeasibilityResult",
     "ScanEntry",
-    "ScanReport",
     "build_window_lp",
     "solve_feasibility",
     "witness_residual",
@@ -56,6 +54,10 @@ WINDOW_BUDGET = 200_000
 # below it, only a re-checked witness makes a point "feasible"
 UNKNOWN_MARGIN = 1e-6
 
+# the largest violation of the full system, support zeros included, that a
+# float witness may have and still make a point "feasible"
+WITNESS_TOL = 1e-9
+
 # HiGHS's interior-point solver (with crossover) was the fastest measured on
 # the full-window phase-one LPs of k = 2, m = 9 and k = 3, m = 6..7; the dual
 # simplex is the fallback when it ends non-optimal.  On the reversal-orbit
@@ -63,7 +65,7 @@ UNKNOWN_MARGIN = 1e-6
 # (0.48 against 0.81 s), but the dual simplex is faster at k = 3, m = 6
 # (0.017 against 0.046 s at p = 1/10).  The default tolerances (1e-7, 1e-8)
 # exceed the right-hand sides p^m of small p, and a solution that drops those
-# fails the witness re-check at tol = 1e-9.
+# fails the witness re-check at WITNESS_TOL.
 SOLVERS = ("ipm", "simplex")
 SOLVER_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -124,11 +126,6 @@ class WindowLP(NamedTuple):
 
         shape = (self.num_rows, self.num_vars)
         return sparse.csc_matrix((self.coef, self.row_ind, self.col_ptr), shape=shape).tocsr()
-
-    def entries(self) -> tuple[list[int], list[int], list[int]]:
-        """(row, column, integer coefficient) lists of A's nonzeros, column by column."""
-        cols = list(_entry_columns(self.col_ptr, range(self.num_vars)))
-        return list(self.row_ind), cols, [int(v) for v in self.coef]
 
 
 def build_window_lp(k: int, p: Fraction | str | float, m: int) -> WindowLP:
@@ -244,7 +241,6 @@ class FeasibilityResult(NamedTuple):
     witness: tuple[float, ...] | None
     residual: float | None
     gap: float | None
-    tol: float
 
 
 def witness_residual(lp: WindowLP, q) -> float:
@@ -274,8 +270,10 @@ def check_witness_exact(lp: WindowLP, q: list[Fraction]) -> bool:
     if any(q[i] != 0 for i in lp.zero_vars):
         return False
     sums = [Fraction(0)] * lp.num_rows
-    for r, c, v in zip(*lp.entries()):
-        sums[r] += v * q[c]
+    for w, x in enumerate(q):
+        start, end = lp.col_ptr[w], lp.col_ptr[w + 1]
+        for r, v in zip(lp.row_ind[start:end], lp.coef[start:end]):
+            sums[r] += int(v) * x
     return all(s == rhs for s, rhs in zip(sums, lp.b_exact))
 
 
@@ -363,11 +361,6 @@ def linprog(c, col_ptr, row_ind, coef, b):
         os.unlink(path)
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-
-
 def _reversal(base: int, length: int) -> list[int]:
     """sigma on every base-``base`` code of ``length`` digits, in code order:
     reverse the digits and relabel walker i as k+1-i (digit d > 0 becomes
@@ -394,7 +387,7 @@ def _row_reversal(lp: WindowLP) -> list[int]:
     )
 
 
-def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
+def solve_feasibility(lp: WindowLP) -> FeasibilityResult:
     """Decide feasibility with one phase-one LP solve, then re-check independently.
 
     The full phase-one LP minimizes the L1 equality violation
@@ -418,11 +411,10 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
     columns and the canonical rows they leave nonempty (rows left empty
     all have b = 0).  A gap above UNKNOWN_MARGIN is "infeasible".
     Otherwise y spread back as q(w) = y[orbit(w)] counts as a "feasible"
-    witness only when it re-verifies within ``tol`` against the full
+    witness only when it re-verifies within WITNESS_TOL against the full
     system, support zeros included, so that verdict never relies on sigma;
     anything else, a failed solve too, is "unknown".
     """
-    _check_tol(tol)
     pinned = set(lp.zero_vars)
     # orbits numbered by their smallest window code: a window whose image is
     # smaller joins the orbit numbered at the image
@@ -464,15 +456,15 @@ def solve_feasibility(lp: WindowLP, tol: float = 1e-9) -> FeasibilityResult:
         [lp.b[r] for r in used],
     )
     if res.status != 0:
-        return FeasibilityResult("unknown", None, None, None, tol)
+        return FeasibilityResult("unknown", None, None, None)
     gap = float(res.fun)
     if gap > UNKNOWN_MARGIN:
-        return FeasibilityResult("infeasible", None, None, gap, tol)
+        return FeasibilityResult("infeasible", None, None, gap)
     witness = tuple(res.x[orbit_of[w]] if w in orbit_of else 0.0 for w in range(lp.num_vars))
     residual = witness_residual(lp, witness)
-    if residual <= tol:
-        return FeasibilityResult("feasible", witness, residual, None, tol)
-    return FeasibilityResult("unknown", witness, residual, gap, tol)
+    if residual <= WITNESS_TOL:
+        return FeasibilityResult("feasible", witness, residual, None)
+    return FeasibilityResult("unknown", witness, residual, gap)
 
 
 class ScanEntry(NamedTuple):
@@ -484,30 +476,19 @@ class ScanEntry(NamedTuple):
     within_trivial: bool
 
 
-class ScanReport(NamedTuple):
-    k: int
-    m: int
-    tol: float
-    entries: tuple[ScanEntry, ...]
-
-    @property
-    def any_infeasible(self) -> bool:
-        return any(e.status == "infeasible" for e in self.entries)
-
-
-def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
-    """Solve the instance at every grid point; no monotonicity is assumed.
+def scan_p(k: int, m: int, p_grid) -> tuple[ScanEntry, ...]:
+    """Solve the instance at every grid point, one entry per point in grid
+    order; no monotonicity is assumed.
 
     Each entry is annotated with the analytic verdicts p <= max_p(k) (the
     pressure-bound inversion, decided exactly) and p <= 1/k (the trivial
     occupancy bound).
     """
-    _check_tol(tol)
     grid = [_as_fraction(p) for p in p_grid]  # a malformed point fails before any solve
     entries = []
     for p in grid:
         lp = build_window_lp(k, p, m)
-        res = solve_feasibility(lp, tol=tol)
+        res = solve_feasibility(lp)
         entries.append(
             ScanEntry(
                 p=p,
@@ -518,7 +499,7 @@ def scan_p(k: int, m: int, p_grid, tol: float = 1e-9) -> ScanReport:
                 within_trivial=p <= Fraction(1, k),
             )
         )
-    return ScanReport(k, m, tol, tuple(entries))
+    return tuple(entries)
 
 
 def write_mps(lp: WindowLP) -> str:

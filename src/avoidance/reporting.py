@@ -1,7 +1,8 @@
 """Serialization helpers for reports: stable field order, exact rationals.
 
-Rationals render as "num/den" in JSON and text, and as decimals with 12
-significant digits in CSV.  Nothing here emits timestamps or other
+A value has one rendering in JSON and CSV: rationals as "num/den", floats
+in their shortest round-trip form.  Only text lines round, to 12
+significant digits (``sig12``).  Nothing here emits timestamps or other
 run-dependent content, so identical inputs serialize to identical bytes.
 """
 
@@ -52,16 +53,12 @@ def render_json(report: dict) -> str:
 
 
 def csv_cell(x) -> str:
+    """The JSON value of x as a cell: empty for None, true/false for a bool."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
-        return sig12(float(x))
-    np = _numpy()
-    if isinstance(x, float) or (np is not None and isinstance(x, np.floating)):
-        return sig12(x)
-    return str(x)
+    return str(jsonable(x))
 
 
 def render_csv(meta: dict, columns: list[str], rows: list[dict]) -> str:

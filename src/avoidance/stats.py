@@ -31,12 +31,14 @@ __all__ = [
 
 # faithfulness tests: z-statistics pass within SIGMA, over lags 1..LAGS; the
 # window chi-square starts at WINDOW symbols and passes at p-values >= ALPHA;
-# traces shorter than MIN_T rounds are refused
+# traces shorter than MIN_T rounds are refused.  A chi-square is calibrated
+# only where every expected cell count is at least MIN_EXPECTED
 SIGMA = 4.0
 LAGS = 16
 WINDOW = 8
 ALPHA = 1e-3
 MIN_T = 10_000
+MIN_EXPECTED = 5.0
 
 
 class EmpiricalStats(NamedTuple):
@@ -137,11 +139,11 @@ def _array_pairs(x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     return sym, u1, u2, b
 
 
-def gap_law_chisquare(hist: dict[int, int], p: float, min_expected: float = 5.0):
+def gap_law_chisquare(hist: dict[int, int], p: float):
     """Chi-square of a gap histogram against the geometric law p(1-p)^(gap-1).
 
     Bins gaps 1, 2, ... individually while the expected count stays at least
-    ``min_expected``, then pools the tail.  Returns (statistic, pvalue, dof).
+    MIN_EXPECTED, then pools the tail.  Returns (statistic, pvalue, dof).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
@@ -149,10 +151,10 @@ def gap_law_chisquare(hist: dict[int, int], p: float, min_expected: float = 5.0)
     if n < 1:
         raise ValueError("empty histogram")
     cut = 1
-    while n * p * (1.0 - p) ** cut >= min_expected:
+    while n * p * (1.0 - p) ** cut >= MIN_EXPECTED:
         cut += 1
     # bins: gap = 1..cut-1 singly, then gap >= cut pooled
-    if cut < 2 or n * (1.0 - p) ** (cut - 1) < min_expected:
+    if cut < 2 or n * (1.0 - p) ** (cut - 1) < MIN_EXPECTED:
         raise ValueError("too few gaps for a calibrated chi-square")
     observed = [hist.get(g, 0) for g in range(1, cut)]
     observed.append(n - sum(observed))
@@ -187,7 +189,7 @@ def faithfulness_tests(tr: CouplingTrace, p: float) -> TestReport:
     Per walker: a frequency z-test against p, lag-1..LAGS sample
     autocorrelations scaled by sqrt(T), and a chi-square of disjoint
     length-w window counts against the product law.  The window length
-    shrinks from WINDOW until every expected cell count reaches 5.
+    shrinks from WINDOW until every expected cell count reaches MIN_EXPECTED.
     z-statistics pass at SIGMA; the chi-square passes when its p-value is
     at least ALPHA.
     """
@@ -242,7 +244,7 @@ def _autocorrelation(x: np.ndarray, ones: int, lag: int) -> Fraction:
 def _effective_window(T: int, p: float) -> int:
     q = min(p, 1.0 - p)
     w = WINDOW
-    while w >= 2 and (T // w) * q**w < 5.0:
+    while w >= 2 and (T // w) * q**w < MIN_EXPECTED:
         w -= 1
     return w
 

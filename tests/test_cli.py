@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from avoidance import __version__, lp
 from avoidance.cli import POLICIES, POLICY_OPTIONS, build_parser, main
+from avoidance.reporting import csv_cell
 from strategies import trace_texts, word_texts
 
 WORKED_EXAMPLE = "1 3 B 2 3 3 B 3 B 1 B 2 B 1 3"
@@ -255,9 +256,9 @@ def test_lp_scan_csv_and_exit_code():
     assert code == 1
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == "p,status,gap,residual,analytic_maxp_verdict,trivial_verdict"
-    # CSV renders rationals as decimals with 12 significant digits
-    assert lines[1].startswith("0.1,feasible")
-    assert lines[3].startswith("0.51,infeasible")
+    # CSV renders rationals as num/den, as JSON does
+    assert lines[1].startswith("1/10,feasible")
+    assert lines[3].startswith("51/100,infeasible")
 
 
 def test_verify_lemma_csv_is_the_count_per_length():
@@ -291,17 +292,18 @@ def test_lp_scan_failed_solve_is_unknown(monkeypatch, capsys):
 # sha256 of `lp-scan` stdout at the lp-frontier benchmark's points, text and
 # JSON (its version field set to VERSION).  The text digests were computed
 # before the solve called HiGHS's extension directly instead of
-# scipy.optimize.linprog; the JSON ones since the solve runs over reversal
-# orbits, which moved the last digits of the float gaps and residuals
+# scipy.optimize.linprog; the JSON ones since the report dropped its
+# tolerance field, with the gaps and residuals of the solve over reversal
+# orbits
 LP_SCAN_DIGESTS = [
     (3, 6, "1/10", "1d53dddc851d8e142d026ab22986134f80af2eb609cd19fcd0cb2634048cd6a5",
-     "b60a0b3ce85a4b52955ec8a31eeb4ecf7cb35d473bee8f084be58b35a1ba5291"),
+     "55335275f78471b9a2de116461483c821454fbdb684f92a05a705f7655b983c6"),
     (3, 6, "1/5", "5239eb061f3a5d5ae7e1a1cecfb199203eff1336849e7dc6e39c66d4335a890a",
-     "7eef6dd0189eeb58fa8b12124a9ee9fffffa7ae5060d2fc6e137d1d81b5ad97f"),
+     "9823284976bb30729837d4618c16e66086c06c59858f2e251108a48a7a2edf81"),
     (3, 6, "3/10", "ff8f1f455381041b63cf9f06c70a54ce538f246a436fc940ce252fdd46031363",
-     "f00df4dc3d34a5ee4f7abf04752a2974b3c0d652b6ea49ed4331b31206e88d4e"),
+     "f21d72911a8fb2409b285a94425f2b2c564bf9f50038d4d53cb84527033ba1eb"),
     (2, 6, "9/20", "252c95fd70525ed9fb4f0bb488123e36acaf9e3308c29fa71e9f5cf3a223be39",
-     "65722d342380b95533006e5e76593a8d38b031315408406b465b981ea37e5dcd"),
+     "7639bbb1a0940705cfa2ce6a125e8e7917bd1e3bc9191b79162a6d060f96a913"),
 ]
 
 
@@ -334,12 +336,13 @@ def test_lp_build_output_is_pinned(k, p, m, digest):
 
 
 # sha256 of JSON stdout without its version line, computed while the window
-# LP was built and folded in numpy arrays and handed to HiGHS as arrays; with
-# the lp-build text digests above, they hold the build, the fold and the
-# MPS text that HiGHS now reads to the same bytes
+# LP was built and folded in numpy arrays and handed to HiGHS as arrays (the
+# lp-scan one since the report dropped its tolerance field); with the
+# lp-build text digests above, they hold the build, the fold and the MPS
+# text that HiGHS now reads to the same bytes
 LP_JSON_DIGESTS = [
     (["lp-scan", "--k", "3", "--m", "6", "--grid", "1/10,1/5,3/10"], 1,
-     "c1be736ac7031a56f30a3aa4017cc2a3c072b6b347eb6e8cb29b0bd9985e2e81"),
+     "0ecfec2f2e73a67d70dcc2bf6d35e0dc9a489d3ff9893dada4fa6894aaa8d6f1"),
     (["lp-build", "--k", "3", "--p", "1/5", "--m", "6"], 0,
      "b1892bcbbfad927f8b0c87c0e0aabf6ae5ab700bb5154ee53263003480d3ab82"),
 ]
@@ -458,8 +461,25 @@ def test_verify_lemma_output_is_pinned(k, max_len, jobs, text_digest, json_diges
     assert digests == [text_digest, json_digest, csv_digest]
 
 
+def json_cells(body, prefix=""):
+    """The CSV cells a JSON body flattens to, by key: nested keys join with
+    dots, list items that are records are keyed by their index, and a list
+    of plain values is one cell, its values separated by spaces."""
+    for key, value in body.items():
+        if isinstance(value, list) and any(isinstance(x, dict) for x in value):
+            value = dict(enumerate(value))
+        if isinstance(value, dict):
+            yield from json_cells(value, f"{prefix}{key}.")
+        elif isinstance(value, list):
+            yield f"{prefix}{key}", " ".join(map(csv_cell, value))
+        else:
+            yield f"{prefix}{key}", csv_cell(value)
+
+
 def test_csv_rows_have_the_header_fields(tmp_path):
-    # list items that are records flatten to one row per field, keyed by index
+    # list items that are records flatten to one row per field, keyed by
+    # index; every cell holds the value JSON holds at the same key, floats
+    # read as JSON's own digits
     word = tmp_path / "word.txt"
     word.write_text(WORKED_EXAMPLE + "\n")
     trace = tmp_path / "independent.txt"
@@ -473,6 +493,7 @@ def test_csv_rows_have_the_header_fields(tmp_path):
         "violations.0.kind": ["check-trace", "--in", str(trace)],
         "tests.0.statistic": ["stats", "--in", str(trace), "--p", "0.4"],
     }
+    meta = ("tool", "version", "command", "seed", "args")
     for key, argv in runs.items():
         code, out = run_cli(argv + ["--format", "csv"])
         assert code in (0, 1), argv
@@ -480,6 +501,17 @@ def test_csv_rows_have_the_header_fields(tmp_path):
         assert rows[0] == ["key", "value"], argv
         assert all(len(row) == 2 for row in rows), argv
         assert key in [row[0] for row in rows], argv
+        _, js = run_cli(argv + ["--format", "json"])
+        body = {k: v for k, v in json.loads(js, parse_float=str).items() if k not in meta}
+        assert rows[1:] == [list(cell) for cell in json_cells(body)], argv
+    argv = ["lp-scan", "--k", "2", "--m", "3", "--grid", "1/3,0.3,0.51"]
+    _, out = run_cli(argv + ["--format", "csv"])
+    rows = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    _, js = run_cli(argv + ["--format", "json"])
+    entries = json.loads(js, parse_float=str)["entries"]
+    assert [row[0] for row in rows[1:]] == ["1/3", "3/10", "51/100"]
+    assert rows[1:] == [[csv_cell(e[c]) for c in rows[0]] for e in entries]
+    assert {e["status"] for e in entries} == {"feasible", "infeasible"}
 
 
 @pytest.mark.parametrize(
@@ -617,10 +649,11 @@ def test_zero_denominator_exit_2(args, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
 def test_lp_scan_rejects_bad_tolerance_exit_2(tol, capsys):
+    # lp-scan takes no tolerance: a witness re-verifies within lp.WITNESS_TOL
     assert main(["lp-scan", "--k", "2", "--m", "1", "--grid", "0.3", f"--tol={tol}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: tolerance must be finite and positive" in captured.err
+    assert f"error: unrecognized arguments: --tol={tol}" in captured.err
 
 
 def test_maxp_huge_k_is_relative():
@@ -636,15 +669,21 @@ def test_maxp_k_past_the_float_range_exit_2(capsys):
     assert captured.err == "error: int too large to convert to float\n"
 
 
-@pytest.mark.parametrize("k", [2, 4, 43])
+@pytest.mark.parametrize("k", [2, 3, 4, 43])
 def test_lp_scan_accepts_the_printed_maxp_and_refuses_the_next_float(k):
     # at k = 43 the next float's binary value lies below the root and its
-    # shortest decimal above it: lp-scan tests the decimal maxp prints
-    _, out = run_cli(["maxp", "--k", str(k)])
-    above = repr(math.nextafter(float(out), 1.0))
-    for p, verdict in [(out.strip(), "true"), (above, "false")]:
-        _, line = run_cli(["lp-scan", "--k", str(k), "--m", "1", "--grid", p])
-        assert line.endswith(f" within_maxp={verdict}\n"), (p, line)
+    # shortest decimal above it: lp-scan tests the decimal maxp prints, in
+    # every format
+    argv = ["maxp", "--k", str(k), "--format"]
+    _, text = run_cli(argv + ["text"])
+    _, js = run_cli(argv + ["json"])
+    _, table = run_cli(argv + ["csv"])
+    cells = dict(csv.reader(line for line in table.splitlines() if not line.startswith("#")))
+    for printed in (text.strip(), json.loads(js, parse_float=str)["value"], cells["value"]):
+        above = repr(math.nextafter(float(printed), 1.0))
+        for p, verdict in [(printed, "true"), (above, "false")]:
+            _, line = run_cli(["lp-scan", "--k", str(k), "--m", "1", "--grid", p])
+            assert line.endswith(f" within_maxp={verdict}\n"), (p, line)
 
 
 def test_lp_build_huge_m_exit_2(capsys):
@@ -678,7 +717,6 @@ NUMERIC = st.one_of(
 # options draw valid values often enough that the success paths run too
 PROB = st.floats(0, 1, exclude_min=True, exclude_max=True).map(repr)
 RATIONAL = st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100).map(str)
-TOL = st.floats(1e-12, 1e-3).map(repr)
 # the LP commands keep k <= 4 and m <= 4, so a valid instance has at most 625 windows
 SMALL = st.one_of(st.integers(1, 4).map(str), st.sampled_from(["0", "-1", "nan", "inf", "1/0", "2.5"]))
 TERMS = st.one_of(st.integers(-2, 10**5).map(str), NUMERIC)
@@ -717,7 +755,7 @@ def command_args():
         "maxp": {"--k": NUMERIC},
         "taylor": {"--p": st.one_of(PROB, NUMERIC), "--T": TERMS},
         "lp-build": {"--k": SMALL, "--p": st.one_of(RATIONAL, PROB, NUMERIC), "--m": SMALL},
-        "lp-scan": {"--k": SMALL, "--m": SMALL, "--grid": grid, "--tol": st.one_of(TOL, TOL, NUMERIC)},
+        "lp-scan": {"--k": SMALL, "--m": SMALL, "--grid": grid},
     }
     drawn = {name: st.fixed_dictionaries(opts) for name, opts in options.items()}
     for policy in POLICIES:

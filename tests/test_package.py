@@ -72,7 +72,7 @@ def test_pyproject_version_is_the_package_version():
 RECORD_NAMES = [
     "Seq", "PairScan", "ReductionStep", "ReductionCertificate", "CheckResult",
     "ExhaustiveReport", "WalkerBound", "WindowLP", "FeasibilityResult", "ScanEntry",
-    "ScanReport", "EmpiricalStats", "TestOutcome", "TestReport", "CouplingTrace",
+    "EmpiricalStats", "TestOutcome", "TestReport", "CouplingTrace",
     "WalkerTrace", "Violation", "ViolationReport", "RoundRobin", "IndependentSites",
     "AvoidingWalkers", "StayingInWaves",
 ]
@@ -104,8 +104,7 @@ def records():
         "WalkerBound": bounds.max_walkers(10),
         "WindowLP": inst,
         "FeasibilityResult": lp.solve_feasibility(inst),
-        "ScanEntry": scan.entries[0],
-        "ScanReport": scan,
+        "ScanEntry": scan[0],
         "EmpiricalStats": stats.empirical_stats(np.array([1, 0, 1]), 1),
         "TestOutcome": outcome,
         "TestReport": stats.TestReport(0.5, 10, (outcome,), True),
